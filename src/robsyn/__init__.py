@@ -28,7 +28,6 @@ from .network import (
     evaluate_batch,
     load_network,
     save_network,
-    well_posedness_certificate,
 )
 from .multipliers import (
     Dims,
@@ -36,11 +35,9 @@ from .multipliers import (
     InputPairSet,
     MultiplierSet,
     assemble_p,
-    build_omega_g,
     build_omega_g_check,
     build_omega_gamma,
     build_omega_u,
-    build_omega_z,
     build_omega_z_check,
     certificate_matrix,
 )

@@ -16,9 +16,11 @@ form p' M p equals the scalar certificate term it encodes:
 
 The first three are nonnegative for realizable p (slope-restricted states,
 u1 - u2 inside the input set), so their sum dominating omega_gamma yields the
-robustness bound.  The "check" variants replace the bilinear products T*Psi
-by free matrices Y, which is what makes the synthesis program convex; at
-Y = T*W they coincide with the originals exactly.
+robustness bound.  The omega_z and omega_g builders (the "check" builders)
+take the bilinear products Y = T*Psi as free matrices, which is what makes
+the synthesis program convex; a network (Psi_z, Psi_u, Psi_gz, Psi_gu) is
+certified by passing Y = T*Psi.  certificate_matrix is the one written-down
+certificate: the synthesis program derives its PSD block from it.
 
 Storage convention: off-diagonal blocks appear halved on each side of the
 diagonal, and hermitian-sum blocks He(X) = X + X' are stored as their
@@ -97,7 +99,11 @@ class InputPairSet:
 
 @dataclass
 class MultiplierSet:
-    """Diagonal multipliers (T_z, T_g) and scalars (T_u1, T_u2), all >= 0."""
+    """Diagonal multipliers (T_z, T_g) and scalars (T_u1, T_u2), all >= 0.
+
+    All four may carry the same leading batch axes (T_z then has shape
+    (..., n)), describing one multiplier set per batch index.
+    """
 
     T_z: np.ndarray
     T_g: np.ndarray
@@ -105,9 +111,9 @@ class MultiplierSet:
     T_u2: float
 
     def __post_init__(self):
-        self.T_z = np.asarray(self.T_z, dtype=float).reshape(-1)
-        self.T_g = np.asarray(self.T_g, dtype=float).reshape(-1)
-        if np.any(self.T_z < 0) or np.any(self.T_g < 0) or self.T_u1 < 0 or self.T_u2 < 0:
+        self.T_z = np.atleast_1d(np.asarray(self.T_z, dtype=float))
+        self.T_g = np.atleast_1d(np.asarray(self.T_g, dtype=float))
+        if any(np.any(np.asarray(v) < 0) for v in (self.T_z, self.T_g, self.T_u1, self.T_u2)):
             raise ValueError("multipliers must be nonnegative")
 
 
@@ -160,98 +166,83 @@ def assemble_p(
 
 
 def _check_diag(name: str, arr: np.ndarray, length: int) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float).reshape(-1)
-    if arr.size != length:
-        raise DimensionMismatch(f"{name} must have {length} entries, got {arr.size}")
+    arr = np.asarray(arr, dtype=float)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if arr.shape[-1] != length:
+        raise DimensionMismatch(f"{name} must have {length} entries, got {arr.shape[-1]}")
     return arr
 
 
-def _mirror_lower(M: np.ndarray) -> np.ndarray:
-    # copy the upper triangle onto the lower one so symmetry is bit-exact
-    iu = np.triu_indices(M.shape[0], k=1)
-    M[(iu[1], iu[0])] = M[iu]
-    return M
+def _set_pair(M: np.ndarray, rows: slice, cols: slice | int, X) -> None:
+    # an off-diagonal block and its mirror image, so symmetry is bit-exact;
+    # an integer cols is a single column, mirrored as a row of the same values
+    M[..., rows, cols] = X
+    M[..., cols, rows] = X if isinstance(cols, int) else np.swapaxes(X, -1, -2)
 
 
-def build_omega_z(
-    dims: Dims, T_z: np.ndarray, Psi_z: np.ndarray, Psi_u: np.ndarray
-) -> np.ndarray:
-    """Slope-restriction certificate for the internal states of a network
-    (Psi_z, Psi_u): p' M p = z~' T_z (Psi_z z~ + Psi_u u~ - z~)."""
-    T_z = _check_diag("T_z", T_z, dims.n)
-    M = np.zeros((dims.N_p, dims.N_p))
-    A = T_z[:, None] * np.asarray(Psi_z, dtype=float).reshape(dims.n, dims.n)
-    M[dims.sl_z, dims.sl_z] = (A + A.T) / 2.0 - np.diag(T_z)
-    B = T_z[:, None] * np.asarray(Psi_u, dtype=float).reshape(dims.n, dims.n_u)
-    M[dims.sl_z, dims.sl_u] = B / 2.0
-    return _mirror_lower(M)
+def _set_diag(M: np.ndarray, sl: slice, values) -> None:
+    idx = np.arange(sl.start, sl.stop)
+    M[..., idx, idx] = values
 
 
 def build_omega_z_check(
     dims: Dims, T_z: np.ndarray, Y_z: np.ndarray, Y_u: np.ndarray
 ) -> np.ndarray:
-    """Convexified variant of build_omega_z with Y_z, Y_u replacing T_z*Psi."""
+    """Slope-restriction certificate for the internal states, with Y_z, Y_u
+    standing in for T_z Psi_z, T_z Psi_u of a network (Psi_z, Psi_u):
+    p' M p = z~' (Y_z z~ + Y_u u~ - T_z z~)."""
     T_z = _check_diag("T_z", T_z, dims.n)
-    M = np.zeros((dims.N_p, dims.N_p))
-    A = np.asarray(Y_z, dtype=float).reshape(dims.n, dims.n)
-    M[dims.sl_z, dims.sl_z] = (A + A.T) / 2.0 - np.diag(T_z)
-    M[dims.sl_z, dims.sl_u] = np.asarray(Y_u, dtype=float).reshape(dims.n, dims.n_u) / 2.0
-    return _mirror_lower(M)
-
-
-def build_omega_g(
-    dims: Dims, T_g: np.ndarray, Psi_gz: np.ndarray, Psi_gu: np.ndarray
-) -> np.ndarray:
-    """Output-channel certificate tying g_pm to the two ReLU halves of g~:
-    p' M p = r(g~)' T_g (g~ - r(g~)) + r(-g~)' T_g (-g~ - r(-g~))."""
-    T_g = _check_diag("T_g", T_g, dims.n_g)
-    n_g = dims.n_g
-    M = np.zeros((dims.N_p, dims.N_p))
-    gp = slice(0, n_g)
-    gm = slice(n_g, 2 * n_g)
-    M[gp, gp] = -np.diag(T_g)
-    M[gm, gm] = -np.diag(T_g)
-    Cz = T_g[:, None] * np.asarray(Psi_gz, dtype=float).reshape(n_g, dims.n)
-    Cu = T_g[:, None] * np.asarray(Psi_gu, dtype=float).reshape(n_g, dims.n_u)
-    M[gp, dims.sl_z] = Cz / 2.0
-    M[gm, dims.sl_z] = -Cz / 2.0
-    M[gp, dims.sl_u] = Cu / 2.0
-    M[gm, dims.sl_u] = -Cu / 2.0
-    return _mirror_lower(M)
+    batch = T_z.shape[:-1]
+    M = np.zeros(batch + (dims.N_p, dims.N_p))
+    A = np.asarray(Y_z, dtype=float).reshape(batch + (dims.n, dims.n))
+    S = (A + np.swapaxes(A, -1, -2)) / 2.0
+    idx = np.arange(dims.n)
+    S[..., idx, idx] -= T_z
+    M[..., dims.sl_z, dims.sl_z] = S
+    B = np.asarray(Y_u, dtype=float).reshape(batch + (dims.n, dims.n_u))
+    _set_pair(M, dims.sl_z, dims.sl_u, B / 2.0)
+    return M
 
 
 def build_omega_g_check(
     dims: Dims, T_g: np.ndarray, Y_gz: np.ndarray, Y_gu: np.ndarray
 ) -> np.ndarray:
-    """Convexified variant of build_omega_g with Y_gz, Y_gu replacing T_g*Psi."""
+    """Output-channel certificate tying g_pm to the two ReLU halves of g~,
+    with Y_gz, Y_gu standing in for T_g Psi_gz, T_g Psi_gu:
+    p' M p = r(g~)' T_g (g~ - r(g~)) + r(-g~)' T_g (-g~ - r(-g~))."""
     T_g = _check_diag("T_g", T_g, dims.n_g)
+    batch = T_g.shape[:-1]
     n_g = dims.n_g
-    M = np.zeros((dims.N_p, dims.N_p))
+    M = np.zeros(batch + (dims.N_p, dims.N_p))
     gp = slice(0, n_g)
     gm = slice(n_g, 2 * n_g)
-    M[gp, gp] = -np.diag(T_g)
-    M[gm, gm] = -np.diag(T_g)
-    Cz = np.asarray(Y_gz, dtype=float).reshape(n_g, dims.n)
-    Cu = np.asarray(Y_gu, dtype=float).reshape(n_g, dims.n_u)
-    M[gp, dims.sl_z] = Cz / 2.0
-    M[gm, dims.sl_z] = -Cz / 2.0
-    M[gp, dims.sl_u] = Cu / 2.0
-    M[gm, dims.sl_u] = -Cu / 2.0
-    return _mirror_lower(M)
+    _set_diag(M, gp, -T_g)
+    _set_diag(M, gm, -T_g)
+    Cz = np.asarray(Y_gz, dtype=float).reshape(batch + (n_g, dims.n))
+    Cu = np.asarray(Y_gu, dtype=float).reshape(batch + (n_g, dims.n_u))
+    _set_pair(M, gp, dims.sl_z, Cz / 2.0)
+    _set_pair(M, gm, dims.sl_z, -Cz / 2.0)
+    _set_pair(M, gp, dims.sl_u, Cu / 2.0)
+    _set_pair(M, gm, dims.sl_u, -Cu / 2.0)
+    return M
 
 
 def build_omega_u(dims: Dims, T_u1: float, T_u2: float, pairset: InputPairSet) -> np.ndarray:
     """Input-set certificate: for u_pm realized from u~ inside the pair set,
     p' M p = T_u1 (eps_u1 - ||u~||_1) + T_u2 (eps_u2 - ||u~||_2^2) >= 0."""
-    if T_u1 < 0 or T_u2 < 0:
+    T_u1 = np.asarray(T_u1, dtype=float)
+    T_u2 = np.asarray(T_u2, dtype=float)
+    if np.any(T_u1 < 0) or np.any(T_u2 < 0):
         raise ValueError("T_u1 and T_u2 must be nonnegative")
-    M = np.zeros((dims.N_p, dims.N_p))
-    two_nu = 2 * dims.n_u
-    M[dims.sl_u_pm, dims.sl_u_pm] = -0.5 * T_u2 * np.eye(two_nu)
-    M[dims.sl_u, dims.sl_u] = -0.5 * T_u2 * np.eye(dims.n_u)
-    M[dims.sl_u_pm, dims.idx_one] = -0.5 * T_u1
-    M[dims.idx_one, dims.idx_one] = T_u1 * pairset.eps_u1 + T_u2 * pairset.eps_u2
-    return _mirror_lower(M)
+    batch = np.broadcast_shapes(T_u1.shape, T_u2.shape)
+    M = np.zeros(batch + (dims.N_p, dims.N_p))
+    half_u2 = (-0.5 * T_u2)[..., None]
+    _set_diag(M, dims.sl_u_pm, half_u2)
+    _set_diag(M, dims.sl_u, half_u2)
+    _set_pair(M, dims.sl_u_pm, dims.idx_one, (-0.5 * T_u1)[..., None])
+    M[..., dims.idx_one, dims.idx_one] = T_u1 * pairset.eps_u1 + T_u2 * pairset.eps_u2
+    return M
 
 
 def build_omega_gamma(
@@ -259,13 +250,18 @@ def build_omega_gamma(
 ) -> np.ndarray:
     """Bound side of the certificate:
     p' M p = ||g~||_1 - gamma - gamma_u1 ||u~||_1 - gamma_u2 ||u~||_2^2."""
-    M = np.zeros((dims.N_p, dims.N_p))
-    M[dims.sl_g_pm, dims.idx_one] = 0.5
-    M[dims.sl_u_pm, dims.sl_u_pm] = -0.5 * gamma_u2 * np.eye(2 * dims.n_u)
-    M[dims.sl_u, dims.sl_u] = -0.5 * gamma_u2 * np.eye(dims.n_u)
-    M[dims.sl_u_pm, dims.idx_one] += -0.5 * gamma_u1
-    M[dims.idx_one, dims.idx_one] = -gamma
-    return _mirror_lower(M)
+    gamma, gamma_u1, gamma_u2 = (
+        np.asarray(v, dtype=float) for v in (gamma, gamma_u1, gamma_u2)
+    )
+    batch = np.broadcast_shapes(gamma.shape, gamma_u1.shape, gamma_u2.shape)
+    M = np.zeros(batch + (dims.N_p, dims.N_p))
+    half_u2 = (-0.5 * gamma_u2)[..., None]
+    _set_diag(M, dims.sl_u_pm, half_u2)
+    _set_diag(M, dims.sl_u, half_u2)
+    _set_pair(M, dims.sl_g_pm, dims.idx_one, 0.5)
+    _set_pair(M, dims.sl_u_pm, dims.idx_one, (-0.5 * gamma_u1)[..., None])
+    M[..., dims.idx_one, dims.idx_one] = -gamma
+    return M
 
 
 def certificate_matrix(
@@ -283,20 +279,13 @@ def certificate_matrix(
     """Sum of the four certificate matrices in their convexified form.
 
     Negative semidefiniteness of this matrix is the synthesis feasibility
-    condition; with Y = T*W it reduces to the analysis condition.
+    condition; with Y = T*W it reduces to the analysis condition.  The
+    multipliers, bound coefficients and Y blocks may carry the same leading
+    batch axes, giving one matrix per batch index; the synthesis program
+    derives its PSD block from one such batched evaluation.
     """
-    return (
-        build_omega_z_check(dims, mults.T_z, Y_z, Y_u)
-        + build_omega_g_check(dims, mults.T_g, Y_gz, Y_gu)
-        + build_omega_u(dims, mults.T_u1, mults.T_u2, pairset)
-        + build_omega_gamma(dims, gamma, gamma_u1, gamma_u2)
-    )
-
-
-def dump_matrix_csv(M: np.ndarray, path: str) -> None:
-    """Debug dump: row-major CSV with 17 significant digits per entry."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open(path, "w", newline="") as fh:
-        for row in M:
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+    M = build_omega_z_check(dims, mults.T_z, Y_z, Y_u)
+    M += build_omega_g_check(dims, mults.T_g, Y_gz, Y_gu)
+    M += build_omega_u(dims, mults.T_u1, mults.T_u2, pairset)
+    M += build_omega_gamma(dims, gamma, gamma_u1, gamma_u2)
+    return M

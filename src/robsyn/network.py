@@ -389,58 +389,6 @@ def evaluate_batch(
     return G, X, iters
 
 
-def well_posedness_certificate(
-    W_x: np.ndarray,
-    t_floor: float = 1e-6,
-    solver_options=None,
-) -> np.ndarray | None:
-    """Search for diagonal T > 0 with He(T W_x - T) < 0 (He(X) = X + X^T).
-
-    Such a T certifies a unique fixed point for every [0, 1]-slope activation.
-    Returns the diagonal of T, or None when the LMI is infeasible (the
-    sufficient condition is then inconclusive, not a proof of ill-posedness).
-    """
-    from .conic import ConicProgram, PsdBlockMap, SolverStatus, solve_conic
-
-    W = np.atleast_2d(np.asarray(W_x, dtype=float))
-    n = W.shape[0]
-    if W.shape != (n, n):
-        raise DimensionMismatch(f"W_x must be square, got {W.shape}")
-    if n == 0:
-        return np.zeros(0)
-    # feasibility normalized as He(T W - T) <= -I so the strict inequality
-    # has unit margin; any strictly feasible T can be rescaled to satisfy it.
-    # He(TW - T)[i, j] = t_i W[i, j] + t_j W[j, i] - 2 t_i [i == j]
-    coeffs = []
-    for i in range(n):
-        coeffs.append((i, i, i, -(2.0 * W[i, i] - 2.0)))
-        for j in range(n):
-            if j != i and W[i, j] != 0.0:
-                coeffs.append((i, min(i, j), max(i, j), -W[i, j]))
-    const = [(i, i, -1.0) for i in range(n)]
-    block = PsdBlockMap(dim=n, const=const, coeffs=coeffs)
-    ineqs = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = -1.0
-        ineqs.append((e, -t_floor))
-    prog = ConicProgram(
-        num_vars=n,
-        objective=np.ones(n),
-        equalities=[],
-        inequalities=ineqs,
-        psd_blocks=[block],
-    )
-    res = solve_conic(prog, solver_options)
-    if res.status == SolverStatus.OPTIMAL:
-        return res.theta.copy()
-    if res.status == SolverStatus.INFEASIBLE:
-        return None
-    from .errors import NumericalFailure
-
-    raise NumericalFailure(f"well-posedness solve failed: {res.detail}")
-
-
 _NETWORK_FIELDS = ("n", "n_u", "n_g", "activation", "W_x", "W_u", "W_fx", "W_fu", "b", "b_f")
 
 

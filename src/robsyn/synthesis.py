@@ -7,12 +7,20 @@ convex), and the three coefficients (gamma, gamma_u1, gamma_u2) of a bound
 
     ||g(u2) - g(u1)||_1  <=  gamma + gamma_u1 ||u~||_1 + gamma_u2 ||u~||_2^2
 
-valid for every input pair drawn from the given pair set.  Weight-channel
-inequalities keep each synthesized weight within an absolute tolerance of the
-reference network's weight, |Psi_ij - W_ij| <= eps; with all tolerances zero
-the weights collapse onto the reference exactly and the program reduces to
-pure analysis, which is also available directly (and cheaper) through
-analyze_network.
+valid for every input pair drawn from the given pair set.
+
+The program is written in deviation coordinates: a weight block with a
+positive tolerance eps contributes the deviations D = Y - T W of its
+products from the reference network's, and the weight-channel rows
+|D_ij| <= eps t_i keep each synthesized weight Psi = W + D / T within
+|Psi_ij - W_ij| <= eps.  A block with tolerance zero contributes no
+variables; its product is T W.  With all tolerances zero the program is
+the analysis program, and analyze_network is exactly that case.
+
+The certificate itself is written down once, in
+multipliers.certificate_matrix.  The PSD block is derived from it: _unpack
+maps a decision vector to the certificate's arguments, and the affine map
+is evaluated at zero and at every unit vector in one batched call.
 """
 
 from __future__ import annotations
@@ -147,28 +155,35 @@ class SynthesisProblem:
 class VariableLayout:
     """Index map of the decision vector.
 
-    Order: diag T_z, diag T_g, T_u1, T_u2, then (synthesis mode only) the
-    row-major convexified weight blocks Y_z, Y_u, Y_gz, Y_gu, then gamma,
-    gamma_u1, gamma_u2.
+    Order: diag T_z, diag T_g, T_u1, T_u2, then the row-major deviations
+    D = Y - T W of the convexified weight blocks Y_z, Y_u, Y_gz, Y_gu from
+    the reference network's (W_x, W_u, W_fx, W_fu), then gamma, gamma_u1,
+    gamma_u2.  A block with tolerance zero has an empty slice: its product
+    is Y = T W and the block has no variables.
+
+    Deviation rather than Y coordinates keep the weight rows well
+    conditioned.  In Y they carry t_i (W_ij +- eps), so near the optimum the
+    interior-point normal matrix holds large t_i W_ij^2 terms that cancel
+    almost exactly and swamp the curvature the certificate block gives t_i;
+    in D they read +-D_ij <= eps t_i.
     """
 
     dims: Dims
-    include_weights: bool
     sl_T_z: slice
     sl_T_g: slice
     idx_T_u1: int
     idx_T_u2: int
-    sl_Y_z: slice
-    sl_Y_u: slice
-    sl_Y_gz: slice
-    sl_Y_gu: slice
+    sl_D_z: slice
+    sl_D_u: slice
+    sl_D_gz: slice
+    sl_D_gu: slice
     idx_gamma: int
     idx_gamma_u1: int
     idx_gamma_u2: int
     num_vars: int
 
 
-def layout_variables(dims: Dims, include_weights: bool = True) -> VariableLayout:
+def layout_variables(dims: Dims, tolerances: SimilarityTolerances) -> VariableLayout:
     n, n_u, n_g = dims.n, dims.n_u, dims.n_g
     pos = 0
 
@@ -178,137 +193,61 @@ def layout_variables(dims: Dims, include_weights: bool = True) -> VariableLayout
         pos += count
         return sl
 
-    sl_T_z = take(n)
-    sl_T_g = take(n_g)
-    idx_T_u1 = pos
-    pos += 1
-    idx_T_u2 = pos
-    pos += 1
-    if include_weights:
-        sl_Y_z = take(n * n)
-        sl_Y_u = take(n * n_u)
-        sl_Y_gz = take(n_g * n)
-        sl_Y_gu = take(n_g * n_u)
-    else:
-        sl_Y_z = sl_Y_u = sl_Y_gz = sl_Y_gu = slice(pos, pos)
-    idx_gamma = pos
-    idx_gamma_u1 = pos + 1
-    idx_gamma_u2 = pos + 2
+    def deviations(rows: int, cols: int, eps: float) -> slice:
+        return take(rows * cols if eps > 0 else 0)
+
     return VariableLayout(
         dims=dims,
-        include_weights=include_weights,
-        sl_T_z=sl_T_z,
-        sl_T_g=sl_T_g,
-        idx_T_u1=idx_T_u1,
-        idx_T_u2=idx_T_u2,
-        sl_Y_z=sl_Y_z,
-        sl_Y_u=sl_Y_u,
-        sl_Y_gz=sl_Y_gz,
-        sl_Y_gu=sl_Y_gu,
-        idx_gamma=idx_gamma,
-        idx_gamma_u1=idx_gamma_u1,
-        idx_gamma_u2=idx_gamma_u2,
-        num_vars=pos + 3,
+        sl_T_z=take(n),
+        sl_T_g=take(n_g),
+        idx_T_u1=take(1).start,
+        idx_T_u2=take(1).start,
+        sl_D_z=deviations(n, n, tolerances.w_x),
+        sl_D_u=deviations(n, n_u, tolerances.w_u),
+        sl_D_gz=deviations(n_g, n, tolerances.w_fx),
+        sl_D_gu=deviations(n_g, n_u, tolerances.w_fu),
+        idx_gamma=take(1).start,
+        idx_gamma_u1=take(1).start,
+        idx_gamma_u2=take(1).start,
+        num_vars=pos,
     )
 
 
-def _certificate_psd_map(
-    problem: SynthesisProblem, layout: VariableLayout, shift: float | None = None
-) -> PsdBlockMap:
-    """PSD block S(theta) = -M(theta) - shift * I >= 0 where M is the sum of
-    the four certificate matrices in the convexified variables."""
-    d = layout.dims
+def _unpack(problem: SynthesisProblem, layout: VariableLayout, theta: np.ndarray):
+    """The certificate's arguments at the decision vector theta.
+
+    Returns the multipliers, the bound coefficients (gamma, gamma_u1,
+    gamma_u2), the weight products [Y_z, Y_u, Y_gz, Y_gu] and their
+    deviations D from T W.  A block with positive tolerance has
+    Y = T W + D; a block with tolerance zero has Y = T W and D None.
+    theta may carry leading batch axes, which every output then carries.
+    """
     net = problem.network
-    n, n_u, n_g = d.n, d.n_u, d.n_g
-    gp = lambda i: i
-    gm = lambda i: n_g + i
-    up = lambda j: 2 * n_g + j
-    zz = lambda i: 2 * n_g + 2 * n_u + i
-    uu = lambda j: 2 * n_g + 2 * n_u + n + j
-    one = d.idx_one
-
-    # entries of M; negated into the cone form at the end
-    const = [(gp(i), one, 0.5) for i in range(2 * n_g)]
-    coeffs = []
-
-    for i in range(n):
-        coeffs.append((layout.sl_T_z.start + i, zz(i), zz(i), -1.0))
-    for i in range(n_g):
-        k = layout.sl_T_g.start + i
-        coeffs.append((k, gp(i), gp(i), -1.0))
-        coeffs.append((k, gm(i), gm(i), -1.0))
-    for j in range(2 * n_u):
-        coeffs.append((layout.idx_T_u1, up(j), one, -0.5))
-        coeffs.append((layout.idx_T_u2, up(j), up(j), -0.5))
-    for j in range(n_u):
-        coeffs.append((layout.idx_T_u2, uu(j), uu(j), -0.5))
-    coeffs.append((layout.idx_T_u1, one, one, problem.input_set.eps_u1))
-    coeffs.append((layout.idx_T_u2, one, one, problem.input_set.eps_u2))
-
-    coeffs.append((layout.idx_gamma, one, one, -1.0))
-    for j in range(2 * n_u):
-        coeffs.append((layout.idx_gamma_u1, up(j), one, -0.5))
-        coeffs.append((layout.idx_gamma_u2, up(j), up(j), -0.5))
-    for j in range(n_u):
-        coeffs.append((layout.idx_gamma_u2, uu(j), uu(j), -0.5))
-
-    if layout.include_weights:
-        for i in range(n):
-            for j in range(n):
-                k = layout.sl_Y_z.start + i * n + j
-                if i == j:
-                    coeffs.append((k, zz(i), zz(i), 1.0))
-                else:
-                    coeffs.append((k, zz(min(i, j)), zz(max(i, j)), 0.5))
-            for j in range(n_u):
-                coeffs.append((layout.sl_Y_u.start + i * n_u + j, zz(i), uu(j), 0.5))
-        for i in range(n_g):
-            for j in range(n):
-                k = layout.sl_Y_gz.start + i * n + j
-                coeffs.append((k, gp(i), zz(j), 0.5))
-                coeffs.append((k, gm(i), zz(j), -0.5))
-            for j in range(n_u):
-                k = layout.sl_Y_gu.start + i * n_u + j
-                coeffs.append((k, gp(i), uu(j), 0.5))
-                coeffs.append((k, gm(i), uu(j), -0.5))
-    else:
-        # weights eliminated: Y = T * W folded into the multiplier columns
-        for i in range(n):
-            k = layout.sl_T_z.start + i
-            coeffs.append((k, zz(i), zz(i), float(net.W_x[i, i])))
-            for j in range(n):
-                if j != i:
-                    coeffs.append(
-                        (k, zz(min(i, j)), zz(max(i, j)), 0.5 * float(net.W_x[i, j]))
-                    )
-            for j in range(n_u):
-                coeffs.append((k, zz(i), uu(j), 0.5 * float(net.W_u[i, j])))
-        for i in range(n_g):
-            k = layout.sl_T_g.start + i
-            for j in range(n):
-                coeffs.append((k, gp(i), zz(j), 0.5 * float(net.W_fx[i, j])))
-                coeffs.append((k, gm(i), zz(j), -0.5 * float(net.W_fx[i, j])))
-            for j in range(n_u):
-                coeffs.append((k, gp(i), uu(j), 0.5 * float(net.W_fu[i, j])))
-                coeffs.append((k, gm(i), uu(j), -0.5 * float(net.W_fu[i, j])))
-
-    if shift is None:
-        shift = problem.strictness_shift
-    const_neg = [(i, j, -v) for (i, j, v) in const]
-    const_neg.extend((i, i, -shift) for i in range(d.N_p))
-    coeffs_neg = [(k, i, j, -v) for (k, i, j, v) in coeffs]
-    return PsdBlockMap(dim=d.N_p, const=const_neg, coeffs=coeffs_neg)
-
-
-def _weight_blocks(net: ImplicitNetwork, layout: VariableLayout) -> list:
-    """(reference block, its Y slice, the slice of its row multipliers) for
-    W_x, W_u, W_fx and W_fu, in that order."""
-    return [
-        (net.W_x, layout.sl_Y_z, layout.sl_T_z),
-        (net.W_u, layout.sl_Y_u, layout.sl_T_z),
-        (net.W_fx, layout.sl_Y_gz, layout.sl_T_g),
-        (net.W_fu, layout.sl_Y_gu, layout.sl_T_g),
-    ]
+    batch = theta.shape[:-1]
+    T_z = theta[..., layout.sl_T_z]
+    T_g = theta[..., layout.sl_T_g]
+    mults = MultiplierSet(
+        T_z=T_z, T_g=T_g, T_u1=theta[..., layout.idx_T_u1], T_u2=theta[..., layout.idx_T_u2]
+    )
+    gammas = tuple(
+        theta[..., k] for k in (layout.idx_gamma, layout.idx_gamma_u1, layout.idx_gamma_u2)
+    )
+    products, deviations = [], []
+    for W, T, sl in (
+        (net.W_x, T_z, layout.sl_D_z),
+        (net.W_u, T_z, layout.sl_D_u),
+        (net.W_fx, T_g, layout.sl_D_gz),
+        (net.W_fu, T_g, layout.sl_D_gu),
+    ):
+        TW = T[..., :, None] * W
+        if sl.start == sl.stop:
+            products.append(TW)
+            deviations.append(None)
+        else:
+            D = theta[..., sl].reshape(batch + W.shape)
+            products.append(TW + D)
+            deviations.append(D)
+    return mults, gammas, products, deviations
 
 
 def _unit_row(num_vars: int, entries) -> np.ndarray:
@@ -318,27 +257,60 @@ def _unit_row(num_vars: int, entries) -> np.ndarray:
     return row
 
 
+def _psd_block(
+    problem: SynthesisProblem, layout: VariableLayout, shift: float
+) -> PsdBlockMap:
+    """S(theta) = -M(theta) - shift I >= 0, derived from the certificate.
+
+    M is affine in theta, so one batched evaluation of certificate_matrix at
+    0 and at every unit vector gives A_0 = -M(0) - shift I and
+    A_k = -(M(e_k) - M(0)).
+    """
+    dims = layout.dims
+    nv = layout.num_vars
+    mults, gammas, products, _ = _unpack(
+        problem, layout, np.vstack([np.zeros(nv), np.eye(nv)])
+    )
+    M = certificate_matrix(dims, mults, problem.input_set, *gammas, *products)
+    A0 = -M[0] - shift * np.eye(dims.N_p)
+    A = M[1:]
+    A -= M[0]
+    np.negative(A, out=A)
+    iu = np.triu_indices(dims.N_p)
+    upper = A[:, iu[0], iu[1]]
+    k, e = np.nonzero(upper)
+    c = np.flatnonzero(A0[iu])
+    return PsdBlockMap(
+        dim=dims.N_p,
+        const=list(zip(iu[0][c].tolist(), iu[1][c].tolist(), A0[iu][c].tolist())),
+        coeffs=list(
+            zip(k.tolist(), iu[0][e].tolist(), iu[1][e].tolist(), upper[k, e].tolist())
+        ),
+    )
+
+
 def assemble_synthesis_sdp(
     problem: SynthesisProblem,
-    include_weights: bool = True,
     shift_override: float | None = None,
     capped: bool = False,
 ) -> tuple[ConicProgram, VariableLayout]:
-    """Build the conic program for the given problem.
+    """Build the conic program for the given problem, in deviation
+    coordinates (see VariableLayout).
 
-    include_weights=False assembles the analysis variant: the weight blocks
-    are eliminated against the reference network and only multipliers and
-    bound coefficients remain.  shift_override replaces the problem's
-    strictness shift (negative values relax the margin; used for the
-    marginal-instance fallback).  capped adds T <= t_cap rows on every
-    diagonal multiplier; synthesize solves that variant only after the
-    uncapped program fails numerically.
+    shift_override replaces the problem's strictness shift (negative values
+    relax the margin; used for the marginal-instance fallback).  capped adds
+    T <= t_cap rows on every diagonal multiplier; synthesize solves that
+    variant only after the uncapped program fails numerically.
     """
-    net = problem.network
-    dims = Dims.of(net)
-    layout = layout_variables(dims, include_weights)
-    nv = layout.num_vars
+    dims = Dims.of(problem.network)
     tol = problem.tolerances
+    layout = layout_variables(dims, tol)
+    nv = layout.num_vars
+
+    # the PSD block first, so that its dense transients are freed before
+    # the program's long-lived rows are allocated
+    shift = problem.strictness_shift if shift_override is None else shift_override
+    block = _psd_block(problem, layout, shift)
 
     objective = np.zeros(nv)
     objective[layout.idx_gamma] = problem.weights.gamma
@@ -348,26 +320,17 @@ def assemble_synthesis_sdp(
     equalities = []
     inequalities = []
 
-    if include_weights:
-        budgets = (tol.w_x, tol.w_u, tol.w_fx, tol.w_fu)
-        for (W, sl_Y, sl_T), eps in zip(_weight_blocks(net, layout), budgets):
-            rows, cols = W.shape
-            for i in range(rows):
-                t_idx = sl_T.start + i
-                for j in range(cols):
-                    y_idx = sl_Y.start + i * cols + j
-                    w = float(W[i, j])
-                    if eps == 0.0:
-                        equalities.append(
-                            (_unit_row(nv, [(y_idx, 1.0), (t_idx, -w)]), 0.0)
-                        )
-                    else:
-                        inequalities.append(
-                            (_unit_row(nv, [(y_idx, 1.0), (t_idx, -w - eps)]), 0.0)
-                        )
-                        inequalities.append(
-                            (_unit_row(nv, [(y_idx, -1.0), (t_idx, w - eps)]), 0.0)
-                        )
+    # weight rows +-D_ij - eps t_i <= 0, i.e. |Psi_ij - W_ij| <= eps
+    for sl_D, sl_T, cols, eps in (
+        (layout.sl_D_z, layout.sl_T_z, dims.n, tol.w_x),
+        (layout.sl_D_u, layout.sl_T_z, dims.n_u, tol.w_u),
+        (layout.sl_D_gz, layout.sl_T_g, dims.n, tol.w_fx),
+        (layout.sl_D_gu, layout.sl_T_g, dims.n_u, tol.w_fu),
+    ):
+        for k in range(sl_D.start, sl_D.stop):
+            t_idx = sl_T.start + (k - sl_D.start) // cols
+            inequalities.append((_unit_row(nv, [(k, 1.0), (t_idx, -eps)]), 0.0))
+            inequalities.append((_unit_row(nv, [(k, -1.0), (t_idx, -eps)]), 0.0))
 
     for sl in (layout.sl_T_z, layout.sl_T_g):
         for idx in range(sl.start, sl.stop):
@@ -403,7 +366,7 @@ def assemble_synthesis_sdp(
         objective=objective,
         equalities=equalities,
         inequalities=inequalities,
-        psd_blocks=[_certificate_psd_map(problem, layout, shift_override)],
+        psd_blocks=[block],
     )
     return program, layout
 
@@ -436,6 +399,10 @@ class RobustnessCertificate:
 
 @dataclass
 class SynthesisSolution:
+    """A solved program: the synthesized network, its certificate, the
+    multipliers, and the solver's decision vector theta with its layout
+    (both in deviation coordinates, see VariableLayout)."""
+
     network: ImplicitNetwork
     certificate: RobustnessCertificate
     multipliers: MultiplierSet
@@ -447,8 +414,12 @@ class SynthesisSolution:
 
     @property
     def status_label(self) -> str:
-        """Solve outcome plus whichever fallbacks were needed to reach it."""
+        """Solve outcome plus whichever fallbacks were needed to reach it;
+        a solve that stopped short of its tolerances and returned its best
+        iterate is noted as reduced accuracy."""
         notes = []
+        if self.solver_result.detail:
+            notes.append("reduced accuracy")
         if self.strictness_relaxed:
             notes.append("relaxed margin")
         if self.multiplier_capped:
@@ -459,46 +430,36 @@ class SynthesisSolution:
 def _extract_solution(
     problem: SynthesisProblem, layout: VariableLayout, result: SolverResult
 ) -> SynthesisSolution:
-    d = layout.dims
     theta = result.theta
-    T_z = theta[layout.sl_T_z].copy()
-    T_g = theta[layout.sl_T_g].copy()
-    T_u1 = float(theta[layout.idx_T_u1])
-    T_u2 = float(theta[layout.idx_T_u2])
+    # the sign-constrained scalars may come back a rounding error below zero
+    scalars = [
+        layout.idx_T_u1, layout.idx_T_u2,
+        layout.idx_gamma, layout.idx_gamma_u1, layout.idx_gamma_u2,
+    ]
+    clipped = theta.copy()
+    clipped[scalars] = np.maximum(clipped[scalars], 0.0)
+    mults, gammas, products, deviations = _unpack(problem, layout, clipped)
     ref = problem.network
-    if layout.include_weights:
-        Y_z = theta[layout.sl_Y_z].reshape(d.n, d.n)
-        Y_u = theta[layout.sl_Y_u].reshape(d.n, d.n_u)
-        Y_gz = theta[layout.sl_Y_gz].reshape(d.n_g, d.n)
-        Y_gu = theta[layout.sl_Y_gu].reshape(d.n_g, d.n_u)
-        Psi_z = Y_z / T_z[:, None]
-        Psi_u = Y_u / T_z[:, None]
-        Psi_gz = Y_gz / T_g[:, None]
-        Psi_gu = Y_gu / T_g[:, None]
-        network = ImplicitNetwork(
-            W_x=Psi_z,
-            W_u=Psi_u,
-            W_fx=Psi_gz,
-            W_fu=Psi_gu,
-            b=ref.b.copy(),
-            b_f=ref.b_f.copy(),
-            activation=ref.activation,
+    # Psi = Y / T = W + D / T, exactly W for a block with tolerance zero
+    Psi = [
+        W.copy() if D is None else W + D / T[:, None]
+        for W, T, D in zip(
+            (ref.W_x, ref.W_u, ref.W_fx, ref.W_fu),
+            (mults.T_z, mults.T_z, mults.T_g, mults.T_g),
+            deviations,
         )
-    else:
-        Y_z = T_z[:, None] * ref.W_x
-        Y_u = T_z[:, None] * ref.W_u
-        Y_gz = T_g[:, None] * ref.W_fx
-        Y_gu = T_g[:, None] * ref.W_fu
-        network = ref
-    mults = MultiplierSet(
-        T_z=T_z, T_g=T_g, T_u1=max(T_u1, 0.0), T_u2=max(T_u2, 0.0)
+    ]
+    network = ImplicitNetwork(
+        W_x=Psi[0],
+        W_u=Psi[1],
+        W_fx=Psi[2],
+        W_fu=Psi[3],
+        b=ref.b.copy(),
+        b_f=ref.b_f.copy(),
+        activation=ref.activation,
     )
-    gamma = max(float(theta[layout.idx_gamma]), 0.0)
-    gamma_u1 = max(float(theta[layout.idx_gamma_u1]), 0.0)
-    gamma_u2 = max(float(theta[layout.idx_gamma_u2]), 0.0)
-    M = certificate_matrix(
-        d, mults, problem.input_set, gamma, gamma_u1, gamma_u2, Y_z, Y_u, Y_gz, Y_gu
-    )
+    M = certificate_matrix(layout.dims, mults, problem.input_set, *gammas, *products)
+    gamma, gamma_u1, gamma_u2 = (float(g) for g in gammas)
     certificate = RobustnessCertificate(
         gamma=gamma,
         gamma_u1=gamma_u1,
@@ -517,76 +478,25 @@ def _extract_solution(
     )
 
 
-def _solve_in_deviation_coordinates(
-    problem: SynthesisProblem,
-    program: ConicProgram,
-    layout: VariableLayout,
-    options: SolverOptions,
-    backend: str,
-) -> SolverResult:
-    """Solve the program with each weight variable Y_ij replaced by its
-    deviation D_ij = Y_ij - t_i W_ij from the reference, and return the
-    solution in the original coordinates.
-
-    Both describe the same program.  In Y the weight-channel rows carry
-    t_i (W_ij +- eps), so near the optimum the interior-point normal matrix
-    holds large t_i W_ij^2 terms that cancel almost exactly and swamp the
-    curvature the certificate block gives t_i; in D the rows read
-    +-D_ij <= eps t_i and the cancellation is smaller by (eps / W_ij)^2.
-    """
-    y_idx, t_idx, w = [], [], []
-    if layout.include_weights:
-        for W, sl_Y, sl_T in _weight_blocks(problem.network, layout):
-            rows, cols = W.shape
-            y_idx.extend(range(sl_Y.start, sl_Y.stop))
-            t_idx.extend(np.repeat(np.arange(sl_T.start, sl_T.start + rows), cols))
-            w.extend(W.ravel())
-    y_idx = np.array(y_idx, dtype=int)
-    t_idx = np.array(t_idx, dtype=int)
-    w = np.array(w)
-
-    # theta = phi + E phi with E[y, t] = w, so a row a becomes a + E'a and
-    # the PSD coefficient of t gains w times that of each of its y
-    def pull_back(a):
-        a = a.copy()
-        np.add.at(a, t_idx, w * a[y_idx])
-        return a
-
-    t_of = dict(zip(y_idx.tolist(), zip(t_idx.tolist(), w.tolist())))
-    blocks = [
-        PsdBlockMap(
-            dim=blk.dim,
-            const=blk.const,
-            coeffs=blk.coeffs
-            + [
-                (t_of[k][0], i, j, t_of[k][1] * v)
-                for k, i, j, v in blk.coeffs
-                if k in t_of
-            ],
-        )
-        for blk in program.psd_blocks
-    ]
-    deviation = ConicProgram(
-        num_vars=program.num_vars,
-        objective=pull_back(program.objective),
-        equalities=[(pull_back(a), r) for a, r in program.equalities],
-        inequalities=[(pull_back(a), r) for a, r in program.inequalities],
-        psd_blocks=blocks,
-    )
-    result = solve_conic(deviation, options, backend)
-    if result.theta is not None:
-        theta = result.theta.copy()
-        theta[y_idx] += w * result.theta[t_idx]
-        result = replace(result, theta=theta)
-    return result
-
-
 def _keeps_margin(problem: SynthesisProblem, sol: SynthesisSolution) -> bool:
     kept = _KEPT_MARGIN_FRACTION * problem.strictness_shift
     return sol.certificate.lmi_margin <= -kept
 
 
-def _run(problem, include_weights, options, backend) -> SynthesisSolution:
+def synthesize(
+    problem: SynthesisProblem,
+    options: SolverOptions | None = None,
+    backend: str = "bundled",
+) -> SynthesisSolution:
+    """Solve the joint synthesis program and extract network plus certificate.
+
+    Two fallbacks may engage, each recorded on the returned solution: a
+    relaxed strictness margin for structurally marginal instances
+    (strictness_relaxed) and a multiplier cap for instances whose optimal
+    multipliers run away (multiplier_capped).  Raises Infeasible when no
+    certificate exists within the tolerances and NumericalFailure when the
+    solver cannot resolve the instance on any rung.
+    """
     opts = options if options is not None else SolverOptions()
     budget = opts
     if opts.max_iters > _UNCAPPED_ITER_BUDGET:
@@ -600,12 +510,8 @@ def _run(problem, include_weights, options, backend) -> SynthesisSolution:
     first_detail = None
     for relaxed in (False, True):
         shift = -MARGINAL_RELAXATION if relaxed else None
-        program, layout = assemble_synthesis_sdp(
-            problem, include_weights, shift_override=shift
-        )
-        result = _solve_in_deviation_coordinates(
-            problem, program, layout, budget, backend
-        )
+        program, layout = assemble_synthesis_sdp(problem, shift_override=shift)
+        result = solve_conic(program, budget, backend)
         if result.status is SolverStatus.OPTIMAL:
             sol = _extract_solution(problem, layout, result)
             if relaxed or _keeps_margin(problem, sol):
@@ -619,11 +525,9 @@ def _run(problem, include_weights, options, backend) -> SynthesisSolution:
             # numerical breakdown, usually a runaway multiplier ray; capping
             # T restores a bounded optimal face
             program, layout = assemble_synthesis_sdp(
-                problem, include_weights, shift_override=shift, capped=True
+                problem, shift_override=shift, capped=True
             )
-            result = _solve_in_deviation_coordinates(
-                problem, program, layout, opts, backend
-            )
+            result = solve_conic(program, opts, backend)
             if result.status is SolverStatus.OPTIMAL:
                 sol = _extract_solution(problem, layout, result)
                 if relaxed or _keeps_margin(problem, sol):
@@ -641,23 +545,6 @@ def _run(problem, include_weights, options, backend) -> SynthesisSolution:
     raise NumericalFailure(f"solver failed: {result.detail or first_detail}")
 
 
-def synthesize(
-    problem: SynthesisProblem,
-    options: SolverOptions | None = None,
-    backend: str = "bundled",
-) -> SynthesisSolution:
-    """Solve the joint synthesis program and extract network plus certificate.
-
-    Two fallbacks may engage, each recorded on the returned solution: a
-    relaxed strictness margin for structurally marginal instances
-    (strictness_relaxed) and a multiplier cap for instances whose optimal
-    multipliers run away (multiplier_capped).  Raises Infeasible when no
-    certificate exists within the tolerances and NumericalFailure when the
-    solver cannot resolve the instance on any rung.
-    """
-    return _run(problem, True, options, backend)
-
-
 def analyze_network(
     network: ImplicitNetwork,
     input_set: InputPairSet,
@@ -671,9 +558,9 @@ def analyze_network(
 ) -> SynthesisSolution:
     """Certify the given network as-is (no weight freedom).
 
-    Equivalent to synthesis with all tolerances zero but assembled on the
-    reduced variable set, so it is cheaper and better conditioned.  The
-    returned solution carries the input network unchanged.
+    This is synthesis with all tolerances zero: no weight block has
+    variables, so the program holds only the multipliers and the bound
+    coefficients.  The returned network has the input network's weights.
     """
     problem = SynthesisProblem(
         network=network,
@@ -685,4 +572,4 @@ def analyze_network(
         strictness_shift=strictness_shift,
         t_floor=t_floor,
     )
-    return _run(problem, False, options, backend)
+    return synthesize(problem, options, backend)

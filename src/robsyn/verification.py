@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import Infeasible, NumericalFailure, RobsynError
 from .multipliers import Dims, InputPairSet, MultiplierSet
-from .multipliers import build_omega_g, build_omega_u, build_omega_z
+from .multipliers import build_omega_g_check, build_omega_u, build_omega_z_check
 from .network import Activation, FixedPointConfig, ImplicitNetwork, evaluate_batch
 from .synthesis import (
     ObjectiveWeights,
@@ -218,8 +218,12 @@ def lemma_property_suite(
             T_u1=float(rng.uniform(0.0, 2.0)),
             T_u2=float(rng.uniform(0.0, 2.0)),
         )
-        Oz = build_omega_z(d, mults.T_z, net.W_x, net.W_u)
-        Og = build_omega_g(d, mults.T_g, net.W_fx, net.W_fu)
+        Oz = build_omega_z_check(
+            d, mults.T_z, mults.T_z[:, None] * net.W_x, mults.T_z[:, None] * net.W_u
+        )
+        Og = build_omega_g_check(
+            d, mults.T_g, mults.T_g[:, None] * net.W_fx, mults.T_g[:, None] * net.W_fu
+        )
         Ou = build_omega_u(d, mults.T_u1, mults.T_u2, pairset)
         U1, U2 = sample_input_pairs(
             pairset,

@@ -23,11 +23,9 @@ from robsyn.mpc import (
 from robsyn.multipliers import (
     Dims,
     InputPairSet,
-    build_omega_g,
     build_omega_g_check,
     build_omega_gamma,
     build_omega_u,
-    build_omega_z,
     build_omega_z_check,
 )
 from robsyn.network import evaluate, evaluate_batch, relu
@@ -135,15 +133,6 @@ def test_criterion_2_substitution_and_scalar_fidelity():
         Psi_u = rng.standard_normal((d.n, d.n_u))
         Psi_gz = rng.standard_normal((d.n_g, d.n))
         Psi_gu = rng.standard_normal((d.n_g, d.n_u))
-        # substitution: the convex builders at Y = T * Psi are bit-identical
-        assert np.array_equal(
-            build_omega_z_check(d, T_z, T_z[:, None] * Psi_z, T_z[:, None] * Psi_u),
-            build_omega_z(d, T_z, Psi_z, Psi_u),
-        )
-        assert np.array_equal(
-            build_omega_g_check(d, T_g, T_g[:, None] * Psi_gz, T_g[:, None] * Psi_gu),
-            build_omega_g(d, T_g, Psi_gz, Psi_gu),
-        )
         # scalar expansion on a realizable incremental vector
         z = rng.standard_normal(d.n)
         u = rng.standard_normal(d.n_u)
@@ -155,9 +144,10 @@ def test_criterion_2_substitution_and_scalar_fidelity():
         p[d.sl_u] = u
         p[d.idx_one] = 1.0
         ps = InputPairSet(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0)))
+        # the convex builders at Y = T * Psi
         M = (
-            build_omega_z(d, T_z, Psi_z, Psi_u)
-            + build_omega_g(d, T_g, Psi_gz, Psi_gu)
+            build_omega_z_check(d, T_z, T_z[:, None] * Psi_z, T_z[:, None] * Psi_u)
+            + build_omega_g_check(d, T_g, T_g[:, None] * Psi_gz, T_g[:, None] * Psi_gu)
             + build_omega_u(d, T_u1, T_u2, ps)
             + build_omega_gamma(d, gam, gam1, gam2)
         )

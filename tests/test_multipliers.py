@@ -20,14 +20,11 @@ from robsyn.multipliers import (
     InputPairSet,
     MultiplierSet,
     assemble_p,
-    build_omega_g,
     build_omega_g_check,
     build_omega_gamma,
     build_omega_u,
-    build_omega_z,
     build_omega_z_check,
     certificate_matrix,
-    dump_matrix_csv,
 )
 
 D1 = Dims(1, 1, 1)  # p = [gp, gm, up, um, z, u, 1], N_p = 7
@@ -44,7 +41,8 @@ def test_dims_layout():
 
 
 def test_omega_z_frozen_entries():
-    M = build_omega_z(D1, [1.0], [[0.5]], [[2.0]])
+    # T_z = 1, Psi_z = 0.5, Psi_u = 2, passed as Y = T * Psi
+    M = build_omega_z_check(D1, [1.0], [[1.0 * 0.5]], [[1.0 * 2.0]])
     E = np.zeros((7, 7))
     E[4, 4] = -0.5          # sym(1 * 0.5) - 1
     E[4, 5] = E[5, 4] = 1.0  # (1 * 2) / 2
@@ -52,7 +50,8 @@ def test_omega_z_frozen_entries():
 
 
 def test_omega_g_frozen_entries():
-    M = build_omega_g(D1, [2.0], [[3.0]], [[-1.0]])
+    # T_g = 2, Psi_gz = 3, Psi_gu = -1, passed as Y = T * Psi
+    M = build_omega_g_check(D1, [2.0], [[2.0 * 3.0]], [[2.0 * -1.0]])
     E = np.zeros((7, 7))
     E[0, 0] = E[1, 1] = -2.0
     E[0, 4] = E[4, 0] = 3.0
@@ -99,12 +98,24 @@ def random_parts(seed, d):
     }
 
 
+def products(parts):
+    """The check builders' Y = T * Psi for the network in parts."""
+    T_z, T_g = parts["T_z"][:, None], parts["T_g"][:, None]
+    return {
+        "Y_z": T_z * parts["Psi_z"],
+        "Y_u": T_z * parts["Psi_u"],
+        "Y_gz": T_g * parts["Psi_gz"],
+        "Y_gu": T_g * parts["Psi_gu"],
+    }
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_omega_z_quadratic_form(seed):
     """p' M p equals z' T_z (Psi_z z + Psi_u u - z) for arbitrary p."""
     d = Dims(3, 2, 2)
     parts = random_parts(seed, d)
-    M = build_omega_z(d, parts["T_z"], parts["Psi_z"], parts["Psi_u"])
+    Y = products(parts)
+    M = build_omega_z_check(d, parts["T_z"], Y["Y_z"], Y["Y_u"])
     p = parts["p"]
     z, u = p[d.sl_z], p[d.sl_u]
     expect = z @ (parts["T_z"] * (parts["Psi_z"] @ z + parts["Psi_u"] @ u - z))
@@ -116,7 +127,8 @@ def test_omega_g_quadratic_form(seed):
     """p' M p equals the two-sided ReLU coupling term for arbitrary p."""
     d = Dims(3, 2, 2)
     parts = random_parts(seed, d)
-    M = build_omega_g(d, parts["T_g"], parts["Psi_gz"], parts["Psi_gu"])
+    Y = products(parts)
+    M = build_omega_g_check(d, parts["T_g"], Y["Y_gz"], Y["Y_gu"])
     p = parts["p"]
     gp, gm = p[: d.n_g], p[d.n_g : 2 * d.n_g]
     z, u = p[d.sl_z], p[d.sl_u]
@@ -167,31 +179,40 @@ def test_omega_gamma_quadratic_form_on_realizable_p(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_substitution_identity_is_bit_exact(seed):
-    """The convexified builders with Y = T * Psi reproduce the originals
-    without any floating-point discrepancy."""
+    """The check builders with Y = T * Psi reproduce, without any
+    floating-point discrepancy, the entries of the Psi-form expansion:
+    sym(T_z Psi_z) - T_z and T_z Psi_u / 2 for omega_z, -T_g on both halves
+    and +-T_g Psi_g / 2 for omega_g."""
     d = Dims(4, 2, 3)
     parts = random_parts(seed, d)
-    Y_z = parts["T_z"][:, None] * parts["Psi_z"]
-    Y_u = parts["T_z"][:, None] * parts["Psi_u"]
-    assert np.array_equal(
-        build_omega_z_check(d, parts["T_z"], Y_z, Y_u),
-        build_omega_z(d, parts["T_z"], parts["Psi_z"], parts["Psi_u"]),
-    )
-    Y_gz = parts["T_g"][:, None] * parts["Psi_gz"]
-    Y_gu = parts["T_g"][:, None] * parts["Psi_gu"]
-    assert np.array_equal(
-        build_omega_g_check(d, parts["T_g"], Y_gz, Y_gu),
-        build_omega_g(d, parts["T_g"], parts["Psi_gz"], parts["Psi_gu"]),
-    )
+    Y = products(parts)
+    T_z, T_g = parts["T_z"], parts["T_g"]
+    A = T_z[:, None] * parts["Psi_z"]
+    B = T_z[:, None] * parts["Psi_u"]
+    E = np.zeros((d.N_p, d.N_p))
+    E[d.sl_z, d.sl_z] = (A + A.T) / 2.0 - np.diag(T_z)
+    E[d.sl_z, d.sl_u] = B / 2.0
+    E[d.sl_u, d.sl_z] = B.T / 2.0
+    assert np.array_equal(build_omega_z_check(d, T_z, Y["Y_z"], Y["Y_u"]), E)
+    n_g = d.n_g
+    gp, gm = slice(0, n_g), slice(n_g, 2 * n_g)
+    C = np.hstack([T_g[:, None] * parts["Psi_gz"], T_g[:, None] * parts["Psi_gu"]]) / 2.0
+    zu = slice(d.sl_z.start, d.sl_u.stop)
+    E = np.zeros((d.N_p, d.N_p))
+    E[gp, gp] = E[gm, gm] = -np.diag(T_g)
+    E[gp, zu], E[gm, zu] = C, -C
+    E[zu, gp], E[zu, gm] = C.T, -C.T
+    assert np.array_equal(build_omega_g_check(d, T_g, Y["Y_gz"], Y["Y_gu"]), E)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_builders_produce_exactly_symmetric_matrices(seed):
     d = Dims(3, 2, 2)
     parts = random_parts(seed, d)
+    Y = products(parts)
     mats = [
-        build_omega_z(d, parts["T_z"], parts["Psi_z"], parts["Psi_u"]),
-        build_omega_g(d, parts["T_g"], parts["Psi_gz"], parts["Psi_gu"]),
+        build_omega_z_check(d, parts["T_z"], Y["Y_z"], Y["Y_u"]),
+        build_omega_g_check(d, parts["T_g"], Y["Y_gz"], Y["Y_gu"]),
         build_omega_u(d, 0.3, 0.8, InputPairSet(1.0, 1.0)),
         build_omega_gamma(d, 1.0, 0.2, 0.4),
         build_omega_z_check(d, parts["T_z"], parts["Psi_z"], parts["Psi_u"]),
@@ -199,6 +220,32 @@ def test_builders_produce_exactly_symmetric_matrices(seed):
     ]
     for M in mats:
         assert np.array_equal(M, M.T)
+
+
+def test_batched_certificate_matches_one_at_a_time():
+    """Arguments with leading batch axes give, bit for bit, the matrices of
+    the individual evaluations."""
+    d = Dims(3, 2, 2)
+    ps = InputPairSet(0.8, 1.7)
+    draws = [random_parts(seed, d) for seed in range(4)]
+    rng = np.random.default_rng(0)
+    scalars = rng.uniform(0.0, 2.0, (4, 5))
+    stack = {key: np.stack([parts[key] for parts in draws]) for key in draws[0]}
+    Ys = {key: np.stack([products(parts)[key] for parts in draws]) for key in products(draws[0])}
+    batched = certificate_matrix(
+        d, MultiplierSet(stack["T_z"], stack["T_g"], scalars[:, 0], scalars[:, 1]), ps,
+        scalars[:, 2], scalars[:, 3], scalars[:, 4],
+        Ys["Y_z"], Ys["Y_u"], Ys["Y_gz"], Ys["Y_gu"],
+    )
+    assert batched.shape == (4, d.N_p, d.N_p)
+    for b, parts in enumerate(draws):
+        Y = products(parts)
+        single = certificate_matrix(
+            d, MultiplierSet(parts["T_z"], parts["T_g"], scalars[b, 0], scalars[b, 1]), ps,
+            scalars[b, 2], scalars[b, 3], scalars[b, 4],
+            Y["Y_z"], Y["Y_u"], Y["Y_gz"], Y["Y_gu"],
+        )
+        assert np.array_equal(batched[b], single)
 
 
 def test_check_builders_are_linear_in_their_arguments():
@@ -273,15 +320,6 @@ def test_multiplier_set_rejects_negative_entries():
         MultiplierSet(np.array([1.0]), np.array([1.0]), -0.5, 0.0)
 
 
-def test_dump_matrix_csv_round_trip(tmp_path):
-    M = np.random.default_rng(0).standard_normal((3, 4))
-    M[0, 0] = 1.0 / 3.0
-    path = tmp_path / "m.csv"
-    dump_matrix_csv(M, str(path))
-    back = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(M, back)
-
-
 # --- realizability lemma on actual network evaluations --- #
 
 TOL = 1e-9
@@ -323,8 +361,8 @@ def test_certificate_terms_nonnegative_on_realizable_vectors(
     slack = TOL * (1.0 + p @ p)
     T_z = rng.uniform(0.0, 2.0, n)
     T_g = rng.uniform(0.0, 2.0, n_g)
-    s_z = p @ build_omega_z(d, T_z, net.W_x, net.W_u) @ p
-    s_g = p @ build_omega_g(d, T_g, net.W_fx, net.W_fu) @ p
+    s_z = p @ build_omega_z_check(d, T_z, T_z[:, None] * net.W_x, T_z[:, None] * net.W_u) @ p
+    s_g = p @ build_omega_g_check(d, T_g, T_g[:, None] * net.W_fx, T_g[:, None] * net.W_fu) @ p
     s_u = p @ build_omega_u(d, 0.8, 1.2, ps) @ p
     assert s_z >= -slack
     assert s_g >= -slack

@@ -1,8 +1,11 @@
 """Tests for the joint synthesis program.
 
-The SDP assembly is checked against direct construction of the certificate
-matrices (independent oracle from the multiplier module), extraction against
-hand-computable instances, and soundness by sampling input pairs.
+The PSD block is derived from the multiplier module's certificate matrix,
+so the assembly is checked by evaluating the derived block at random
+decision vectors against the certificate matrix evaluated there directly
+(the certificate itself is pinned by the frozen-entry and scalar-form tests
+of the multiplier module).  Extraction is checked against hand-computable
+instances, and soundness by sampling input pairs.
 """
 
 import numpy as np
@@ -10,7 +13,8 @@ import pytest
 from helpers import random_well_posed_network
 
 from robsyn import evaluate
-from robsyn.conic import SolverStatus, solve_conic
+import robsyn.synthesis
+from robsyn.conic import SolverResult, SolverStatus, solve_conic
 from robsyn.errors import Infeasible
 from robsyn.mpc import (
     MpcProblem,
@@ -24,6 +28,7 @@ from robsyn.synthesis import (
     ObjectiveWeights,
     SimilarityTolerances,
     SynthesisProblem,
+    _unpack,
     analyze_network,
     assemble_synthesis_sdp,
     layout_variables,
@@ -31,6 +36,10 @@ from robsyn.synthesis import (
 )
 
 Z = np.zeros
+
+UNIFORM = SimilarityTolerances.uniform(0.1)
+ZERO = SimilarityTolerances.uniform(0.0)
+MIXED = SimilarityTolerances(w_x=0.0, w_u=0.1, w_fx=0.05, w_fu=0.2)
 
 
 def small_problem(net, eps, U=None, **kw):
@@ -45,19 +54,21 @@ def small_problem(net, eps, U=None, **kw):
 class TestLayout:
     def test_counts_small(self):
         d = Dims(1, 1, 1)
-        assert layout_variables(d, True).num_vars == 11
-        assert layout_variables(d, False).num_vars == 7
+        assert layout_variables(d, UNIFORM).num_vars == 11
+        assert layout_variables(d, ZERO).num_vars == 7
+        assert layout_variables(d, MIXED).num_vars == 10
 
     def test_counts_reference_bridge(self):
         d = Dims(20, 2, 10)
-        assert layout_variables(d, True).num_vars == 695
-        assert layout_variables(d, False).num_vars == 35
+        assert layout_variables(d, UNIFORM).num_vars == 695
+        assert layout_variables(d, ZERO).num_vars == 35
+        assert layout_variables(d, MIXED).num_vars == 695 - 400
 
     def test_slices_partition_the_vector(self):
         d = Dims(3, 2, 4)
-        L = layout_variables(d, True)
+        L = layout_variables(d, UNIFORM)
         covered = set()
-        for sl in (L.sl_T_z, L.sl_T_g, L.sl_Y_z, L.sl_Y_u, L.sl_Y_gz, L.sl_Y_gu):
+        for sl in (L.sl_T_z, L.sl_T_g, L.sl_D_z, L.sl_D_u, L.sl_D_gz, L.sl_D_gu):
             block = set(range(sl.start, sl.stop))
             assert not block & covered
             covered |= block
@@ -69,29 +80,35 @@ class TestAssembly:
     @pytest.mark.parametrize("seed", range(5))
     def test_psd_map_matches_direct_construction(self, seed):
         # evaluate the assembled PSD block at random positive theta and
-        # compare with the certificate matrices built from the same values
+        # compare with the certificate matrix at the same decision vector,
+        # for uniform, all-zero and mixed tolerances
         net = random_well_posed_network(seed, n=3, n_u=2, n_g=2)
         d = Dims.of(net)
         U = InputPairSet(0.7, 1.3)
-        prob = small_problem(net, 0.1, U)
-        program, L = assemble_synthesis_sdp(prob)
         rng = np.random.default_rng(100 + seed)
-        theta = rng.uniform(0.1, 2.0, size=L.num_vars)
-        mults = MultiplierSet(
-            T_z=theta[L.sl_T_z], T_g=theta[L.sl_T_g],
-            T_u1=theta[L.idx_T_u1], T_u2=theta[L.idx_T_u2],
-        )
-        M = certificate_matrix(
-            d, mults, U,
-            theta[L.idx_gamma], theta[L.idx_gamma_u1], theta[L.idx_gamma_u2],
-            theta[L.sl_Y_z].reshape(d.n, d.n),
-            theta[L.sl_Y_u].reshape(d.n, d.n_u),
-            theta[L.sl_Y_gz].reshape(d.n_g, d.n),
-            theta[L.sl_Y_gu].reshape(d.n_g, d.n_u),
-        )
-        S = program.psd_blocks[0].evaluate(theta)
-        expected = -M - prob.strictness_shift * np.eye(d.N_p)
-        np.testing.assert_allclose(S, expected, atol=1e-14)
+        for tol in (UNIFORM, ZERO, MIXED):
+            prob = SynthesisProblem(network=net, input_set=U, tolerances=tol)
+            program, L = assemble_synthesis_sdp(prob)
+            theta = rng.uniform(0.1, 2.0, size=L.num_vars)
+            mults, gammas, Y, D = _unpack(prob, L, theta)
+            # the products are T W + D, or T W where the tolerance is zero
+            T_z, T_g = theta[L.sl_T_z], theta[L.sl_T_g]
+            for W, T, sl, eps, got in (
+                (net.W_x, T_z, L.sl_D_z, tol.w_x, Y[0]),
+                (net.W_u, T_z, L.sl_D_u, tol.w_u, Y[1]),
+                (net.W_fx, T_g, L.sl_D_gz, tol.w_fx, Y[2]),
+                (net.W_fu, T_g, L.sl_D_gu, tol.w_fu, Y[3]),
+            ):
+                expect = T[:, None] * W
+                if eps > 0:
+                    expect = expect + theta[sl].reshape(W.shape)
+                else:
+                    assert sl.start == sl.stop
+                assert np.array_equal(got, expect)
+            M = certificate_matrix(d, mults, U, *gammas, *Y)
+            S = program.psd_blocks[0].evaluate(theta)
+            expected = -M - prob.strictness_shift * np.eye(d.N_p)
+            np.testing.assert_allclose(S, expected, atol=1e-14, err_msg=str(tol))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_analysis_psd_map_matches_direct_construction(self, seed):
@@ -99,7 +116,8 @@ class TestAssembly:
         d = Dims.of(net)
         U = InputPairSet(0.7, 1.3)
         prob = small_problem(net, 0.0, U)
-        program, L = assemble_synthesis_sdp(prob, include_weights=False)
+        program, L = assemble_synthesis_sdp(prob)
+        assert L.num_vars == d.n + d.n_g + 5
         rng = np.random.default_rng(200 + seed)
         theta = rng.uniform(0.1, 2.0, size=L.num_vars)
         T_z, T_g = theta[L.sl_T_z], theta[L.sl_T_g]
@@ -114,16 +132,31 @@ class TestAssembly:
         expected = -M - prob.strictness_shift * np.eye(d.N_p)
         np.testing.assert_allclose(S, expected, atol=1e-13)
 
-    def test_zero_tolerance_emits_equalities(self):
+    def test_zero_tolerance_blocks_add_no_variables_or_rows(self):
+        # a block with tolerance zero has no deviation variables and no
+        # weight rows; a block with a positive tolerance has one pair of
+        # rows +-D_ij - eps t_i <= 0 per entry
         net = random_well_posed_network(3, n=2, n_u=1, n_g=1)
-        prob = small_problem(net, 0.0)
-        program, L = assemble_synthesis_sdp(prob)
-        # one equality per weight entry
-        n_entries = net.n**2 + net.n * net.n_u + net.n_g * net.n + net.n_g * net.n_u
-        assert len(program.equalities) == n_entries
-        prob = small_problem(net, 1e-3)
-        program, L = assemble_synthesis_sdp(prob)
+        floor_rows = net.n + net.n_g + 2 + 3  # T floors, T_u >= 0, gammas >= 0
+        base = small_problem(net, 0.0)
+        program, L = assemble_synthesis_sdp(base)
+        assert L.num_vars == net.n + net.n_g + 5
         assert len(program.equalities) == 0
+        assert len(program.inequalities) == floor_rows
+        mixed = SynthesisProblem(
+            network=net, input_set=base.input_set,
+            tolerances=SimilarityTolerances(w_x=0.0, w_u=1e-3, w_fx=0.0, w_fu=2e-3),
+        )
+        program, L = assemble_synthesis_sdp(mixed)
+        assert L.sl_D_z.start == L.sl_D_z.stop and L.sl_D_gz.start == L.sl_D_gz.stop
+        n_dev = net.n * net.n_u + net.n_g * net.n_u
+        assert L.num_vars == net.n + net.n_g + 5 + n_dev
+        assert len(program.equalities) == 0
+        assert len(program.inequalities) == floor_rows + 2 * n_dev
+        for a, r in program.inequalities[: 2 * n_dev]:
+            nz = np.flatnonzero(a)
+            assert r == 0.0 and len(nz) == 2
+            assert abs(a[nz[1]]) == 1.0 and a[nz[0]] in (-1e-3, -2e-3)
 
     def test_capped_assembly_adds_upper_bound_rows(self):
         # one extra row per diagonal multiplier, unit coefficient, rhs t_cap;
@@ -350,6 +383,81 @@ class TestSynthesis:
         ss = synthesize(small_problem(bad, 0.5))
         assert ss.certificate.objective_value <= 1e-4
         assert np.max(np.abs(ss.network.W_x - bad.W_x)) <= 0.5 + 1e-6
+
+
+    def test_zero_tolerance_blocks_come_back_exactly(self):
+        net = random_well_posed_network(9, n=3, n_u=2, n_g=2)
+        prob = SynthesisProblem(
+            network=net, input_set=InputPairSet(1.0, 1.0), tolerances=MIXED
+        )
+        ss = synthesize(prob)
+        assert np.array_equal(ss.network.W_x, net.W_x)
+        for blk, ref, eps in (
+            (ss.network.W_u, net.W_u, MIXED.w_u),
+            (ss.network.W_fx, net.W_fx, MIXED.w_fx),
+            (ss.network.W_fu, net.W_fu, MIXED.w_fu),
+        ):
+            assert np.max(np.abs(blk - ref)) <= eps + 1e-6
+
+    def test_zero_tolerance_synthesis_is_analysis(self, monkeypatch):
+        # on the paper-MPC network, synthesis with every tolerance zero hands
+        # the solver the same 35-variable programs as analysis
+        net = qp_to_implicit_network(
+            condense_qp(reference_mpc_problem()), attach_hint=False
+        )
+        U = InputPairSet(1.0, 1.0)
+        seen = []
+        solve = robsyn.synthesis.solve_conic
+
+        def record(program, options=None, backend="bundled"):
+            blk = program.psd_blocks[0]
+            seen[-1].append((
+                program.num_vars,
+                program.objective,
+                [a for a, _ in program.inequalities], [r for _, r in program.inequalities],
+                [a for a, _ in program.equalities], [r for _, r in program.equalities],
+                blk.constant_matrix(), blk.coefficient_stack(program.num_vars),
+            ))
+            return solve(program, options, backend)
+
+        monkeypatch.setattr(robsyn.synthesis, "solve_conic", record)
+        seen.append([])
+        ss = synthesize(
+            SynthesisProblem(
+                network=net, input_set=U, tolerances=ZERO,
+                fixed_gamma_u1=0.0, fixed_gamma_u2=0.0,
+            )
+        )
+        seen.append([])
+        sa = analyze_network(net, U, fixed_gamma_u1=0.0, fixed_gamma_u2=0.0)
+        assert len(seen[0]) == len(seen[1]) >= 1
+        for a, b in zip(*seen):
+            assert a[0] == b[0] == 35
+            for x, y in zip(a[1:], b[1:]):
+                assert np.array_equal(np.asarray(x), np.asarray(y))
+        assert ss.certificate.gamma == sa.certificate.gamma
+
+
+class TestStatusLabel:
+    def test_reduced_accuracy_is_named(self):
+        net = random_well_posed_network(21, n=3, n_u=1, n_g=2)
+        sol = synthesize(small_problem(net, 0.1))
+        assert sol.status_label == "optimal"
+        r = sol.solver_result
+        sol.solver_result = SolverResult(
+            status=SolverStatus.OPTIMAL,
+            theta=r.theta,
+            objective_value=r.objective_value,
+            max_eig_violation=r.max_eig_violation,
+            ineq_violation=r.ineq_violation,
+            eq_residual=r.eq_residual,
+            iterations=r.iterations,
+            detail="terminated at reduced accuracy (pres 1.9e-09, dres 2.6e-08, relgap 4.4e-11)",
+        )
+        assert sol.status_label == "optimal (reduced accuracy)"
+        sol.strictness_relaxed = True
+        assert sol.status_label == "optimal (reduced accuracy, relaxed margin)"
+        assert sol.status_label.startswith("optimal")
 
 
 class TestObjectiveWeights:

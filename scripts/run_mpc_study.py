@@ -9,8 +9,7 @@ Artifacts (networks, certificates, trajectory CSV) land in --out.
 The sampled pairs draw their first input from (-50, 50)^2, where most of
 them saturate the MPC input (the share is printed); over the library's
 default box (-5, 5) none do, and the check would cover only the linear
-piece of the law.  Networks are evaluated by Newton's method, which stays
-exact on saturated inputs where Anderson-accelerated iteration stalls.
+piece of the law.
 """
 
 import argparse
@@ -29,7 +28,7 @@ from robsyn.mpc import (
     simulate_closed_loop,
 )
 from robsyn.multipliers import InputPairSet
-from robsyn.network import FixedPointConfig, evaluate, evaluate_batch, save_network
+from robsyn.network import evaluate, evaluate_batch, save_network
 from robsyn.synthesis import (
     SimilarityTolerances,
     SynthesisProblem,
@@ -44,7 +43,6 @@ from robsyn.verification import (
 )
 
 SAMPLE_BOX = (-50.0, 50.0)
-NEWTON = FixedPointConfig(acceleration="newton")
 
 
 def saturated_share(net, qp, input_set, spec, seed):
@@ -54,7 +52,7 @@ def saturated_share(net, qp, input_set, spec, seed):
     limit = qp.v_bound * (1.0 - 1e-9)
     saturated = np.zeros(spec.num_pairs, dtype=bool)
     for U in (U1, U2):
-        G = evaluate_batch(net, U.T, NEWTON)[0]
+        G = evaluate_batch(net, U.T)[0]
         saturated |= np.any(np.abs(G) >= limit, axis=0)
     return float(np.mean(saturated))
 
@@ -103,7 +101,7 @@ def main() -> int:
         sol, dt = robustify(net, U, eps, opts)
         cert = sol.certificate
         dev = max_weight_deviation(sol.network, net)
-        check = empirical_bound_check(sol.network, cert, spec, seed=args.seed, config=NEWTON)
+        check = empirical_bound_check(sol.network, cert, spec, seed=args.seed)
         save_network(sol.network, os.path.join(args.out, f"network_{label}.json"))
         print(
             f"eps={eps:g}: gamma = {cert.gamma:.4f} ({dt:.1f}s), "

@@ -48,8 +48,6 @@ from .conic import (
     SolverOptions,
     SolverResult,
     SolverStatus,
-    load_program,
-    save_program,
     solve_conic,
     verify_solution,
 )

@@ -26,7 +26,6 @@ lazily so the package works without cvxopt installed.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -860,55 +859,3 @@ def solve_conic(
         )
     return _BACKENDS[backend](program, options or SolverOptions())
 
-
-# --- interchange format --- #
-
-
-def save_program(program: ConicProgram, path: str) -> None:
-    """Write the program as a structured-text (JSON) document, full precision."""
-    doc = {
-        "num_vars": program.num_vars,
-        "objective": program.objective.tolist(),
-        "equalities": [{"coeff": a.tolist(), "rhs": r} for a, r in program.equalities],
-        "inequalities": [{"coeff": a.tolist(), "rhs": r} for a, r in program.inequalities],
-        "psd_blocks": [
-            {
-                "dim": blk.dim,
-                "const": [[i, j, v] for i, j, v in blk.const],
-                "coeffs": [[k, i, j, v] for k, i, j, v in blk.coeffs],
-            }
-            for blk in program.psd_blocks
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
-def load_program(path: str) -> ConicProgram:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as ex:
-            raise SchemaError(f"not a valid structured-text document: {ex}") from None
-    required = {"num_vars", "objective", "equalities", "inequalities", "psd_blocks"}
-    if not isinstance(doc, dict) or set(doc) != required:
-        raise SchemaError(f"program document must have exactly the keys {sorted(required)}")
-    try:
-        blocks = [
-            PsdBlockMap(
-                dim=int(blk["dim"]),
-                const=[tuple(t) for t in blk["const"]],
-                coeffs=[tuple(t) for t in blk["coeffs"]],
-            )
-            for blk in doc["psd_blocks"]
-        ]
-        return ConicProgram(
-            num_vars=int(doc["num_vars"]),
-            objective=np.asarray(doc["objective"], dtype=float),
-            equalities=[(e["coeff"], e["rhs"]) for e in doc["equalities"]],
-            inequalities=[(e["coeff"], e["rhs"]) for e in doc["inequalities"]],
-            psd_blocks=blocks,
-        )
-    except (KeyError, TypeError, ValueError) as ex:
-        raise SchemaError(f"malformed program document: {ex}") from None

@@ -5,10 +5,12 @@ A network here is the implicit model
     x = phi(W_x x + W_u u + b),        f(u) = W_fx x + W_fu u + b_f,
 
 where phi acts elementwise and every component has secant slopes in
-[slope_lo, slope_hi] = [0, 1].  The fixed point x is computed by damped
-Picard iteration, optionally Anderson-accelerated, or by a semismooth
-Newton method specialized to ReLU.  Networks produced from a QP (see the
-mpc module) may carry an exact fixed-point hint that bypasses iteration.
+[slope_lo, slope_hi] = [0, 1].  One batched routine computes the fixed
+points of all inputs at once: semismooth Newton for ReLU networks, and
+damped Picard iteration with Anderson mixing for every other activation
+and for the inputs where Newton stalls.  evaluate is evaluate_batch on a
+single input.  Networks produced from a QP (see the mpc module) may carry
+an exact fixed-point hint that bypasses iteration.
 """
 
 from __future__ import annotations
@@ -25,11 +27,6 @@ from .errors import DimensionMismatch, NonConvergence, SchemaError
 def relu(x: np.ndarray) -> np.ndarray:
     """Elementwise max(x, 0)."""
     return np.maximum(x, 0.0)
-
-
-def abs_via_relu(x: np.ndarray) -> np.ndarray:
-    """|x| written as relu(x) + relu(-x), the identity behind the 1-norm encoding."""
-    return relu(x) + relu(-x)
 
 
 def _sigmoid_shifted(x: np.ndarray) -> np.ndarray:
@@ -93,28 +90,29 @@ class Activation:
 class FixedPointConfig:
     """Controls the fixed-point solve in evaluate / evaluate_batch.
 
-    acceleration is one of "none" (plain damped Picard), "anderson"
-    (depth-limited Anderson mixing on the damped map), or "newton"
-    (semismooth Newton, ReLU networks only).
+    acceleration "newton" solves ReLU networks by semismooth Newton;
+    "anderson", and every other activation, uses damped Picard iteration
+    with Anderson mixing.  tol bounds the residual of every returned state,
+    and max_iters the number of Picard sweeps.
     """
 
     tol: float = 1e-10
     max_iters: int = 100_000
-    damping: float = 0.5
-    acceleration: str = "anderson"
-    anderson_depth: int = 5
+    acceleration: str = "newton"
 
     def __post_init__(self):
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
-        if self.acceleration not in ("none", "anderson", "newton"):
+        if self.acceleration not in ("newton", "anderson"):
             raise ValueError(f"unknown acceleration {self.acceleration!r}")
-        if self.anderson_depth < 1:
-            raise ValueError("anderson_depth must be at least 1")
+
+
+# Picard steps are x + _DAMPING (phi(W_x x + q) - x); Newton takes at most
+# _NEWTON_SWEEPS steps before the columns where it stalls go to Picard.
+_DAMPING = 0.5
+_NEWTON_SWEEPS = 60
 
 
 def _as_matrix(obj, rows: int, cols: int, name: str) -> np.ndarray:
@@ -236,97 +234,75 @@ class EvalResult:
     iterations: int
 
 
-def _picard_anderson(net: ImplicitNetwork, q: np.ndarray, cfg: FixedPointConfig):
-    """Damped Picard iteration on x -> phi(W_x x + q), Anderson-mixed if asked."""
-    n = net.n
-    phi = net.activation
-    alpha = cfg.damping
-    x = np.zeros(n)
-    depth = cfg.anderson_depth if cfg.acceleration == "anderson" else 0
-    X_hist: list[np.ndarray] = []
-    F_hist: list[np.ndarray] = []
-    for k in range(cfg.max_iters):
-        fx = phi(net.W_x @ x + q)
-        r = fx - x
-        res = float(np.max(np.abs(r))) if n else 0.0
-        if res <= cfg.tol:
-            return x, k
-        if depth > 0:
-            X_hist.append(x.copy())
-            F_hist.append(r.copy())
-            if len(X_hist) > depth + 1:
-                X_hist.pop(0)
-                F_hist.pop(0)
-            m = len(X_hist) - 1
-            if m >= 1:
-                # type-II Anderson: minimize || r_k + dR w ||_2 over history window
-                dR = np.stack([F_hist[i + 1] - F_hist[i] for i in range(m)], axis=1)
-                dX = np.stack([X_hist[i + 1] - X_hist[i] for i in range(m)], axis=1)
-                try:
-                    w, *_ = np.linalg.lstsq(
-                        dR.T @ dR + 1e-12 * np.eye(m), -dR.T @ r, rcond=None
-                    )
-                    x_new = x + alpha * r + (dX + alpha * dR) @ w
-                    if np.all(np.isfinite(x_new)):
-                        x = x_new
-                        continue
-                except np.linalg.LinAlgError:
-                    pass
-        x = x + alpha * r
-    fx = phi(net.W_x @ x + q)
-    res = float(np.max(np.abs(fx - x))) if n else 0.0
-    if res <= cfg.tol:
-        return x, cfg.max_iters
-    raise NonConvergence(cfg.max_iters, res)
+def _fixed_points(net: ImplicitNetwork, Q: np.ndarray, cfg: FixedPointConfig):
+    """Solve x = phi(W_x x + q) for every column q of Q; returns (X, sweeps).
 
-
-def _newton_relu_batch(net: ImplicitNetwork, Qmat: np.ndarray, cfg: FixedPointConfig):
-    """Semismooth Newton on s = W_x relu(s) + q, batched over columns of Qmat.
-
-    The map is piecewise linear, so Newton with the active-set generalized
-    Jacobian I - W_x D terminates finitely under nondegeneracy; a damped
-    Picard sweep mops up columns where it stalls.
+    ReLU networks under "newton" take semismooth Newton steps on
+    s = W_x relu(s) + q with the active-set Jacobian I - W_x D; the map is
+    piecewise linear, so Newton terminates finitely under nondegeneracy.
+    Every other column (all columns of other activations, and those where
+    Newton stalls) restarts from zero under damped Picard steps with type-II
+    Anderson mixing of depth 1 (Walker & Ni, SIAM J. Numer. Anal. 2011),
+    whose weight has a closed form per column.  Columns leave the iteration
+    as they converge.
     """
-    if net.activation.kind != "relu":
-        raise ValueError("newton acceleration requires a ReLU activation")
-    n, B = Qmat.shape[0], Qmat.shape[1]
-    if n == 0:
-        return np.zeros((0, B)), 0
-    W = net.W_x
-    S = Qmat.copy()
-    eye = np.eye(n)
+    n, B = Q.shape
+    X = np.zeros((n, B))
+    if n == 0 or B == 0:
+        return X, 0
+    W, phi = net.W_x, net.activation
     live = np.arange(B)
-    iters = 0
-    for _ in range(60):
-        if live.size == 0:
-            break
-        iters += 1
-        Sl = S[:, live]
-        R = Sl - W @ relu(Sl) - Qmat[:, live]
-        res = np.max(np.abs(R), axis=0)
-        done = res <= 0.1 * cfg.tol
-        if np.any(done):
-            live = live[~done]
+    sweeps = 0
+    if cfg.acceleration == "newton" and phi.kind == "relu":
+        S = Ql = Q
+        eye = np.eye(n)
+        for sweeps in range(_NEWTON_SWEEPS + 1):
+            R = S - W @ relu(S) - Ql
+            # |relu(s) - relu(W relu(s) + q)| <= |R|, so done columns meet tol
+            done = np.abs(R).max(axis=0) <= 0.1 * cfg.tol
+            X[:, live[done]] = relu(S[:, done])
+            live, S, Ql, R = live[~done], S[:, ~done], Ql[:, ~done], R[:, ~done]
             if live.size == 0:
+                return X, sweeps
+            if sweeps == _NEWTON_SWEEPS:
                 break
-            Sl = S[:, live]
-            R = R[:, ~done]
-        act = (Sl > 0).astype(float)                # (n, k)
-        J = eye[None, :, :] - W[None, :, :] * act.T[:, None, :]
-        try:
-            step = np.linalg.solve(J, -R.T[:, :, None])[:, :, 0].T
-        except np.linalg.LinAlgError:
+            J = eye - W * (S > 0).T[:, None, :]     # one Jacobian per column
+            try:
+                S = S - np.linalg.solve(J, R.T[:, :, None])[:, :, 0].T
+            except np.linalg.LinAlgError:
+                break
+    Ql = Q[:, live]
+    Xl = np.zeros((n, live.size))
+    prev = None           # (G, R) of the previous sweep
+    for k in range(cfg.max_iters + 1):
+        R = phi(W @ Xl + Ql) - Xl
+        res = np.abs(R).max(axis=0)
+        done = res <= cfg.tol
+        if done.any():
+            X[:, live[done]] = Xl[:, done]
+            keep = ~done
+            if not keep.any():
+                return X, sweeps + k
+            live = live[keep]
+            Xl, Ql, R = (a.compress(keep, axis=1) for a in (Xl, Ql, R))
+            if prev is not None:
+                prev = tuple(a.compress(keep, axis=1) for a in prev)
+        if k == cfg.max_iters:
             break
-        S[:, live] = Sl + step
-    X = relu(S)
-    # contract check against the undamped map, per column
-    R = X - relu(W @ X + Qmat)
-    bad = np.where(np.max(np.abs(R), axis=0) > cfg.tol)[0] if B else np.array([], int)
-    for j in bad:
-        sub = replace(cfg, acceleration="anderson")
-        X[:, j], extra = _picard_anderson(net, Qmat[:, j], sub)
-        iters += extra
-    return X, iters
+        G = Xl + _DAMPING * R     # the damped Picard step
+        if prev is None:
+            Xl = G
+        else:
+            # type-II Anderson of depth 1: w minimizes ||R - w dR||_2 per
+            # column; where dR = 0 or the step overflows it is not finite
+            dG, dR = G - prev[0], R - prev[1]
+            with np.errstate(all="ignore"):
+                w = np.einsum("ik,ik->k", dR, R) / np.einsum("ik,ik->k", dR, dR)
+                Xl = G - dG * w
+            bad = ~np.isfinite(Xl).all(axis=0)
+            Xl[:, bad] = G[:, bad]
+        prev = (G, R)
+    raise NonConvergence(cfg.max_iters, float(np.max(res)))
 
 
 def evaluate(
@@ -336,20 +312,9 @@ def evaluate(
 
     The returned x satisfies ||x - phi(W_x x + W_u u + b)||_inf <= config.tol.
     """
-    cfg = config or FixedPointConfig()
     u = np.asarray(u, dtype=float).reshape(net.n_u)
-    if net.fixed_point_hint is not None:
-        x = np.asarray(net.fixed_point_hint(u), dtype=float).reshape(net.n)
-        if net.residual(x, u) <= cfg.tol:
-            return EvalResult(net.output(x, u), x, 0)
-        # hint disagreed with the network; fall through to iteration
-    q = net.W_u @ u + net.b
-    if cfg.acceleration == "newton":
-        X, iters = _newton_relu_batch(net, q.reshape(net.n, 1), cfg)
-        x = X[:, 0]
-    else:
-        x, iters = _picard_anderson(net, q, cfg)
-    return EvalResult(net.output(x, u), x, iters)
+    G, X, iters = evaluate_batch(net, u[:, None], config)
+    return EvalResult(G[:, 0], X[:, 0], iters)
 
 
 def evaluate_batch(
@@ -357,8 +322,8 @@ def evaluate_batch(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Evaluate many inputs at once; U has one input per column.
 
-    Returns (G, X, iterations) with G of shape (n_g, B) and X of shape (n, B).
-    Matches per-input evaluate to within the residual tolerance.
+    Returns (G, X, iterations) with G of shape (n_g, B) and X of shape (n, B);
+    every column of X meets the residual tolerance of config.
     """
     cfg = config or FixedPointConfig()
     U = np.asarray(U, dtype=float)
@@ -376,15 +341,7 @@ def evaluate_batch(
         if ok:
             G = net.W_fx @ X + net.W_fu @ U + net.b_f[:, None]
             return G, X, 0
-    Qmat = net.W_u @ U + net.b[:, None]
-    if cfg.acceleration == "newton" and net.activation.kind == "relu":
-        X, iters = _newton_relu_batch(net, Qmat, cfg)
-    else:
-        X = np.empty((net.n, B))
-        iters = 0
-        for j in range(B):
-            X[:, j], it = _picard_anderson(net, Qmat[:, j], cfg)
-            iters = max(iters, it)
+    X, iters = _fixed_points(net, net.W_u @ U + net.b[:, None], cfg)
     G = net.W_fx @ X + net.W_fu @ U + net.b_f[:, None]
     return G, X, iters
 

@@ -1,5 +1,5 @@
 """Tests for the conic program container, the bundled interior-point backend,
-the independent solution checker, and the interchange format."""
+and the independent solution checker."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,12 @@ from robsyn.conic import (
     PsdBlockMap,
     SolverOptions,
     SolverStatus,
-    load_program,
-    save_program,
     smat,
     solve_conic,
     svec,
     svec_indices,
     verify_solution,
 )
-from robsyn.errors import SchemaError
 
 
 def scalar_bound_program():
@@ -241,30 +238,3 @@ def test_random_sdp_solutions_verify(seed):
         cand = rng.uniform(-3, 3, prog.num_vars)
         if verify_solution(prog, cand).ok(1e-9):
             assert res.objective_value <= prog.objective @ cand + 1e-6
-
-
-def test_program_round_trip(tmp_path):
-    prog = random_box_sdp(5)
-    path = tmp_path / "prog.json"
-    save_program(prog, path)
-    back = load_program(path)
-    assert back.num_vars == prog.num_vars
-    assert np.array_equal(back.objective, prog.objective)
-    assert len(back.inequalities) == len(prog.inequalities)
-    for (a1, r1), (a2, r2) in zip(back.inequalities, prog.inequalities):
-        assert np.array_equal(a1, a2) and r1 == r2
-    assert back.psd_blocks[0].const == prog.psd_blocks[0].const
-    assert back.psd_blocks[0].coeffs == prog.psd_blocks[0].coeffs
-    r_old = solve_conic(prog)
-    r_new = solve_conic(back)
-    assert np.array_equal(r_old.theta, r_new.theta)
-
-
-def test_load_rejects_malformed_documents(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{broken")
-    with pytest.raises(SchemaError):
-        load_program(path)
-    path.write_text('{"num_vars": 1}')
-    with pytest.raises(SchemaError):
-        load_program(path)

@@ -8,7 +8,7 @@ conditions, and the bridge network against the QP oracle on a state grid.
 import numpy as np
 import pytest
 
-from robsyn import evaluate
+from robsyn import FixedPointConfig, evaluate, evaluate_batch
 from robsyn.errors import DimensionMismatch, NonPositiveDefinite, SingularH
 from robsyn.mpc import (
     CondensedQP,
@@ -19,6 +19,8 @@ from robsyn.mpc import (
     simulate_closed_loop,
     solve_qp_oracle,
 )
+from robsyn.multipliers import InputPairSet
+from robsyn.verification import SampleSpec, sample_input_pairs
 from helpers import rollout_cost
 
 
@@ -191,6 +193,17 @@ class TestBridgeNetwork:
         sol = solve_qp_oracle(qp, w)
         out = evaluate(net, w)
         np.testing.assert_allclose(out.g, sol.v, atol=1e-6)
+
+    def test_default_evaluation_matches_oracle_on_saturated_inputs(self):
+        # over (-50, 50) most draws saturate the input, where Anderson-mixed
+        # Picard needs thousands of sweeps; the default solves them by Newton
+        qp = condense_qp(reference_mpc_problem())
+        net = qp_to_implicit_network(qp, attach_hint=False)
+        spec = SampleSpec(num_pairs=200, base_box=(-50.0, 50.0))
+        U = sample_input_pairs(InputPairSet(1.0, 1.0), 2, spec, 0)[0]
+        G = evaluate_batch(net, U.T, FixedPointConfig(max_iters=3000))[0]
+        oracle = np.stack([solve_qp_oracle(qp, u).v for u in U], axis=1)
+        np.testing.assert_allclose(G, oracle, rtol=0, atol=1e-9)
 
     def test_hint_short_circuits_iteration(self):
         qp = condense_qp(reference_mpc_problem())

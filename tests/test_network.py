@@ -14,7 +14,6 @@ from robsyn.network import (
     Activation,
     FixedPointConfig,
     ImplicitNetwork,
-    abs_via_relu,
     evaluate,
     evaluate_batch,
     load_network,
@@ -43,11 +42,6 @@ def simple_net(W_x, W_u, W_fx, W_fu, b=None, b_f=None, activation=None):
 def test_relu_basics():
     x = np.array([-2.0, 0.0, 3.5])
     assert np.array_equal(relu(x), [0.0, 0.0, 3.5])
-
-
-def test_abs_via_relu_equals_abs():
-    x = np.array([-2.0, 0.0, 3.5, -0.25])
-    assert np.array_equal(abs_via_relu(x), np.abs(x))
 
 
 def test_activation_factories_report_slopes():
@@ -130,16 +124,31 @@ def test_newton_matches_picard(seed):
     assert np.allclose(x_newton, x_picard, atol=1e-8)
 
 
+def plain_picard(net, U, sweeps=5000):
+    """Undamped x <- phi(W_x x + W_u u + b) per column, for contractive nets."""
+    Q = net.W_u @ U + net.b[:, None]
+    X = np.zeros((net.n, U.shape[1]))
+    for _ in range(sweeps):
+        X = net.activation(net.W_x @ X + Q)
+    return X
+
+
 def test_evaluate_batch_matches_single():
-    net = random_well_posed_network(3, n=4, n_u=2, n_g=3)
-    U = np.random.default_rng(5).standard_normal((2, 7))
-    G, X, iters = evaluate_batch(net, U)
-    assert G.shape == (3, 7) and X.shape == (4, 7)
-    for k in range(7):
-        res = evaluate(net, U[:, k])
-        assert np.allclose(G[:, k], res.g, atol=1e-8)
-        assert np.allclose(X[:, k], res.x, atol=1e-8)
-    assert iters >= 1
+    # inputs spread over four decades converge after different sweep counts
+    U = np.random.default_rng(5).standard_normal((2, 9)) * np.logspace(-2, 2, 9)
+    for activation in (Activation.relu(), Activation.tanh()):
+        net = random_well_posed_network(3, n=4, n_u=2, n_g=3, activation=activation)
+        X_ref = plain_picard(net, U)
+        G_ref = net.W_fx @ X_ref + net.W_fu @ U + net.b_f[:, None]
+        for acceleration in ("newton", "anderson"):
+            cfg = FixedPointConfig(tol=1e-12, acceleration=acceleration)
+            counts = {evaluate(net, U[:, k], cfg).iterations for k in range(9)}
+            assert len(counts) > 1, (activation.kind, acceleration)
+            G, X, iters = evaluate_batch(net, U, cfg)
+            assert G.shape == (3, 9) and X.shape == (4, 9)
+            np.testing.assert_allclose(X, X_ref, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(G, G_ref, rtol=0, atol=1e-9)
+            assert iters >= max(counts)
 
 
 def test_fixed_point_hint_is_used():
@@ -167,19 +176,22 @@ def test_inaccurate_hint_falls_back_to_solver():
 def test_divergent_iteration_raises():
     # x = relu(2x + 1) has no fixed point
     net = simple_net([[2.0]], [[1.0]], [[1.0]], [[0.0]])
-    cfg = FixedPointConfig(max_iters=200, acceleration="none")
-    with pytest.raises(NonConvergence) as excinfo:
-        evaluate(net, np.array([1.0]), cfg)
-    assert excinfo.value.iterations == 200
+    for acceleration in ("newton", "anderson"):
+        cfg = FixedPointConfig(max_iters=200, acceleration=acceleration)
+        with pytest.raises(NonConvergence) as excinfo:
+            evaluate(net, np.array([1.0]), cfg)
+        assert excinfo.value.iterations == 200
 
 
 def test_fixed_point_config_validation():
-    with pytest.raises(ValueError):
-        FixedPointConfig(acceleration="turbo")
-    with pytest.raises(ValueError):
-        FixedPointConfig(damping=0.0)
+    assert FixedPointConfig().acceleration == "newton"
+    for acceleration in ("turbo", "none"):
+        with pytest.raises(ValueError):
+            FixedPointConfig(acceleration=acceleration)
     with pytest.raises(ValueError):
         FixedPointConfig(tol=-1.0)
+    with pytest.raises(ValueError):
+        FixedPointConfig(max_iters=0)
 
 
 def test_residual_reports_infinity_norm():

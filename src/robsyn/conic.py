@@ -26,6 +26,7 @@ lazily so the package works without cvxopt installed.
 from __future__ import annotations
 
 import enum
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -35,70 +36,87 @@ import scipy.sparse
 
 from .errors import SchemaError
 
+# one DEBUG record per interior-point iteration
+logger = logging.getLogger(__name__)
+
+
+def _entry_columns(entries, width: int) -> list:
+    """Index columns and value column of block entries given either
+    column-wise, as a tuple of width arrays, or row-wise, as a sequence of
+    (index, ..., value) tuples."""
+    if (
+        isinstance(entries, tuple)
+        and len(entries) == width
+        and all(isinstance(col, np.ndarray) for col in entries)
+    ):
+        cols = [col.reshape(-1) for col in entries]
+    else:
+        cols = list(np.asarray(entries, dtype=float).reshape(-1, width).T)
+    if len({len(col) for col in cols}) > 1:
+        raise ValueError("entry columns must have equal lengths")
+    return [col.astype(np.intp) for col in cols[:-1]] + [cols[-1].astype(float)]
+
 
 @dataclass
 class PsdBlockMap:
     """Affine map theta -> A_0 + sum_k theta_k A_k into symmetric dim x dim
-    matrices, stored entrywise.
+    matrices, stored entrywise as arrays.
 
-    const holds (i, j, value) triples of A_0; coeffs holds (var, i, j, value)
-    quadruples of the A_k.  Entries are upper-triangle positions (i <= j after
-    normalization); duplicates accumulate.
+    const holds the entries of A_0 as arrays (i, j, value); coeffs holds the
+    entries of the A_k as arrays (var, i, j, value).  Either may also be
+    given as a list of (i, j, value) or (var, i, j, value) tuples.  Entries
+    are upper-triangle positions (i <= j after normalization); duplicates
+    accumulate.
     """
 
     dim: int
-    const: list = field(default_factory=list)
-    coeffs: list = field(default_factory=list)
+    const: tuple = ()
+    coeffs: tuple = ()
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("PSD block dimension must be positive")
-        self.const = [self._norm3(t) for t in self.const]
-        self.coeffs = [self._norm4(t) for t in self.coeffs]
-
-    def _norm3(self, t):
-        i, j, v = int(t[0]), int(t[1]), float(t[2])
-        if not (0 <= i < self.dim and 0 <= j < self.dim):
-            raise ValueError(f"entry ({i}, {j}) outside block of dim {self.dim}")
-        return (min(i, j), max(i, j), v)
-
-    def _norm4(self, t):
-        k, i, j, v = int(t[0]), int(t[1]), int(t[2]), float(t[3])
-        if k < 0:
+        i, j, v = _entry_columns(self.const, 3)
+        self.const = (*self._upper(i, j), v)
+        k, i, j, v = _entry_columns(self.coeffs, 4)
+        if np.any(k < 0):
             raise ValueError("variable index must be nonnegative")
-        if not (0 <= i < self.dim and 0 <= j < self.dim):
-            raise ValueError(f"entry ({i}, {j}) outside block of dim {self.dim}")
-        return (k, min(i, j), max(i, j), v)
+        self.coeffs = (k, *self._upper(i, j), v)
+
+    def _upper(self, i, j):
+        outside = (i < 0) | (i >= self.dim) | (j < 0) | (j >= self.dim)
+        if np.any(outside):
+            at = int(np.argmax(outside))
+            raise ValueError(f"entry ({i[at]}, {j[at]}) outside block of dim {self.dim}")
+        return np.minimum(i, j), np.maximum(i, j)
+
+    def _scatter(self, i, j, v, k=0, count=1) -> np.ndarray:
+        """Dense (count, dim, dim) array holding each value at (k, i, j) and,
+        off the diagonal, at (k, j, i) as well."""
+        m = self.dim
+        off = i != j
+        flat = np.concatenate([(k * m + i) * m + j, ((k * m + j) * m + i)[off]])
+        vals = np.concatenate([v, v[off]])
+        out = np.bincount(flat, weights=vals, minlength=count * m * m)
+        return out.reshape(count, m, m)
 
     def constant_matrix(self) -> np.ndarray:
-        A0 = np.zeros((self.dim, self.dim))
-        for i, j, v in self.const:
-            A0[i, j] += v
-            if i != j:
-                A0[j, i] += v
-        return A0
+        return self._scatter(*self.const)[0]
 
     def coefficient_stack(self, num_vars: int) -> np.ndarray:
         """Dense (num_vars, dim, dim) array of the A_k."""
-        stack = np.zeros((num_vars, self.dim, self.dim))
-        for k, i, j, v in self.coeffs:
-            if k >= num_vars:
-                raise ValueError(f"variable index {k} outside program of size {num_vars}")
-            stack[k, i, j] += v
-            if i != j:
-                stack[k, j, i] += v
-        return stack
+        k, i, j, v = self.coeffs
+        if k.size and k.max() >= num_vars:
+            raise ValueError(
+                f"variable index {k.max()} outside program of size {num_vars}"
+            )
+        return self._scatter(i, j, v, k, num_vars)
 
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
         """The block value at a particular theta."""
-        A = self.constant_matrix()
+        k, i, j, v = self.coeffs
         theta = np.asarray(theta, dtype=float)
-        for k, i, j, v in self.coeffs:
-            inc = theta[k] * v
-            A[i, j] += inc
-            if i != j:
-                A[j, i] += inc
-        return A
+        return self.constant_matrix() + self._scatter(i, j, theta[k] * v)[0]
 
 
 @dataclass
@@ -130,7 +148,6 @@ class SolverOptions:
     feas_tol: float = 1e-7
     gap_tol: float = 1e-7
     max_iters: int = 200
-    verbose: bool = False
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.gap_tol <= 0:
@@ -224,33 +241,42 @@ def smat(v: np.ndarray, m: int, iu, mult) -> np.ndarray:
 class _ConeData:
     """Standard-form data min c'x, Gx + s = h, Ax = b with s in
     R+^l x PSD(m_1) x ... derived from a ConicProgram, in the rotated
-    variables x = Qa' theta."""
+    variables x = Qa' theta.
+
+    G is held sparse, with its transpose GT: the inequality rows have one
+    or two terms and each A_k a handful of entries, so a product with G
+    costs its few thousand nonzeros rather than rows x nv."""
 
     def __init__(self, program: ConicProgram):
         nv = program.num_vars
         self.nv = nv
-        self.c = program.objective.copy()
         if program.equalities:
-            self.A = np.stack([a for a, _ in program.equalities])
+            A = np.stack([a for a, _ in program.equalities])
             self.b = np.array([r for _, r in program.equalities])
         else:
-            self.A = np.zeros((0, nv))
+            A = np.zeros((0, nv))
             self.b = np.zeros(0)
         # The solver works in the rotated variables x = Qa' theta, where
         # A' = Qa [R1; 0] is a QR factorisation (constant across iterations):
         # the equalities then read R1' x[:ne] = b, and a KKT solve needs no
-        # rotation of its own
-        ne = self.A.shape[0]
+        # rotation of its own.  For equalities that pin single variables Qa
+        # is a signed permutation, and G stays as sparse as the program.
+        ne = A.shape[0]
         if ne:
-            self.Qa, Ra = scipy.linalg.qr(self.A.T)
+            Qa, Ra = scipy.linalg.qr(A.T)
             self.R1 = Ra[:ne]
         else:
-            self.Qa = np.eye(nv)
+            Qa = np.eye(nv)
             self.R1 = np.zeros((0, 0))
-        self.c = self.Qa.T @ self.c
+        self.Qa = scipy.sparse.csr_array(Qa)
+        self.c = Qa.T @ program.objective
         self.A = np.hstack([self.R1.T, np.zeros((ne, nv - ne))])
         self.l = len(program.inequalities)
-        rows_G = [a for a, _ in program.inequalities]
+        G_parts = [
+            scipy.sparse.csr_array(
+                np.array([a for a, _ in program.inequalities]).reshape(self.l, nv)
+            )
+        ]
         h = [r for _, r in program.inequalities]
         self.block_dims = []
         self.block_slices = []
@@ -258,35 +284,32 @@ class _ConeData:
         self.block_mult = []
         self.stacks = []
         offset = self.l
-        G_psd_cols = []
         for blk in program.psd_blocks:
             m = blk.dim
             iu, mult = svec_indices(m)
             msv = m * (m + 1) // 2
-            stack = blk.coefficient_stack(nv)
-            stack = (self.Qa.T @ stack.reshape(nv, -1)).reshape(nv, m, m)
+            stack = self.Qa.T @ blk.coefficient_stack(nv).reshape(nv, -1)
             self.block_dims.append(m)
             self.block_slices.append(slice(offset, offset + msv))
             self.block_iu.append(iu)
             self.block_mult.append(mult)
-            self.stacks.append(stack)
-            # columns of G restricted to this block: -svec(A_k)
-            G_psd_cols.append(-(stack[:, iu[0], iu[1]] * mult))
+            self.stacks.append(stack.reshape(nv, m, m))
+            # rows of G for this block: -svec(A_k) in column k; (i, j) is
+            # entry i * m - i * (i - 1) / 2 + j - i of the row-wise triangle
+            k, i, j, v = blk.coeffs
+            pos = i * m - i * (i - 1) // 2 + j - i
+            vals = -v * np.where(i == j, 1.0, _SQRT2)
+            G_parts.append(scipy.sparse.csr_array((vals, (pos, k)), shape=(msv, nv)))
             h.extend(svec(blk.constant_matrix(), iu, mult))
             offset += msv
         self.rows = offset
-        G = np.zeros((self.rows, nv))
-        if rows_G:
-            G[: self.l] = np.stack(rows_G) @ self.Qa
-        for sl, cols in zip(self.block_slices, G_psd_cols):
-            G[sl] = cols.T
-        self.G = G
+        self.G = (scipy.sparse.vstack(G_parts, format="csr") @ self.Qa).tocsr()
+        self.GT = self.G.T.tocsr()
         self.h = np.asarray(h, dtype=float)
         self.degree = self.l + sum(self.block_dims)
         # the LP rows enter the per-iteration KKT matrix only through
-        # G_lp' diag(w)^-2 G_lp; they are typically one- or two-term rows,
-        # and stay so when the equalities pin single variables
-        self.G_lp = scipy.sparse.csr_matrix(G[: self.l])
+        # G_lp' diag(w)^-2 G_lp
+        self.G_lp = self.G[: self.l]
 
     def iter_blocks(self):
         return zip(self.block_dims, self.block_slices, self.block_iu, self.block_mult)
@@ -485,7 +508,7 @@ class _KktSolver:
         """Solve  A'uy + G'uz = bx;  A ux = by;  G ux - W'W uz = bz."""
         d, sc = self.data, self.sc
         ne = d.A.shape[0]
-        t = bx + d.G.T @ sc.Winv(sc.WinvT(bz))
+        t = bx + d.GT @ sc.Winv(sc.WinvT(bz))
         x1 = scipy.linalg.solve_triangular(d.R1, by, trans="T") if ne else np.zeros(0)
         x2 = scipy.linalg.cho_solve(
             (self.R3, False), t[ne:] - self.K21 @ x1, check_finite=False
@@ -493,7 +516,7 @@ class _KktSolver:
         ux = np.concatenate([x1, x2])
         uz = sc.Winv(sc.WinvT(d.G @ ux - bz))
         if ne:
-            uy = scipy.linalg.solve_triangular(d.R1, bx[:ne] - d.G[:, :ne].T @ uz)
+            uy = scipy.linalg.solve_triangular(d.R1, bx[:ne] - (d.GT @ uz)[:ne])
         else:
             uy = np.zeros(0)
         if not (np.all(np.isfinite(ux)) and np.all(np.isfinite(uz))):
@@ -507,7 +530,7 @@ class _KktSolverIdentity:
     def __init__(self, data: _ConeData):
         self.data = data
         nv, ne = data.nv, data.A.shape[0]
-        S = data.G.T @ data.G
+        S = (data.GT @ data.G).toarray()
         K = np.zeros((nv + ne, nv + ne))
         K[:nv, :nv] = S + 1e-13 * max(1.0, float(np.trace(S)) / nv) * np.eye(nv)
         if ne:
@@ -517,7 +540,7 @@ class _KktSolverIdentity:
 
     def solve3(self, bx, by, bz):
         d = self.data
-        rhs = np.concatenate([bx + d.G.T @ bz, by])
+        rhs = np.concatenate([bx + d.GT @ bz, by])
         sol = scipy.linalg.lu_solve(self.lu, rhs)
         ux = sol[: d.nv]
         uy = sol[d.nv :]
@@ -542,7 +565,7 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
     data = _ConeData(program)
     if data.rows == 0:
         raise ValueError("program has no inequalities and no PSD blocks")
-    c, A, b, G, h = data.c, data.A, data.b, data.G, data.h
+    c, A, b, G, GT, h = data.c, data.A, data.b, data.G, data.GT, data.h
     ne = A.shape[0]
     e = data.cone_identity()
 
@@ -598,7 +621,7 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
         # raw cone points reconstructed from the scaling so s'z == |lam|^2
         s = sc.WT(lam)
         z = sc.Winv(lam)
-        rx = (A.T @ y if ne else 0.0) + G.T @ z + c * tau
+        rx = (A.T @ y if ne else 0.0) + GT @ z + c * tau
         ry = A @ x - b * tau
         rz = G @ x + s - h * tau
         rtau = kappa + float(c @ x) + (float(b @ y) if ne else 0.0) + float(h @ z)
@@ -616,11 +639,10 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
             best_score = score
             best_theta = data.Qa @ x / tau
             best_note = f"pres {pres:.1e}, dres {dres:.1e}, relgap {rel_gap:.1e}"
-        if options.verbose:
-            print(
-                f"iter {it:3d}  pcost {pcost:+.6e}  pres {pres:.2e}  "
-                f"dres {dres:.2e}  relgap {rel_gap:.2e}  tau {tau:.2e}  kappa {kappa:.2e}"
-            )
+        logger.debug(
+            "iter %3d  pcost %+.6e  pres %.2e  dres %.2e  relgap %.2e  tau %.2e  kappa %.2e",
+            it, pcost, pres, dres, rel_gap, tau, kappa,
+        )
         if pres <= options.feas_tol and dres <= options.feas_tol and rel_gap <= options.gap_tol:
             theta = data.Qa @ x / tau
             check = verify_solution(program, theta)
@@ -637,7 +659,7 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
         # infeasibility certificates
         ct = (float(b @ y) if ne else 0.0) + float(h @ z)
         if ct < 0:
-            cert = float(np.linalg.norm((A.T @ y if ne else 0.0) + G.T @ z))
+            cert = float(np.linalg.norm((A.T @ y if ne else 0.0) + GT @ z))
             if cert / norm_c / (-ct) <= options.feas_tol:
                 return SolverResult(
                     status=SolverStatus.INFEASIBLE,
@@ -691,7 +713,7 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
         def f4(bx, by, bz, btau, bs, bkap, refine=2):
             dx, dy, dz, ds, dtau, dkap = f4_once(bx, by, bz, btau, bs, bkap)
             for _ in range(refine):
-                r1 = bx - ((A.T @ dy if ne else 0.0) + G.T @ dz + c * dtau)
+                r1 = bx - ((A.T @ dy if ne else 0.0) + GT @ dz + c * dtau)
                 r2 = by - (A @ dx - b * dtau)
                 r3 = bz - (G @ dx + ds - h * dtau)
                 r4 = btau - (
@@ -800,7 +822,7 @@ def _solve_cvxopt(program: ConicProgram, options: SolverOptions) -> SolverResult
         A = cvxopt.matrix(np.zeros((0, nv)))
         b = cvxopt.matrix(np.zeros(0))
     opts = {
-        "show_progress": options.verbose,
+        "show_progress": logger.isEnabledFor(logging.DEBUG),
         "maxiters": options.max_iters,
         "abstol": options.gap_tol,
         "reltol": options.gap_tol,

@@ -13,9 +13,13 @@ The program is written in deviation coordinates: a weight block with a
 positive tolerance eps contributes the deviations D = Y - T W of its
 products from the reference network's, and the weight-channel rows
 |D_ij| <= eps t_i keep each synthesized weight Psi = W + D / T within
-|Psi_ij - W_ij| <= eps.  A block with tolerance zero contributes no
-variables; its product is T W.  With all tolerances zero the program is
-the analysis program, and analyze_network is exactly that case.
+|Psi_ij - W_ij| <= eps.  The state block Y_z enters the certificate only
+through its symmetric part, so each mirrored pair D_ij, D_ji is one
+variable s_ij, their sum, bounded by the sum of the two boxes; extraction
+splits it back (see _extract_solution).  A block with tolerance zero
+contributes no variables; its product is T W.  With all tolerances zero
+the program is the analysis program, and analyze_network is exactly that
+case.
 
 The certificate itself is written down once, in
 multipliers.certificate_matrix.  The PSD block is derived from it: _unpack
@@ -89,8 +93,10 @@ class SimilarityTolerances:
 
     A budget eps on block W means every entry satisfies
     |Psi[i, j] - W[i, j]| <= eps (enforced in the convexified variables as
-    |Y[i, j] - t_i W[i, j]| <= eps * t_i).  A budget of zero
-    pins the block to the reference exactly.
+    |Y[i, j] - t_i W[i, j]| <= eps * t_i; for the state block W_x, whose
+    mirrored entries the program merges, as
+    |Y[i, j] + Y[j, i] - t_i W[i, j] - t_j W[j, i]| <= eps * (t_i + t_j)).
+    A budget of zero pins the block to the reference exactly.
     """
 
     w_x: float = 0.0
@@ -155,17 +161,22 @@ class SynthesisProblem:
 class VariableLayout:
     """Index map of the decision vector.
 
-    Order: diag T_z, diag T_g, T_u1, T_u2, then the row-major deviations
-    D = Y - T W of the convexified weight blocks Y_z, Y_u, Y_gz, Y_gu from
-    the reference network's (W_x, W_u, W_fx, W_fu), then gamma, gamma_u1,
-    gamma_u2.  A block with tolerance zero has an empty slice: its product
-    is Y = T W and the block has no variables.
+    Order: diag T_z, diag T_g, T_u1, T_u2, then the deviations D = Y - T W
+    of the convexified weight blocks Y_z, Y_u, Y_gz, Y_gu from the reference
+    network's (W_x, W_u, W_fx, W_fu), then gamma, gamma_u1, gamma_u2.  The
+    D of Y_u, Y_gz and Y_gu are row-major.  Y_z enters the certificate only
+    through (Y_z + Y_z') / 2, so D_ij and D_ji only through their sum: its
+    slice holds the n (n + 1) / 2 sums s_ij = D_ij + D_ji (i < j) and
+    s_ii = D_ii, upper triangle row-major, placed in an upper-triangular
+    D_z.  A block with tolerance zero has an empty slice: its product is
+    Y = T W and the block has no variables.
 
     Deviation rather than Y coordinates keep the weight rows well
     conditioned.  In Y they carry t_i (W_ij +- eps), so near the optimum the
     interior-point normal matrix holds large t_i W_ij^2 terms that cancel
     almost exactly and swamp the curvature the certificate block gives t_i;
-    in D they read +-D_ij <= eps t_i.
+    in D they read +-D_ij <= eps t_i, and +-s_ij <= eps (t_i + t_j) for
+    a merged pair, the exact sum of the two boxes.
     """
 
     dims: Dims
@@ -193,8 +204,8 @@ def layout_variables(dims: Dims, tolerances: SimilarityTolerances) -> VariableLa
         pos += count
         return sl
 
-    def deviations(rows: int, cols: int, eps: float) -> slice:
-        return take(rows * cols if eps > 0 else 0)
+    def deviations(count: int, eps: float) -> slice:
+        return take(count if eps > 0 else 0)
 
     return VariableLayout(
         dims=dims,
@@ -202,10 +213,10 @@ def layout_variables(dims: Dims, tolerances: SimilarityTolerances) -> VariableLa
         sl_T_g=take(n_g),
         idx_T_u1=take(1).start,
         idx_T_u2=take(1).start,
-        sl_D_z=deviations(n, n, tolerances.w_x),
-        sl_D_u=deviations(n, n_u, tolerances.w_u),
-        sl_D_gz=deviations(n_g, n, tolerances.w_fx),
-        sl_D_gu=deviations(n_g, n_u, tolerances.w_fu),
+        sl_D_z=deviations(n * (n + 1) // 2, tolerances.w_x),
+        sl_D_u=deviations(n * n_u, tolerances.w_u),
+        sl_D_gz=deviations(n_g * n, tolerances.w_fx),
+        sl_D_gu=deviations(n_g * n_u, tolerances.w_fu),
         idx_gamma=take(1).start,
         idx_gamma_u1=take(1).start,
         idx_gamma_u2=take(1).start,
@@ -219,7 +230,8 @@ def _unpack(problem: SynthesisProblem, layout: VariableLayout, theta: np.ndarray
     Returns the multipliers, the bound coefficients (gamma, gamma_u1,
     gamma_u2), the weight products [Y_z, Y_u, Y_gz, Y_gu] and their
     deviations D from T W.  A block with positive tolerance has
-    Y = T W + D; a block with tolerance zero has Y = T W and D None.
+    Y = T W + D, where D_z is upper triangular (see VariableLayout); a
+    block with tolerance zero has Y = T W and D None.
     theta may carry leading batch axes, which every output then carries.
     """
     net = problem.network
@@ -243,10 +255,15 @@ def _unpack(problem: SynthesisProblem, layout: VariableLayout, theta: np.ndarray
         if sl.start == sl.stop:
             products.append(TW)
             deviations.append(None)
+            continue
+        if sl is layout.sl_D_z:
+            iu = np.triu_indices(W.shape[0])
+            D = np.zeros(batch + W.shape)
+            D[..., iu[0], iu[1]] = theta[..., sl]
         else:
             D = theta[..., sl].reshape(batch + W.shape)
-            products.append(TW + D)
-            deviations.append(D)
+        products.append(TW + D)
+        deviations.append(D)
     return mults, gammas, products, deviations
 
 
@@ -282,10 +299,8 @@ def _psd_block(
     c = np.flatnonzero(A0[iu])
     return PsdBlockMap(
         dim=dims.N_p,
-        const=list(zip(iu[0][c].tolist(), iu[1][c].tolist(), A0[iu][c].tolist())),
-        coeffs=list(
-            zip(k.tolist(), iu[0][e].tolist(), iu[1][e].tolist(), upper[k, e].tolist())
-        ),
+        const=(iu[0][c], iu[1][c], A0[iu][c]),
+        coeffs=(k, iu[0][e], iu[1][e], upper[k, e]),
     )
 
 
@@ -320,17 +335,24 @@ def assemble_synthesis_sdp(
     equalities = []
     inequalities = []
 
-    # weight rows +-D_ij - eps t_i <= 0, i.e. |Psi_ij - W_ij| <= eps
+    # weight rows +-D_ij - eps t_i <= 0, i.e. |Psi_ij - W_ij| <= eps, and
+    # +-s_ij - eps (t_i + t_j) <= 0 for a merged pair s_ij = D_ij + D_ji
+    boxes = []
+    t_z = layout.sl_T_z.start
+    merged = range(layout.sl_D_z.start, layout.sl_D_z.stop)
+    for k, i, j in zip(merged, *np.triu_indices(dims.n)):
+        boxes.append((k, (t_z + i,) if i == j else (t_z + i, t_z + j), tol.w_x))
     for sl_D, sl_T, cols, eps in (
-        (layout.sl_D_z, layout.sl_T_z, dims.n, tol.w_x),
         (layout.sl_D_u, layout.sl_T_z, dims.n_u, tol.w_u),
         (layout.sl_D_gz, layout.sl_T_g, dims.n, tol.w_fx),
         (layout.sl_D_gu, layout.sl_T_g, dims.n_u, tol.w_fu),
     ):
         for k in range(sl_D.start, sl_D.stop):
-            t_idx = sl_T.start + (k - sl_D.start) // cols
-            inequalities.append((_unit_row(nv, [(k, 1.0), (t_idx, -eps)]), 0.0))
-            inequalities.append((_unit_row(nv, [(k, -1.0), (t_idx, -eps)]), 0.0))
+            boxes.append((k, (sl_T.start + (k - sl_D.start) // cols,), eps))
+    for k, t_idx, eps in boxes:
+        for sign in (1.0, -1.0):
+            row = _unit_row(nv, [(k, sign)] + [(t, -eps) for t in t_idx])
+            inequalities.append((row, 0.0))
 
     for sl in (layout.sl_T_z, layout.sl_T_g):
         for idx in range(sl.start, sl.stop):
@@ -439,6 +461,16 @@ def _extract_solution(
     clipped = theta.copy()
     clipped[scalars] = np.maximum(clipped[scalars], 0.0)
     mults, gammas, products, deviations = _unpack(problem, layout, clipped)
+    if deviations[0] is not None:
+        # split each merged s_ij (i < j) in proportion to the multipliers,
+        # D_ij = s_ij t_i / (t_i + t_j) and D_ji = s_ij t_j / (t_i + t_j), so
+        # that both weights move by s_ij / (t_i + t_j), inside both boxes,
+        # and D_ij + D_ji = s_ij keeps the certificate's symmetric part
+        T = mults.T_z
+        S = np.triu(deviations[0], 1)
+        deviations[0] = np.diag(np.diag(deviations[0])) + (S + S.T) * (
+            T[:, None] / (T[:, None] + T[None, :])
+        )
     ref = problem.network
     # Psi = Y / T = W + D / T, exactly W for a block with tolerance zero
     Psi = [
@@ -510,33 +542,38 @@ def synthesize(
     first_detail = None
     for relaxed in (False, True):
         shift = -MARGINAL_RELAXATION if relaxed else None
-        program, layout = assemble_synthesis_sdp(problem, shift_override=shift)
-        result = solve_conic(program, budget, backend)
-        if result.status is SolverStatus.OPTIMAL:
-            sol = _extract_solution(problem, layout, result)
-            if relaxed or _keeps_margin(problem, sol):
-                sol.strictness_relaxed = relaxed
-                return sol
-            # a closure point: the cap cannot restore a margin either
-            continue
-        if first_detail is None:
-            first_detail = result.detail
-        if result.status is not SolverStatus.INFEASIBLE:
-            # numerical breakdown, usually a runaway multiplier ray; capping
-            # T restores a bounded optimal face
+        exhausted = None
+        for capped in (False, True):
             program, layout = assemble_synthesis_sdp(
-                problem, shift_override=shift, capped=True
+                problem, shift_override=shift, capped=capped
             )
-            result = solve_conic(program, opts, backend)
+            result = solve_conic(program, opts if capped else budget, backend)
             if result.status is SolverStatus.OPTIMAL:
                 sol = _extract_solution(problem, layout, result)
-                if relaxed or _keeps_margin(problem, sol):
-                    sol.strictness_relaxed = relaxed
-                    sol.multiplier_capped = True
+                if not (relaxed or _keeps_margin(problem, sol)):
+                    # a closure point: the cap cannot restore a margin either
+                    break
+                sol.strictness_relaxed = relaxed
+                sol.multiplier_capped = capped
+                if capped or result.iterations < budget.max_iters:
                     return sol
+                # the best iterate of an uncapped solve that ran out of
+                # budget, the sign of a runaway multiplier ray: the capped
+                # rung decides, and this is kept in case the cap does worse
+                exhausted = sol
+                continue
+            if first_detail is None:
+                first_detail = result.detail
+            if result.status is SolverStatus.INFEASIBLE:
+                # the cap cannot manufacture feasibility, it sits far above
+                # any resolvable multiplier scale
+                break
+            # numerical breakdown, usually a runaway multiplier ray; capping
+            # T restores a bounded optimal face
+        if exhausted is not None:
+            return exhausted
         # fall through to the relaxed margin: either this margin is
-        # infeasible (the cap cannot manufacture that, it sits far above any
-        # resolvable multiplier scale) or both solves broke down
+        # infeasible or both solves broke down
 
     if result.status is SolverStatus.INFEASIBLE:
         raise Infeasible(

@@ -1,6 +1,8 @@
 """Tests for the conic program container, the bundled interior-point backend,
 and the independent solution checker."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,51 @@ def test_psd_block_accumulates_duplicates_and_symmetrizes():
     A = blk.evaluate([1.0])
     assert A[0, 1] == A[1, 0] == 1.5
     assert A[0, 0] == 3.0
+
+
+def test_psd_block_arrays_match_entrywise_loop():
+    # the block scatters its entry arrays; a loop over the same entries,
+    # one at a time, must give the same matrices bit for bit
+    rng = np.random.default_rng(3)
+    m, nv, count = 4, 3, 40
+    k = rng.integers(0, nv, count)
+    i, j = rng.integers(0, m, count), rng.integers(0, m, count)  # both triangles, repeats
+    v = rng.standard_normal(count)
+    rows = PsdBlockMap(dim=m, const=list(zip(i, j, v)), coeffs=list(zip(k, i, j, v)))
+    cols = PsdBlockMap(dim=m, const=(i, j, v), coeffs=(k, i, j, v))
+    A0 = np.zeros((m, m))
+    stack = np.zeros((nv, m, m))
+    for a, b, x, kk in zip(i, j, v, k):
+        for p, q in {(a, b), (b, a)}:
+            A0[p, q] += x
+            stack[kk, p, q] += x
+    theta = rng.standard_normal(nv)
+    for blk in (rows, cols):
+        assert np.array_equal(blk.constant_matrix(), A0)
+        assert np.array_equal(blk.coefficient_stack(nv), stack)
+        np.testing.assert_allclose(
+            blk.evaluate(theta), A0 + np.tensordot(theta, stack, 1), rtol=0, atol=1e-14
+        )
+    with pytest.raises(ValueError):
+        cols.coefficient_stack(nv - 1)
+    with pytest.raises(ValueError):
+        PsdBlockMap(dim=m, coeffs=(k, i, j + m, v))
+    with pytest.raises(ValueError):
+        PsdBlockMap(dim=m, const=(i, j, v[:-1]))
+
+
+def test_iterations_are_logged_at_debug(caplog):
+    caplog.set_level(logging.DEBUG, logger="robsyn.conic")
+    res = solve_conic(arrow_program())
+    records = [r for r in caplog.records if r.name == "robsyn.conic"]
+    # one record per iteration, the converged one included
+    assert len(records) == res.iterations + 1
+    assert all(r.levelno == logging.DEBUG for r in records)
+    assert records[0].getMessage().startswith("iter   0  pcost")
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="robsyn.conic")
+    solve_conic(arrow_program())
+    assert not [r for r in caplog.records if r.name == "robsyn.conic"]
 
 
 def test_program_validation():

@@ -8,13 +8,15 @@ of the multiplier module).  Extraction is checked against hand-computable
 instances, and soundness by sampling input pairs.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import random_well_posed_network
 
 from robsyn import evaluate
 import robsyn.synthesis
-from robsyn.conic import SolverResult, SolverStatus, solve_conic
+from robsyn.conic import SolverOptions, SolverResult, SolverStatus, solve_conic
 from robsyn.errors import Infeasible
 from robsyn.mpc import (
     MpcProblem,
@@ -60,9 +62,10 @@ class TestLayout:
 
     def test_counts_reference_bridge(self):
         d = Dims(20, 2, 10)
-        assert layout_variables(d, UNIFORM).num_vars == 695
+        # W_x has 20 * 21 / 2 merged pairs, not 400 entries
+        assert layout_variables(d, UNIFORM).num_vars == 505
         assert layout_variables(d, ZERO).num_vars == 35
-        assert layout_variables(d, MIXED).num_vars == 695 - 400
+        assert layout_variables(d, MIXED).num_vars == 295
 
     def test_slices_partition_the_vector(self):
         d = Dims(3, 2, 4)
@@ -100,7 +103,12 @@ class TestAssembly:
                 (net.W_fu, T_g, L.sl_D_gu, tol.w_fu, Y[3]),
             ):
                 expect = T[:, None] * W
-                if eps > 0:
+                if eps > 0 and W is net.W_x:
+                    # one merged variable per pair i <= j, upper triangle
+                    D = np.zeros(W.shape)
+                    D[np.triu_indices(W.shape[0])] = theta[sl]
+                    expect = expect + D
+                elif eps > 0:
                     expect = expect + theta[sl].reshape(W.shape)
                 else:
                     assert sl.start == sl.stop
@@ -436,6 +444,94 @@ class TestSynthesis:
             for x, y in zip(a[1:], b[1:]):
                 assert np.array_equal(np.asarray(x), np.asarray(y))
         assert ss.certificate.gamma == sa.certificate.gamma
+
+
+class TestMergedStatePairs:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_split_stays_in_both_boxes_and_keeps_the_sums(self, seed):
+        net = random_well_posed_network(60 + seed, n=4, n_u=2, n_g=2)
+        eps = 0.05
+        U = InputPairSet(1.0, 1.0)
+        ss = synthesize(small_problem(
+            net, eps, U, fixed_gamma_u1=0.0, fixed_gamma_u2=0.0
+        ))
+        assert ss.status_label == "optimal"
+        # the split adds nothing to the row violation the solver reports,
+        # which a weight sees divided by its multipliers
+        T = ss.multipliers.T_z
+        slack = ss.solver_result.ineq_violation / min(T.min(), ss.multipliers.T_g.min())
+        for blk, ref in (
+            (ss.network.W_x, net.W_x), (ss.network.W_u, net.W_u),
+            (ss.network.W_fx, net.W_fx), (ss.network.W_fu, net.W_fu),
+        ):
+            assert np.max(np.abs(blk - ref)) <= eps + slack + 1e-12
+        # T_i (Psi_ij - W_ij) + T_j (Psi_ji - W_ji) is the solved s_ij
+        TD = T[:, None] * (ss.network.W_x - net.W_x)
+        sums = np.triu(TD + TD.T, 1) + np.diag(np.diag(TD))
+        s = ss.theta[ss.layout.sl_D_z]
+        assert s.size == net.n * (net.n + 1) // 2
+        np.testing.assert_allclose(sums[np.triu_indices(net.n)], s, rtol=1e-12, atol=1e-15)
+        # the certificate belongs to the returned network alone
+        sa = analyze_network(ss.network, U, fixed_gamma_u1=0.0, fixed_gamma_u2=0.0)
+        assert sa.certificate.gamma == pytest.approx(ss.certificate.gamma, rel=1e-4)
+
+    def test_merged_rows_are_the_sum_of_both_boxes(self):
+        net = random_well_posed_network(4, n=3, n_u=1, n_g=1)
+        eps = 0.1
+        program, L = assemble_synthesis_sdp(small_problem(net, eps))
+        rows = [a for a, _ in program.inequalities[: 2 * (L.sl_D_z.stop - L.sl_D_z.start)]]
+        for k, (i, j) in enumerate(zip(*np.triu_indices(net.n))):
+            for row, sign in zip(rows[2 * k : 2 * k + 2], (1.0, -1.0)):
+                expect = np.zeros(L.num_vars)
+                expect[L.sl_D_z.start + k] = sign
+                expect[L.sl_T_z.start + i] -= eps
+                if i != j:
+                    expect[L.sl_T_z.start + j] -= eps
+                assert np.array_equal(row, expect)
+
+
+class TestLadder:
+    def _run(self, monkeypatch, capped_result=None):
+        # the uncapped rung hands back its best iterate as OPTIMAL after
+        # running its whole budget, as the bundled solver's finish does
+        net = random_well_posed_network(21, n=3, n_u=1, n_g=2)
+        calls = []
+        solve = robsyn.synthesis.solve_conic
+
+        def stub(program, options=None, backend="bundled"):
+            calls.append((len(program.inequalities), options.max_iters))
+            result = solve(program, options, backend)
+            if len(calls) == 1:
+                return replace(
+                    result,
+                    iterations=options.max_iters,
+                    detail="terminated at reduced accuracy (pres 4.9e-07)",
+                )
+            return capped_result or result
+
+        monkeypatch.setattr(robsyn.synthesis, "solve_conic", stub)
+        return synthesize(small_problem(net, 0.1), SolverOptions(max_iters=150)), calls
+
+    def test_budget_exhausted_best_iterate_goes_on_to_the_capped_rung(self, monkeypatch):
+        sol, calls = self._run(monkeypatch)
+        assert len(calls) == 2
+        (rows0, iters0), (rows1, iters1) = calls
+        assert iters0 == robsyn.synthesis._UNCAPPED_ITER_BUDGET and iters1 == 150
+        assert rows1 > rows0
+        assert sol.multiplier_capped
+        assert sol.status_label == "optimal (capped multipliers)"
+
+    def test_best_iterate_is_kept_when_the_capped_rung_fails(self, monkeypatch):
+        failed = SolverResult(
+            status=SolverStatus.NUMERICAL_FAILURE, theta=None,
+            objective_value=np.nan, max_eig_violation=np.nan,
+            ineq_violation=np.nan, eq_residual=np.nan, iterations=3,
+            detail="factorization failed",
+        )
+        sol, calls = self._run(monkeypatch, failed)
+        assert len(calls) == 2
+        assert not sol.multiplier_capped
+        assert sol.status_label == "optimal (reduced accuracy)"
 
 
 class TestStatusLabel:

@@ -15,6 +15,11 @@ from robsyn.mpc import condense_qp, qp_to_implicit_network, reference_mpc_proble
 from robsyn.multipliers import InputPairSet
 from robsyn.verification import SampleSpec, sweep_tolerance
 
+# The MPC inputs saturate at |v| = 10; over the default box (-5, 5) no draw
+# saturates, and the sweep's empirical check would see only the linear piece
+# of the law.
+SAMPLE_BOX = (-50.0, 50.0)
+
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
@@ -37,7 +42,7 @@ def main() -> int:
         net,
         InputPairSet(1.0, 1.0),
         grid,
-        spec=SampleSpec(num_pairs=args.samples),
+        spec=SampleSpec(num_pairs=args.samples, base_box=SAMPLE_BOX),
         seed=args.seed,
         jobs=args.jobs,
     )

@@ -4,7 +4,7 @@ The toolkit analyzes a given implicit network, or synthesizes a nearby one,
 so that the output difference over a bounded set of input pairs carries a
 certified bound gamma + gamma_u1 ||u~||_1 + gamma_u2 ||u~||_2^2.  Both tasks
 reduce to a single semidefinite program solved by the bundled interior-point
-backend.  An MPC condensing bridge produces the implicit network that encodes
+solver.  An MPC condensing bridge produces the implicit network that encodes
 a linear MPC law exactly.
 """
 

@@ -25,6 +25,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -64,7 +65,6 @@ _DEFAULTS = {
     "certificate": None,
     "out": ".",
     "seed": 0,
-    "backend": "bundled",
     "jobs": 1,
     "timestamp": True,
     "mpc": None,
@@ -92,7 +92,22 @@ _SECTION_KEYS = {
     "solver": {f.name for f in dataclasses.fields(SolverOptions)},
 }
 
+# Keys whose values are numbers, and keys whose values are lists of numbers
+# (with the required length, if any).  Every key of a section is a number
+# except the mpc matrices.
+_NUMBER_KEYS = {
+    "seed", "jobs", "samples", "steps", "strictness_shift", "t_floor",
+    "fixed_gamma_u1", "fixed_gamma_u2",
+}
+_NUMBER_LIST_KEYS = {"sweep_grid": None, "w0": None, "base_box": 2}
+_MPC_MATRICES = {"A", "B", "Q", "R", "P"}
+
 ORACLE_AGREEMENT_TOL = 1e-5
+
+
+def _require_number(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise SchemaError(f"{name} must be a finite number")
 
 
 def _validate_config(raw: dict) -> None:
@@ -101,12 +116,27 @@ def _validate_config(raw: dict) -> None:
     for key, value in raw.items():
         if key not in _DEFAULTS:
             raise SchemaError(f"unknown config key: {key!r}")
-        if key in _SECTION_KEYS and value is not None:
+        if value is None:
+            if _DEFAULTS[key] is not None:
+                raise SchemaError(f"config key {key!r} must not be null")
+            continue
+        if key in _NUMBER_KEYS:
+            _require_number(value, f"config key {key!r}")
+        if key in _NUMBER_LIST_KEYS:
+            length = _NUMBER_LIST_KEYS[key]
+            if not isinstance(value, list) or (length is not None and len(value) != length):
+                what = f"a list of {length} numbers" if length else "a list of numbers"
+                raise SchemaError(f"config key {key!r} must be {what}")
+            for item in value:
+                _require_number(item, f"each entry of config key {key!r}")
+        if key in _SECTION_KEYS:
             if not isinstance(value, dict):
                 raise SchemaError(f"config key {key!r} must be an object")
-            for sub in value:
+            for sub, item in value.items():
                 if sub not in _SECTION_KEYS[key]:
                     raise SchemaError(f"unknown config key: '{key}.{sub}'")
+                if not (key == "mpc" and sub in _MPC_MATRICES):
+                    _require_number(item, f"config key '{key}.{sub}'")
     tol = raw.get("tolerances")
     if isinstance(tol, dict) and "uniform" in tol and len(tol) > 1:
         raise SchemaError("config key 'tolerances.uniform' excludes the per-block keys")
@@ -152,7 +182,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if preset:
         _merge(cfg, _preset_sections(preset))
     _merge(cfg, raw)
-    for flag in ("out", "seed", "backend", "jobs"):
+    for flag in ("out", "seed", "jobs"):
         value = getattr(args, flag)
         if value is not None:
             cfg[flag] = value
@@ -273,6 +303,9 @@ def _load_certificate(path: str) -> RobustnessCertificate:
     missing = [k for k in _CERT_FIELDS if k not in doc and k != "strictness_relaxed"]
     if missing:
         raise SchemaError(f"certificate document is missing keys: {missing}")
+    for key in _CERT_FIELDS:
+        if key != "strictness_relaxed":
+            _require_number(doc[key], f"certificate key {key!r}")
     return RobustnessCertificate(
         gamma=float(doc["gamma"]),
         gamma_u1=float(doc["gamma_u1"]),
@@ -362,11 +395,7 @@ def _summary(sol, extra: str = "") -> str:
 
 def cmd_synthesize(cfg: dict) -> int:
     net = load_network(_artifact(cfg, "network", "network.json"))
-    sol = synthesize(
-        _synthesis_problem(cfg, net),
-        options=_solver_options(cfg),
-        backend=cfg["backend"],
-    )
+    sol = synthesize(_synthesis_problem(cfg, net), options=_solver_options(cfg))
     save_network(sol.network, _out_path(cfg, "synthesized_network.json"))
     _write_certificate(sol, _out_path(cfg, "certificate.json"))
     dev = max_weight_deviation(sol.network, net)
@@ -385,7 +414,6 @@ def cmd_analyze(cfg: dict) -> int:
         strictness_shift=float(cfg["strictness_shift"]),
         t_floor=float(cfg["t_floor"]),
         options=_solver_options(cfg),
-        backend=cfg["backend"],
     )
     _write_certificate(sol, _out_path(cfg, "certificate.json"))
     cert = sol.certificate
@@ -425,7 +453,6 @@ def cmd_sweep(cfg: dict) -> int:
         cfg["sweep_grid"],
         fix_gains=bool(cfg["fix_gains"]),
         weights=_weights(cfg),
-        backend=cfg["backend"],
         spec=_sample_spec(cfg),
         seed=int(cfg["seed"]),
         jobs=int(cfg["jobs"]),
@@ -505,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     common.add_argument("--out", metavar="DIR", help="output directory (default '.')")
     common.add_argument("--seed", type=_seed_type, metavar="U64")
-    common.add_argument("--backend", metavar="NAME", help="conic backend (default 'bundled')")
     common.add_argument("--jobs", type=int, metavar="K", help="parallel sweep workers")
     common.add_argument(
         "--no-timestamp",

@@ -7,20 +7,18 @@ A ConicProgram is
                 ineq_coeff . theta <= ineq_rhs      (each inequality)
                 A_0 + sum_k theta_k A_k  >= 0       (each PSD block)
 
-The bundled backend solves the homogeneous self-dual embedding of the
-equivalent cone program  min c'x  s.t.  Gx + s = h, Ax = b,  s in
-R+^l x PSD x ..., with a Mehrotra predictor-corrector and Nesterov-Todd
-scaling.  Symmetric matrices travel in scaled svec coordinates (upper
-triangle row-wise, off-diagonals times sqrt(2)), so dot products of svec
-vectors are trace inner products.  Two implementation points carry the
-numerics: the scaling is updated multiplicatively from scaled step data
-instead of being refactored from the raw, nearly singular (s, z) pair,
-and search directions get iterative refinement against the full embedding
-residuals, because the tau-superposition cancels badly near convergence.
-
-An adapter for the external cone solver cvxopt is registered under the
-backend name "cvxopt" and accepts the same program object; it is imported
-lazily so the package works without cvxopt installed.
+The solver is an interior-point method for the homogeneous self-dual
+embedding of the equivalent cone program  min c'x  s.t.  Gx + s = h,
+Ax = b,  s in R+^l x PSD x ..., with a Mehrotra predictor-corrector and
+Nesterov-Todd scaling; one KKT solver (_KktSolver) and one scaling routine
+(_Scaling.update) serve both the initial point and the iterations.
+Symmetric matrices travel in scaled svec coordinates (upper triangle
+row-wise, off-diagonals times sqrt(2)), so dot products of svec vectors
+are trace inner products.  Two implementation points carry the numerics:
+the scaling is updated multiplicatively from scaled step data instead of
+being refactored from the raw, nearly singular (s, z) pair, and search
+directions get iterative refinement against the full embedding residuals,
+because the tau-superposition cancels badly near convergence.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-
-from .errors import SchemaError
 
 # one DEBUG record per interior-point iteration
 logger = logging.getLogger(__name__)
@@ -235,7 +231,7 @@ def smat(v: np.ndarray, m: int, iu, mult) -> np.ndarray:
     return M
 
 
-# --- bundled homogeneous self-dual interior-point backend --- #
+# --- homogeneous self-dual interior-point solver --- #
 
 
 class _ConeData:
@@ -338,25 +334,14 @@ class _Scaling:
 
     def __init__(self, data: _ConeData, s: np.ndarray, z: np.ndarray):
         self.data = data
-        if data.l:
-            self.w = np.sqrt(s[: data.l] / z[: data.l])
-            self.lam_lp = np.sqrt(s[: data.l] * z[: data.l])
-        else:
-            self.w = np.zeros(0)
-            self.lam_lp = np.zeros(0)
-        self.R = []
-        self.Rti = []          # R^{-T}
-        self.lam_psd = []
-        for m, sl, iu, mult in data.iter_blocks():
-            S = smat(s[sl], m, iu, mult)
-            Z = smat(z[sl], m, iu, mult)
-            Ls = np.linalg.cholesky(S)
-            Lz = np.linalg.cholesky(Z)
-            U, sig, Vt = np.linalg.svd(Lz.T @ Ls)
-            isq = 1.0 / np.sqrt(sig)
-            self.R.append(Ls @ Vt.T * isq)
-            self.Rti.append(Lz @ U * isq)
-            self.lam_psd.append(sig)
+        self.w = np.ones(data.l)
+        self.lam_lp = np.zeros(data.l)
+        self.R = [np.eye(m) for m in data.block_dims]
+        self.Rti = [np.eye(m) for m in data.block_dims]      # R^{-T}
+        self.lam_psd = [np.zeros(m) for m in data.block_dims]
+        # the scaling at s = z = e is the identity, so this update from it
+        # is the scaling of (s, z)
+        self.update(s, z)
 
     def update(self, ls: np.ndarray, lz: np.ndarray) -> None:
         """Refresh the scaling for stepped points given in scaled coordinates:
@@ -483,7 +468,8 @@ class _KktSolver:
     product; the refinement passes in f4, taken against the full embedding
     residuals, recover the accuracy the squaring gives away.  The LP rows
     enter as a sparse product, so only the PSD rows go through a dense
-    one."""
+    one.  It is the solver's only KKT solver: the initial point uses it at
+    the identity scaling."""
 
     def __init__(self, data: _ConeData, scaling: _Scaling):
         self.data = data
@@ -524,30 +510,6 @@ class _KktSolver:
         return ux, uy, uz
 
 
-class _KktSolverIdentity:
-    """Reduced-system solver with W = I, used only for the initial point."""
-
-    def __init__(self, data: _ConeData):
-        self.data = data
-        nv, ne = data.nv, data.A.shape[0]
-        S = (data.GT @ data.G).toarray()
-        K = np.zeros((nv + ne, nv + ne))
-        K[:nv, :nv] = S + 1e-13 * max(1.0, float(np.trace(S)) / nv) * np.eye(nv)
-        if ne:
-            K[:nv, nv:] = data.A.T
-            K[nv:, :nv] = data.A
-        self.lu = scipy.linalg.lu_factor(K)
-
-    def solve3(self, bx, by, bz):
-        d = self.data
-        rhs = np.concatenate([bx + d.GT @ bz, by])
-        sol = scipy.linalg.lu_solve(self.lu, rhs)
-        ux = sol[: d.nv]
-        uy = sol[d.nv :]
-        uz = d.G @ ux - bz
-        return ux, uy, uz
-
-
 def _failure(it, detail):
     return SolverResult(
         status=SolverStatus.NUMERICAL_FAILURE,
@@ -561,6 +523,20 @@ def _failure(it, detail):
     )
 
 
+def _initial_point(data: _ConeData, e: np.ndarray):
+    """Least-norm heuristic: the two KKT solves at the identity scaling
+    (s = z = e, so W = I), with s and z shifted into the cone interior."""
+    kkt = _KktSolver(data, _Scaling(data, e, e))
+    x, y, zhat = kkt.solve3(np.zeros(data.nv), data.b, data.h)
+    s = -zhat
+    shift = data.min_cone_eig(s)
+    s = s + (1.0 - shift) * e if shift <= 0 else s
+    _, _, z = kkt.solve3(-data.c, np.zeros_like(data.b), np.zeros_like(data.h))
+    shift = data.min_cone_eig(z)
+    z = z + (1.0 - shift) * e if shift <= 0 else z
+    return x, y, s, z
+
+
 def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResult:
     data = _ConeData(program)
     if data.rows == 0:
@@ -569,18 +545,8 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
     ne = A.shape[0]
     e = data.cone_identity()
 
-    # initial point: least-norm heuristic with identity scaling, shifted into
-    # the cone interior
     try:
-        kkt0 = _KktSolverIdentity(data)
-        x, y, zhat = kkt0.solve3(np.zeros(data.nv), b, h)
-        s = -zhat
-        shift = data.min_cone_eig(s)
-        s = s + (1.0 - shift) * e if shift <= 0 else s
-        _, _, zr = kkt0.solve3(-c, np.zeros(ne), np.zeros_like(h))
-        z = zr
-        shift = data.min_cone_eig(z)
-        z = z + (1.0 - shift) * e if shift <= 0 else z
+        x, y, s, z = _initial_point(data, e)
     except np.linalg.LinAlgError:
         x = np.zeros(data.nv)
         y = np.zeros(ne)
@@ -787,97 +753,6 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
     return finish(options.max_iters, f"iteration limit reached ({last})")
 
 
-# --- cvxopt adapter --- #
-
-
-def _solve_cvxopt(program: ConicProgram, options: SolverOptions) -> SolverResult:
-    try:
-        import cvxopt
-        import cvxopt.solvers
-    except ImportError as ex:
-        raise SchemaError(f"backend 'cvxopt' requires the cvxopt package: {ex}") from None
-
-    nv = program.num_vars
-    l = len(program.inequalities)
-    dims = {"l": l, "q": [], "s": [blk.dim for blk in program.psd_blocks]}
-    G_rows = []
-    h_vals = []
-    for a, r in program.inequalities:
-        G_rows.append(a)
-        h_vals.append(r)
-    for blk in program.psd_blocks:
-        m = blk.dim
-        stack = blk.coefficient_stack(nv)
-        # cvxopt 's' blocks use the full m*m column-major vec, no scaling
-        block_cols = -stack.reshape(nv, m * m)
-        G_rows.extend(block_cols.T)
-        h_vals.extend(blk.constant_matrix().reshape(m * m))
-    G = cvxopt.matrix(np.asarray(G_rows, dtype=float))
-    h = cvxopt.matrix(np.asarray(h_vals, dtype=float))
-    c = cvxopt.matrix(program.objective)
-    if program.equalities:
-        A = cvxopt.matrix(np.stack([a for a, _ in program.equalities]))
-        b = cvxopt.matrix(np.array([r for _, r in program.equalities]))
-    else:
-        A = cvxopt.matrix(np.zeros((0, nv)))
-        b = cvxopt.matrix(np.zeros(0))
-    opts = {
-        "show_progress": logger.isEnabledFor(logging.DEBUG),
-        "maxiters": options.max_iters,
-        "abstol": options.gap_tol,
-        "reltol": options.gap_tol,
-        "feastol": options.feas_tol,
-    }
-    sol = cvxopt.solvers.conelp(c, G, h, dims, A, b, options=opts)
-    status = sol["status"]
-    if status == "optimal":
-        theta = np.array(sol["x"]).reshape(nv)
-        check = verify_solution(program, theta)
-        return SolverResult(
-            status=SolverStatus.OPTIMAL,
-            theta=theta,
-            objective_value=float(program.objective @ theta),
-            max_eig_violation=check.max_eig_violation,
-            ineq_violation=check.ineq_violation,
-            eq_residual=check.eq_residual,
-            iterations=int(sol.get("iterations", 0)),
-            detail="",
-        )
-    if status == "primal infeasible":
-        return SolverResult(
-            status=SolverStatus.INFEASIBLE,
-            theta=None,
-            objective_value=math.nan,
-            max_eig_violation=math.nan,
-            ineq_violation=math.nan,
-            eq_residual=math.nan,
-            iterations=int(sol.get("iterations", 0)),
-            detail="primal infeasibility certificate found",
-        )
-    detail = (
-        "objective unbounded below"
-        if status == "dual infeasible"
-        else f"cvxopt status {status!r}"
-    )
-    result = _failure(int(sol.get("iterations", 0)), detail)
-    return result
-
-
-_BACKENDS = {
-    "bundled": _solve_bundled,
-    "cvxopt": _solve_cvxopt,
-}
-
-
-def solve_conic(
-    program: ConicProgram,
-    options: SolverOptions | None = None,
-    backend: str = "bundled",
-) -> SolverResult:
-    """Solve the program with the selected backend (default: bundled)."""
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; available: {sorted(_BACKENDS)}"
-        )
-    return _BACKENDS[backend](program, options or SolverOptions())
-
+def solve_conic(program: ConicProgram, options: SolverOptions | None = None) -> SolverResult:
+    """Solve the program with the bundled interior-point solver."""
+    return _solve_bundled(program, options or SolverOptions())

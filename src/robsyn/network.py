@@ -211,9 +211,6 @@ class ImplicitNetwork:
     def n_g(self) -> int:
         return self.W_fx.shape[0]
 
-    def output(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.W_fx @ x + self.W_fu @ u + self.b_f
-
     def pre_activation(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return self.W_x @ x + self.W_u @ u + self.b
 
@@ -330,18 +327,16 @@ def evaluate_batch(
     if U.ndim != 2 or U.shape[0] != net.n_u:
         raise DimensionMismatch(f"U must be (n_u, B), got {U.shape}")
     B = U.shape[1]
+    X, iters = None, 0
     if net.fixed_point_hint is not None:
         X = np.empty((net.n, B))
-        ok = True
         for j in range(B):
             X[:, j] = np.asarray(net.fixed_point_hint(U[:, j]), dtype=float).reshape(net.n)
             if net.residual(X[:, j], U[:, j]) > cfg.tol:
-                ok = False
+                X = None
                 break
-        if ok:
-            G = net.W_fx @ X + net.W_fu @ U + net.b_f[:, None]
-            return G, X, 0
-    X, iters = _fixed_points(net, net.W_u @ U + net.b[:, None], cfg)
+    if X is None:
+        X, iters = _fixed_points(net, net.W_u @ U + net.b[:, None], cfg)
     G = net.W_fx @ X + net.W_fu @ U + net.b_f[:, None]
     return G, X, iters
 

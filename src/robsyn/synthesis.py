@@ -518,7 +518,6 @@ def _keeps_margin(problem: SynthesisProblem, sol: SynthesisSolution) -> bool:
 def synthesize(
     problem: SynthesisProblem,
     options: SolverOptions | None = None,
-    backend: str = "bundled",
 ) -> SynthesisSolution:
     """Solve the joint synthesis program and extract network plus certificate.
 
@@ -547,7 +546,7 @@ def synthesize(
             program, layout = assemble_synthesis_sdp(
                 problem, shift_override=shift, capped=capped
             )
-            result = solve_conic(program, opts if capped else budget, backend)
+            result = solve_conic(program, opts if capped else budget)
             if result.status is SolverStatus.OPTIMAL:
                 sol = _extract_solution(problem, layout, result)
                 if not (relaxed or _keeps_margin(problem, sol)):
@@ -591,7 +590,6 @@ def analyze_network(
     strictness_shift: float = 1e-8,
     t_floor: float = 1e-6,
     options: SolverOptions | None = None,
-    backend: str = "bundled",
 ) -> SynthesisSolution:
     """Certify the given network as-is (no weight freedom).
 
@@ -609,4 +607,4 @@ def analyze_network(
         strictness_shift=strictness_shift,
         t_floor=t_floor,
     )
-    return synthesize(problem, options, backend)
+    return synthesize(problem, options)

@@ -315,7 +315,7 @@ def max_weight_deviation(net: ImplicitNetwork, ref: ImplicitNetwork) -> float:
 
 
 def _sweep_one(args) -> SweepRow:
-    (network, input_set, eps, fix_gains, weights, backend, spec, seed) = args
+    (network, input_set, eps, fix_gains, weights, spec, seed) = args
     problem = SynthesisProblem(
         network=network,
         input_set=input_set,
@@ -326,7 +326,7 @@ def _sweep_one(args) -> SweepRow:
     )
     nan = math.nan
     try:
-        sol = synthesize(problem, backend=backend)
+        sol = synthesize(problem)
     except Infeasible:
         return SweepRow(eps, nan, nan, nan, nan, "infeasible", nan, nan)
     except (NumericalFailure, RobsynError) as exc:
@@ -351,7 +351,6 @@ def sweep_tolerance(
     eps_values,
     fix_gains: bool = True,
     weights: ObjectiveWeights | None = None,
-    backend: str = "bundled",
     spec: SampleSpec | None = None,
     seed: int = 0,
     jobs: int = 1,
@@ -368,7 +367,7 @@ def sweep_tolerance(
     spec = spec or SampleSpec()
     eps_values = [float(e) for e in eps_values]
     args = [
-        (network.with_hint(None), input_set, eps, fix_gains, weights, backend, spec, seed)
+        (network.with_hint(None), input_set, eps, fix_gains, weights, spec, seed)
         for eps in eps_values
     ]
     if jobs > 1 and len(args) > 1:

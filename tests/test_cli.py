@@ -63,6 +63,31 @@ class TestConfigHandling:
         cfg = write_config(tmp_path / "c.json", network=path, out=str(tmp_path))
         assert main(["analyze", "--config", cfg, "--backend", "bogus"]) == 2
 
+    @pytest.mark.parametrize(
+        "command, config, cert, key",
+        [
+            ("verify", {}, {"gamma": None}, "'gamma'"),
+            ("analyze", {"pairset": {"eps_u1": None}}, None, "'pairset.eps_u1'"),
+            ("analyze", {"seed": None}, None, "'seed'"),
+            ("analyze", {"solver": {"feas_tol": None}}, None, "'solver.feas_tol'"),
+            ("verify", {"base_box": None}, {}, "'base_box'"),
+        ],
+    )
+    def test_value_of_wrong_type_exits_2(
+        self, tmp_path, small_net, capsys, command, config, cert, key
+    ):
+        _, path = small_net
+        if cert is not None:
+            doc = dict.fromkeys(
+                ("gamma", "gamma_u1", "gamma_u2", "eps_u1", "eps_u2",
+                 "lmi_margin", "objective_value"),
+                1.0,
+            )
+            (tmp_path / "certificate.json").write_text(json.dumps({**doc, **cert}))
+        cfg = write_config(tmp_path / "c.json", network=path, out=str(tmp_path), **config)
+        assert main([command, "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
+
     def test_no_subcommand_exits_2(self):
         assert main([]) == 2
 

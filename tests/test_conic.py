@@ -1,5 +1,5 @@
-"""Tests for the conic program container, the bundled interior-point backend,
-and the independent solution checker."""
+"""Tests for the conic program container, the bundled interior-point solver,
+its Nesterov-Todd scaling, and the independent solution checker."""
 
 import logging
 
@@ -13,6 +13,8 @@ from robsyn.conic import (
     PsdBlockMap,
     SolverOptions,
     SolverStatus,
+    _ConeData,
+    _Scaling,
     smat,
     solve_conic,
     svec,
@@ -128,11 +130,6 @@ def test_solver_is_deterministic():
     r2 = solve_conic(arrow_program())
     assert np.array_equal(r1.theta, r2.theta)
     assert r1.iterations == r2.iterations
-
-
-def test_unknown_backend_is_rejected():
-    with pytest.raises(ValueError, match="unknown backend"):
-        solve_conic(scalar_bound_program(), backend="magic")
 
 
 def test_verify_solution_reports_violations():
@@ -258,21 +255,92 @@ def random_box_sdp(seed):
     )
 
 
+def lagrange_dual(prog):
+    """The Lagrange dual of a program with inequalities and one PSD block,
+
+        maximize  -<Z, A_0> - r'lam  s.t.  <Z, A_k> - (G'lam)_k = c_k,
+                  Z >= 0, lam >= 0,
+
+    written as a minimization over the upper triangle of Z and lam."""
+    (blk,) = prog.psd_blocks
+    m, nv = blk.dim, prog.num_vars
+    iu = np.triu_indices(m)
+    nz = len(iu[0])
+    weight = np.where(iu[0] == iu[1], 1.0, 2.0)      # <Z, A> over the triangle
+    A0 = blk.constant_matrix()[iu] * weight
+    Ak = blk.coefficient_stack(nv)[:, iu[0], iu[1]] * weight
+    G = np.array([a for a, _ in prog.inequalities])
+    r = np.array([b for _, b in prog.inequalities])
+    nl = len(r)
+    equalities = [(np.concatenate([Ak[k], -G[:, k]]), prog.objective[k]) for k in range(nv)]
+    inequalities = [(-np.eye(nz + nl)[nz + i], 0.0) for i in range(nl)]
+    return ConicProgram(
+        num_vars=nz + nl,
+        objective=np.concatenate([A0, r]),
+        equalities=equalities,
+        inequalities=inequalities,
+        psd_blocks=[
+            PsdBlockMap(dim=m, coeffs=(np.arange(nz), iu[0], iu[1], np.ones(nz)))
+        ],
+    )
+
+
 @pytest.mark.parametrize("seed", range(10))
-def test_random_sdp_matches_external_solver(seed):
-    pytest.importorskip("cvxopt")
+def test_random_sdp_closes_the_duality_gap(seed):
+    # weak duality: for feasible points c'theta >= -(dual objective), so a
+    # zero gap between two verified points proves the primal optimal
     prog = random_box_sdp(seed)
-    r1 = solve_conic(prog, backend="bundled")
-    r2 = solve_conic(prog, backend="cvxopt")
+    dual = lagrange_dual(prog)
+    r1 = solve_conic(prog)
+    r2 = solve_conic(dual)
     assert r1.status == SolverStatus.OPTIMAL
     assert r2.status == SolverStatus.OPTIMAL
-    assert r1.objective_value == pytest.approx(r2.objective_value, rel=1e-7, abs=1e-7)
+    assert verify_solution(prog, r1.theta).ok(1e-6)
+    assert verify_solution(dual, r2.theta).ok(1e-6)
+    gap = r1.objective_value + r2.objective_value
+    assert abs(gap) <= 1e-6 * (1.0 + abs(r1.objective_value))
+
+
+def random_pd(rng, m):
+    X = rng.standard_normal((m, m))
+    return X @ X.T + m * np.eye(m)
+
+
+def random_cone_point(rng, data):
+    ((m, sl, iu, mult),) = data.iter_blocks()
+    v = np.empty(data.rows)
+    v[: data.l] = rng.uniform(0.5, 2.0, data.l)
+    v[sl] = svec(random_pd(rng, m), iu, mult)
+    return v
+
+
+def assert_nt_identities(sc, s, z):
+    lam = sc.lam_vec()
+    np.testing.assert_allclose(sc.WinvT(s), lam, rtol=0, atol=1e-12 * np.abs(lam).max())
+    np.testing.assert_allclose(sc.W(z), lam, rtol=0, atol=1e-12 * np.abs(lam).max())
+    for R, Rti in zip(sc.R, sc.Rti):
+        np.testing.assert_allclose(Rti, np.linalg.inv(R).T, rtol=0, atol=1e-12 * np.abs(Rti).max())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nt_scaling_maps_both_points_to_lambda(seed):
+    # W^{-T} s = lam = W z at construction, and again after an update from
+    # the scaled coordinates of a step to new interior points
+    rng = np.random.default_rng(seed)
+    data = _ConeData(random_box_sdp(seed))
+    s, z = random_cone_point(rng, data), random_cone_point(rng, data)
+    sc = _Scaling(data, s, z)
+    assert_nt_identities(sc, s, z)
+    s2 = s + 0.5 * (random_cone_point(rng, data) - s)
+    z2 = z + 0.5 * (random_cone_point(rng, data) - z)
+    sc.update(sc.WinvT(s2), sc.W(z2))
+    assert_nt_identities(sc, s2, z2)
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_random_sdp_solutions_verify(seed):
-    """Whatever the bundled backend declares optimal must pass the
+    """Whatever the bundled solver declares optimal must pass the
     independent feasibility check."""
     prog = random_box_sdp(seed)
     res = solve_conic(prog)

@@ -417,7 +417,7 @@ class TestSynthesis:
         seen = []
         solve = robsyn.synthesis.solve_conic
 
-        def record(program, options=None, backend="bundled"):
+        def record(program, options=None):
             blk = program.psd_blocks[0]
             seen[-1].append((
                 program.num_vars,
@@ -426,7 +426,7 @@ class TestSynthesis:
                 [a for a, _ in program.equalities], [r for _, r in program.equalities],
                 blk.constant_matrix(), blk.coefficient_stack(program.num_vars),
             ))
-            return solve(program, options, backend)
+            return solve(program, options)
 
         monkeypatch.setattr(robsyn.synthesis, "solve_conic", record)
         seen.append([])
@@ -498,9 +498,9 @@ class TestLadder:
         calls = []
         solve = robsyn.synthesis.solve_conic
 
-        def stub(program, options=None, backend="bundled"):
+        def stub(program, options=None):
             calls.append((len(program.inequalities), options.max_iters))
-            result = solve(program, options, backend)
+            result = solve(program, options)
             if len(calls) == 1:
                 return replace(
                     result,

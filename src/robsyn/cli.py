@@ -94,7 +94,7 @@ _SECTION_KEYS = {
 
 # Keys whose values are numbers, and keys whose values are lists of numbers
 # (with the required length, if any).  Every key of a section is a number
-# except the mpc matrices.
+# except the mpc matrices, which are lists of equal-length lists of numbers.
 _NUMBER_KEYS = {
     "seed", "jobs", "samples", "steps", "strictness_shift", "t_floor",
     "fixed_gamma_u1", "fixed_gamma_u2",
@@ -108,6 +108,18 @@ ORACLE_AGREEMENT_TOL = 1e-5
 def _require_number(value, name: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise SchemaError(f"{name} must be a finite number")
+
+
+def _require_matrix(value, name: str) -> None:
+    if (
+        not isinstance(value, list)
+        or not all(isinstance(row, list) for row in value)
+        or len({len(row) for row in value}) > 1
+    ):
+        raise SchemaError(f"{name} must be a list of equal-length lists of numbers")
+    for row in value:
+        for item in row:
+            _require_number(item, f"each entry of {name}")
 
 
 def _validate_config(raw: dict) -> None:
@@ -135,7 +147,9 @@ def _validate_config(raw: dict) -> None:
             for sub, item in value.items():
                 if sub not in _SECTION_KEYS[key]:
                     raise SchemaError(f"unknown config key: '{key}.{sub}'")
-                if not (key == "mpc" and sub in _MPC_MATRICES):
+                if key == "mpc" and sub in _MPC_MATRICES:
+                    _require_matrix(item, f"config key '{key}.{sub}'")
+                else:
                     _require_number(item, f"config key '{key}.{sub}'")
     tol = raw.get("tolerances")
     if isinstance(tol, dict) and "uniform" in tol and len(tol) > 1:

@@ -475,7 +475,12 @@ class _KktSolver:
         self.data = data
         self.sc = scaling
         ne = data.A.shape[0]
-        Glw = scipy.sparse.diags(1.0 / scaling.w) @ data.G_lp
+        # diag(w)^-1 G_lp, scaling a copy of the CSR data row by row
+        G_lp = data.G_lp
+        row_scale = np.repeat(1.0 / scaling.w, np.diff(G_lp.indptr))
+        Glw = scipy.sparse.csr_array(
+            (G_lp.data * row_scale, G_lp.indices, G_lp.indptr), shape=G_lp.shape
+        )
         K = (Glw.T @ Glw).toarray()
         for idx, (m, sl, iu, mult) in enumerate(data.iter_blocks()):
             Rti = scaling.Rti[idx]

@@ -24,7 +24,23 @@ case.
 The certificate itself is written down once, in
 multipliers.certificate_matrix.  The PSD block is derived from it: _unpack
 maps a decision vector to the certificate's arguments, and the affine map
-is evaluated at zero and at every unit vector in one batched call.
+is evaluated at zero and at every basis direction in one batched call.
+
+When the reference network is odd under a permutation pi of its states
+(W_x[pi][:, pi] == W_x, W_u[pi] == -W_u and W_fx[:, pi] == -W_fx, exactly;
+see odd_symmetry), the program is solved over the orbits of that symmetry.
+The symmetry acts on the decision vector as a signed permutation, on the
+certificate's vector p as a signed permutation Pi, and the certificate
+obeys M(g theta) = Pi M(theta) Pi'.  The program is convex and the weight
+boxes, the floors and the objective are invariant, so averaging any optimum
+over the group gives an invariant optimum with the same objective (Gatermann
+& Parrilo, "Symmetry groups, semidefinite programs, and sums of squares",
+J. Pure Appl. Algebra 2004).  The program's variables are therefore the
+orbit coordinates phi of theta = U phi (VariableLayout.basis), its rows are
+the distinct a' U, and its PSD block, which commutes with Pi on the orbits,
+splits into one block per eigenspace of Pi.  The solution is expanded back
+to theta before extraction, so the synthesized network is exactly odd too.
+A network without the symmetry gets the program in theta itself.
 """
 
 from __future__ import annotations
@@ -32,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse
 
 from .conic import (
     ConicProgram,
@@ -177,6 +194,11 @@ class VariableLayout:
     almost exactly and swamp the curvature the certificate block gives t_i;
     in D they read +-D_ij <= eps t_i, and +-s_ij <= eps (t_i + t_j) for
     a merged pair, the exact sum of the two boxes.
+
+    basis, when set, is the orbit basis U (sparse, num_vars x columns,
+    entries 0 and +-1) of an odd symmetry: the program's variables are the
+    coefficients phi of theta = U phi (see assemble_synthesis_sdp).  It is
+    None when the program's variables are theta itself.
     """
 
     dims: Dims
@@ -192,6 +214,7 @@ class VariableLayout:
     idx_gamma_u1: int
     idx_gamma_u2: int
     num_vars: int
+    basis: scipy.sparse.csr_array | None = field(default=None, compare=False, repr=False)
 
 
 def layout_variables(dims: Dims, tolerances: SimilarityTolerances) -> VariableLayout:
@@ -274,34 +297,153 @@ def _unit_row(num_vars: int, entries) -> np.ndarray:
     return row
 
 
-def _psd_block(
-    problem: SynthesisProblem, layout: VariableLayout, shift: float
-) -> PsdBlockMap:
-    """S(theta) = -M(theta) - shift I >= 0, derived from the certificate.
+def odd_symmetry(network: ImplicitNetwork) -> np.ndarray | None:
+    """The state permutation pi under which the network is odd, or None.
 
-    M is affine in theta, so one batched evaluation of certificate_matrix at
-    0 and at every unit vector gives A_0 = -M(0) - shift I and
-    A_k = -(M(e_k) - M(0)).
+    The candidate pairs each row of W_u with the one row equal to its
+    negation; it is accepted when it is an involution with
+    W_x[pi][:, pi] == W_x and W_fx[:, pi] == -W_fx, all exactly.  Then
+    z -> z[pi], u -> -u, g -> -g maps the network's incremental relations
+    onto themselves.  The biases do not enter the certificate, so they are
+    not compared.
     """
-    dims = layout.dims
-    nv = layout.num_vars
-    mults, gammas, products, _ = _unpack(
-        problem, layout, np.vstack([np.zeros(nv), np.eye(nv)])
-    )
-    M = certificate_matrix(dims, mults, problem.input_set, *gammas, *products)
-    A0 = -M[0] - shift * np.eye(dims.N_p)
-    A = M[1:]
-    A -= M[0]
-    np.negative(A, out=A)
-    iu = np.triu_indices(dims.N_p)
+    W_u = network.W_u + 0.0  # -0.0 -> 0.0, so equal rows have equal bytes
+    rows: dict[bytes, list[int]] = {}
+    for j, row in enumerate(W_u):
+        rows.setdefault(row.tobytes(), []).append(j)
+    pi = []
+    for row in W_u:
+        match = rows.get((0.0 - row).tobytes(), [])
+        if len(match) != 1:
+            return None
+        pi.append(match[0])
+    pi = np.array(pi, dtype=np.intp)
+    if (
+        np.array_equal(pi[pi], np.arange(pi.size))
+        and np.array_equal(network.W_x[np.ix_(pi, pi)], network.W_x)
+        and np.array_equal(network.W_fx[:, pi], -network.W_fx)
+    ):
+        return pi
+    return None
+
+
+def _variable_action(layout: VariableLayout, pi: np.ndarray):
+    """The symmetry on the decision vector, (g theta)[k] = sign[k] theta[perm[k]]:
+    T_z[i] ~ T_z[pi i], s_ij ~ s_{pi i, pi j}, D_u[i, :] ~ -D_u[pi i, :] and
+    D_gz[:, j] ~ -D_gz[:, pi j]; T_g, T_u1, T_u2, D_gu and the gammas are
+    fixed."""
+    n, n_u, n_g = layout.dims.n, layout.dims.n_u, layout.dims.n_g
+    perm = np.arange(layout.num_vars)
+    sign = np.ones(layout.num_vars)
+    iu = np.triu_indices(n)
+    merged = np.zeros((n, n), dtype=np.intp)
+    merged[iu] = merged.T[iu] = np.arange(iu[0].size)
+    for sl, moved, flip in (
+        (layout.sl_T_z, pi, False),
+        (layout.sl_D_z, merged[pi[iu[0]], pi[iu[1]]], False),
+        (layout.sl_D_u, (pi[:, None] * n_u + np.arange(n_u)).ravel(), True),
+        (layout.sl_D_gz, (np.arange(n_g)[:, None] * n + pi).ravel(), True),
+    ):
+        if sl.start < sl.stop:
+            perm[sl] = sl.start + moved
+            sign[sl] = -1.0 if flip else 1.0
+    return perm, sign
+
+
+def _state_action(dims: Dims, pi: np.ndarray):
+    """The symmetry on p, (Pi p)[k] = sign[k] p[perm[k]]: g+ <-> g-,
+    u+ <-> u-, z -> z[pi], u -> -u and 1 -> 1."""
+    perm = np.arange(dims.N_p)
+    sign = np.ones(dims.N_p)
+    for sl in (dims.sl_g_pm, dims.sl_u_pm):
+        perm[sl] = np.roll(perm[sl], (sl.stop - sl.start) // 2)
+    perm[dims.sl_z] = dims.sl_z.start + pi
+    sign[dims.sl_u] = -1.0
+    return perm, sign
+
+
+def _orbit_basis(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Basis of {x : x = sign * x[perm]} for a signed involution: a column
+    e_k + sign[k] e_perm[k] per swapped pair k < perm[k] and e_k per fixed k
+    with sign +1 (a fixed k with sign -1 is zero on the subspace).  Entries
+    are 0 and +-1; the columns are ordered by their first index."""
+    k = np.arange(perm.size)
+    first = k[(k < perm) | ((k == perm) & (sign > 0))]
+    cols = np.arange(first.size)
+    U = np.zeros((perm.size, first.size))
+    U[first, cols] = 1.0
+    U[perm[first], cols] = sign[first]
+    return U
+
+
+def _block_map(A0: np.ndarray, A: np.ndarray) -> PsdBlockMap:
+    """The sparse block map of the constant A0 and the stack A of
+    coefficient matrices."""
+    iu = np.triu_indices(A0.shape[0])
     upper = A[:, iu[0], iu[1]]
     k, e = np.nonzero(upper)
     c = np.flatnonzero(A0[iu])
     return PsdBlockMap(
-        dim=dims.N_p,
+        dim=A0.shape[0],
         const=(iu[0][c], iu[1][c], A0[iu][c]),
         coeffs=(k, iu[0][e], iu[1][e], upper[k, e]),
     )
+
+
+def _psd_blocks(
+    problem: SynthesisProblem,
+    layout: VariableLayout,
+    shift: float,
+    eigenbases: list,
+) -> list[PsdBlockMap]:
+    """S(theta) = -M(theta) - shift I >= 0, derived from the certificate.
+
+    M is affine in theta, so one batched evaluation of certificate_matrix at
+    0 and at every column u_r of the orbit basis (every unit vector when
+    there is none) gives A_0 = -M(0) - shift I and A_r = -(M(u_r) - M(0)).
+    Each entry of eigenbases is None (the whole block) or the eigenvectors V
+    (entries 0 and +-1) of one eigenspace of the symmetry on p; on the
+    orbits M commutes with that symmetry, so S is block diagonal in the
+    orthonormal eigenbasis and each V gives one block, V' S V with its
+    columns normalised.  With entries 0 and +-1 each product adds at most
+    two nonzero terms, so the entries zero by symmetry come out exactly
+    zero.
+    """
+    nv = layout.num_vars
+    directions = np.eye(nv) if layout.basis is None else layout.basis.T.toarray()
+    mults, gammas, products, _ = _unpack(
+        problem, layout, np.vstack([np.zeros(nv), directions])
+    )
+    M = certificate_matrix(layout.dims, mults, problem.input_set, *gammas, *products)
+    A0 = -M[0]
+    A = M[1:]
+    A -= M[0]
+    np.negative(A, out=A)
+    blocks = []
+    for V in eigenbases:
+        if V is None:
+            A0_blk, A_blk = A0, A
+        else:
+            # 1 / (|v_i| |v_j|), exactly 1/2 between two swapped pairs
+            counts = np.count_nonzero(V, axis=0)
+            scale = 1.0 / np.sqrt(np.outer(counts, counts))
+            A0_blk = (V.T @ A0 @ V) * scale
+            A_blk = (V.T @ A @ V) * scale
+        m = A0_blk.shape[0]
+        blocks.append(_block_map(A0_blk - shift * np.eye(m), A_blk))
+    return blocks
+
+
+def _rows_over(rows: list, U: scipy.sparse.csr_array) -> list:
+    """The rows (a' U, r) of a program over the orbit coordinates, each
+    distinct one once: the rows of mirrored variables coincide."""
+    if not rows:
+        return rows
+    reduced = np.array([a for a, _ in rows]) @ U + 0.0  # -0.0 -> 0.0
+    kept = {}
+    for a, (_, r) in zip(reduced, rows):
+        kept.setdefault((a.tobytes(), r), (a, r))
+    return list(kept.values())
 
 
 def assemble_synthesis_sdp(
@@ -312,6 +454,15 @@ def assemble_synthesis_sdp(
     """Build the conic program for the given problem, in deviation
     coordinates (see VariableLayout).
 
+    When the network is odd (see odd_symmetry), the program is over the
+    orbit coordinates phi of theta = U phi, with U the returned layout's
+    basis: every row is a' U, rows that coincide are kept once, and the PSD
+    block is split into one block per eigenspace of the symmetry on p.  For
+    the paper-MPC network at a positive uniform tolerance that is 275
+    variables instead of 505, 523 inequality rows instead of 973, and
+    blocks of 23 and 24 instead of one of 47; analysis has 25 variables
+    instead of 35.  Without the symmetry the program is in theta itself.
+
     shift_override replaces the problem's strictness shift (negative values
     relax the margin; used for the marginal-instance fallback).  capped adds
     T <= t_cap rows on every diagonal multiplier; synthesize solves that
@@ -321,11 +472,18 @@ def assemble_synthesis_sdp(
     tol = problem.tolerances
     layout = layout_variables(dims, tol)
     nv = layout.num_vars
+    eigenbases = [None]
+    pi = odd_symmetry(problem.network)
+    if pi is not None:
+        basis = _orbit_basis(*_variable_action(layout, pi))
+        layout = replace(layout, basis=scipy.sparse.csr_array(basis))
+        perm, sign = _state_action(dims, pi)
+        eigenbases = [_orbit_basis(perm, sign), _orbit_basis(perm, -sign)]
 
-    # the PSD block first, so that its dense transients are freed before
+    # the PSD blocks first, so that their dense transients are freed before
     # the program's long-lived rows are allocated
     shift = problem.strictness_shift if shift_override is None else shift_override
-    block = _psd_block(problem, layout, shift)
+    blocks = _psd_blocks(problem, layout, shift, eigenbases)
 
     objective = np.zeros(nv)
     objective[layout.idx_gamma] = problem.weights.gamma
@@ -383,12 +541,17 @@ def assemble_synthesis_sdp(
             (_unit_row(nv, [(layout.idx_gamma_u2, 1.0)]), problem.fixed_gamma_u2)
         )
 
+    U = layout.basis
+    if U is not None:
+        objective = objective @ U + 0.0
+        equalities = _rows_over(equalities, U)
+        inequalities = _rows_over(inequalities, U)
     program = ConicProgram(
-        num_vars=nv,
+        num_vars=objective.size,
         objective=objective,
         equalities=equalities,
         inequalities=inequalities,
-        psd_blocks=[block],
+        psd_blocks=blocks,
     )
     return program, layout
 
@@ -423,7 +586,8 @@ class RobustnessCertificate:
 class SynthesisSolution:
     """A solved program: the synthesized network, its certificate, the
     multipliers, and the solver's decision vector theta with its layout
-    (both in deviation coordinates, see VariableLayout)."""
+    (both in full deviation coordinates, see VariableLayout, also when the
+    program was solved over the orbits of a symmetry)."""
 
     network: ImplicitNetwork
     certificate: RobustnessCertificate
@@ -547,6 +711,9 @@ def synthesize(
                 problem, shift_override=shift, capped=capped
             )
             result = solve_conic(program, opts if capped else budget)
+            if layout.basis is not None and result.theta is not None:
+                # back from the orbit coordinates: theta = U phi
+                result = replace(result, theta=layout.basis @ result.theta)
             if result.status is SolverStatus.OPTIMAL:
                 sol = _extract_solution(problem, layout, result)
                 if not (relaxed or _keeps_margin(problem, sol)):

@@ -271,6 +271,44 @@ def test_criterion_6_certified_bound_improvement(
     assert dev <= 1e-5 + 1e-6
 
 
+@pytest.mark.parametrize(
+    "fixture, gamma",
+    [("mpc_synth_fine", 2.7468235504), ("mpc_synth_coarse", 1.0528861723),
+     ("mpc_analysis", 2.8129400447)],
+)
+def test_paper_mpc_gammas_are_pinned(request, fixture, gamma):
+    """The fine, coarse and analysis gammas, to 1e-7 relative."""
+    sol = request.getfixturevalue(fixture)
+    sol = sol[0] if isinstance(sol, tuple) else sol
+    print(f"{fixture}: gamma {sol.certificate.gamma:.10f} against {gamma}")
+    assert abs(sol.certificate.gamma - gamma) <= 1e-7 * gamma
+
+
+def test_synthesized_mpc_networks_stay_exactly_odd(mpc_fixture, mpc_synth_fine, mpc_synth_coarse):
+    """The reference MPC law is odd; the synthesized networks keep the three
+    weight identities bit for bit."""
+    _, _, net = mpc_fixture
+    pi = np.r_[10:20, 0:10]
+    for sol in (mpc_synth_fine[0], mpc_synth_coarse):
+        syn = sol.network
+        assert np.array_equal(syn.W_x[np.ix_(pi, pi)], syn.W_x)
+        assert np.array_equal(syn.W_u[pi], -syn.W_u)
+        assert np.array_equal(syn.W_fx[:, pi], -syn.W_fx)
+        assert not np.array_equal(syn.W_x, net.W_x)
+
+
+def test_synthesis_at_2e5_ends_clean(mpc_fixture):
+    """At tolerance 2e-5 and solver tolerances 1e-8 the solve meets its
+    tolerances instead of returning a best iterate."""
+    _, _, net = mpc_fixture
+    sol = synthesize(
+        _pinned_gain_problem(net, 2e-5),
+        options=SolverOptions(feas_tol=1e-8, gap_tol=1e-8),
+    )
+    print(f"eps 2e-5: {sol.status_label}, {sol.solver_result.iterations} iterations")
+    assert sol.status_label == "optimal"
+
+
 def test_criterion_7_tradeoff_sweep(mpc_fixture, mpc_sweep):
     _, _, net = mpc_fixture
     rows = mpc_sweep.rows

@@ -88,6 +88,21 @@ class TestConfigHandling:
         assert main([command, "--config", cfg]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1.0, None], [0.0, 1.0]],
+            [[1.0, [0.0]], [0.0, 1.0]],
+            [[1.0, 0.0], [1.0]],
+            "eye",
+        ],
+        ids=["null-entry", "nested-entry", "ragged-rows", "string"],
+    )
+    def test_bad_mpc_matrix_exits_2_naming_its_key(self, tmp_path, capsys, matrix):
+        cfg = write_config(tmp_path / "c.json", out=str(tmp_path), mpc={"A": matrix})
+        assert main(["mpc-build", "--config", cfg]) == 2
+        assert "'mpc.A'" in capsys.readouterr().err
+
     def test_no_subcommand_exits_2(self):
         assert main([]) == 2
 

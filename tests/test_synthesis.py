@@ -8,6 +8,7 @@ of the multiplier module).  Extraction is checked against hand-computable
 instances, and soundness by sampling input pairs.
 """
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,7 @@ from robsyn.synthesis import (
     analyze_network,
     assemble_synthesis_sdp,
     layout_variables,
+    odd_symmetry,
     synthesize,
 )
 
@@ -409,7 +411,8 @@ class TestSynthesis:
 
     def test_zero_tolerance_synthesis_is_analysis(self, monkeypatch):
         # on the paper-MPC network, synthesis with every tolerance zero hands
-        # the solver the same 35-variable programs as analysis
+        # the solver the same programs as analysis: 25 variables over the
+        # orbits of the network's odd symmetry, and the same PSD blocks
         net = qp_to_implicit_network(
             condense_qp(reference_mpc_problem()), attach_hint=False
         )
@@ -418,13 +421,13 @@ class TestSynthesis:
         solve = robsyn.synthesis.solve_conic
 
         def record(program, options=None):
-            blk = program.psd_blocks[0]
             seen[-1].append((
                 program.num_vars,
                 program.objective,
                 [a for a, _ in program.inequalities], [r for _, r in program.inequalities],
                 [a for a, _ in program.equalities], [r for _, r in program.equalities],
-                blk.constant_matrix(), blk.coefficient_stack(program.num_vars),
+                *(blk.constant_matrix() for blk in program.psd_blocks),
+                *(blk.coefficient_stack(program.num_vars) for blk in program.psd_blocks),
             ))
             return solve(program, options)
 
@@ -440,7 +443,8 @@ class TestSynthesis:
         sa = analyze_network(net, U, fixed_gamma_u1=0.0, fixed_gamma_u2=0.0)
         assert len(seen[0]) == len(seen[1]) >= 1
         for a, b in zip(*seen):
-            assert a[0] == b[0] == 35
+            assert a[0] == b[0] == 25
+            assert len(a) == len(b)
             for x, y in zip(a[1:], b[1:]):
                 assert np.array_equal(np.asarray(x), np.asarray(y))
         assert ss.certificate.gamma == sa.certificate.gamma
@@ -488,6 +492,99 @@ class TestMergedStatePairs:
                 if i != j:
                     expect[L.sl_T_z.start + j] -= eps
                 assert np.array_equal(row, expect)
+
+
+def program_digest(program):
+    """SHA-256 prefix of every array of a conic program, in order."""
+    h = hashlib.sha256()
+    arrays = [np.array([program.num_vars]), program.objective]
+    for rows in (program.equalities, program.inequalities):
+        arrays += [a for a, _ in rows] + [np.array([r for _, r in rows])]
+    for blk in program.psd_blocks:
+        arrays += [np.array([blk.dim]), *blk.const, *blk.coeffs]
+    for arr in arrays:
+        arr = np.asarray(arr)
+        h.update(arr.astype(np.int64 if arr.dtype.kind == "i" else np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def mpc_net():
+    return qp_to_implicit_network(condense_qp(reference_mpc_problem()), attach_hint=False)
+
+
+def mpc_problem(net, eps):
+    return SynthesisProblem(
+        network=net, input_set=InputPairSet(1.0, 1.0),
+        tolerances=SimilarityTolerances.uniform(eps),
+        fixed_gamma_u1=0.0, fixed_gamma_u2=0.0,
+    )
+
+
+class TestOddSymmetry:
+    def test_found_on_the_paper_mpc_network(self, mpc_net):
+        pi = odd_symmetry(mpc_net)
+        # the two halves of the 20 states swap
+        assert np.array_equal(pi, np.r_[10:20, 0:10])
+        assert np.array_equal(mpc_net.W_x[np.ix_(pi, pi)], mpc_net.W_x)
+        assert np.array_equal(mpc_net.W_u[pi], -mpc_net.W_u)
+        assert np.array_equal(mpc_net.W_fx[:, pi], -mpc_net.W_fx)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_absent_from_random_networks(self, seed):
+        assert odd_symmetry(random_well_posed_network(seed, n=4, n_u=2, n_g=3)) is None
+
+    def test_absent_after_a_one_ulp_nudge(self, mpc_net):
+        W_x = mpc_net.W_x.copy()
+        i, j = np.argwhere(W_x != 0)[0]
+        W_x[i, j] = np.nextafter(W_x[i, j], np.inf)
+        assert odd_symmetry(replace(mpc_net, W_x=W_x)) is None
+
+    def test_reduced_program_sizes(self, mpc_net):
+        program, L = assemble_synthesis_sdp(mpc_problem(mpc_net, 1e-5))
+        assert (L.num_vars, L.basis.shape) == (505, (505, 275))
+        assert program.num_vars == 275
+        assert len(program.inequalities) == 523
+        assert len(program.equalities) == 2
+        assert [b.dim for b in program.psd_blocks] == [23, 24]
+        capped, _ = assemble_synthesis_sdp(mpc_problem(mpc_net, 1e-5), capped=True)
+        assert len(capped.inequalities) == 545
+        analysis, L0 = assemble_synthesis_sdp(mpc_problem(mpc_net, 0.0))
+        assert (L0.num_vars, analysis.num_vars) == (35, 25)
+        assert [b.dim for b in analysis.psd_blocks] == [23, 24]
+
+    @pytest.mark.parametrize("eps", [1e-5, 0.0])
+    def test_reduced_blocks_have_the_spectrum_of_the_full_block(self, mpc_net, eps):
+        prob = mpc_problem(mpc_net, eps)
+        program, L = assemble_synthesis_sdp(prob)
+        phi = np.random.default_rng(3).uniform(0.1, 2.0, size=program.num_vars)
+        mults, gammas, Y, _ = _unpack(prob, L, L.basis @ phi)
+        M = certificate_matrix(L.dims, mults, prob.input_set, *gammas, *Y)
+        full = np.linalg.eigvalsh(-M - prob.strictness_shift * np.eye(L.dims.N_p))
+        reduced = np.sort(np.concatenate(
+            [np.linalg.eigvalsh(blk.evaluate(phi)) for blk in program.psd_blocks]
+        ))
+        np.testing.assert_allclose(reduced, full, rtol=0, atol=1e-12)
+
+    # digests of the programs assembled before the symmetry reduction existed
+    @pytest.mark.parametrize(
+        "tol, capped, digest",
+        [
+            (UNIFORM, False, "b26bf2af5263be46"),
+            (UNIFORM, True, "33710328a28ee122"),
+            (MIXED, False, "90a4430580bd03ad"),
+            (ZERO, False, "7e2a3a6a5bc684ac"),
+        ],
+    )
+    def test_program_without_the_symmetry_is_unchanged(self, tol, capped, digest):
+        net = random_well_posed_network(7, n=4, n_u=2, n_g=3)
+        prob = SynthesisProblem(
+            network=net, input_set=InputPairSet(0.7, 1.3), tolerances=tol,
+            fixed_gamma_u1=0.5,
+        )
+        program, L = assemble_synthesis_sdp(prob, capped=capped)
+        assert L.basis is None
+        assert program_digest(program) == digest
 
 
 class TestLadder:

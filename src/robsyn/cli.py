@@ -282,8 +282,10 @@ _CERT_FIELDS = (
     "eps_u2",
     "lmi_margin",
     "objective_value",
-    "strictness_relaxed",
 )
+# written by earlier releases, which re-solved marginal instances at a
+# relaxed margin; accepted and ignored so that their certificates still load
+_LEGACY_CERT_KEY = "strictness_relaxed"
 
 
 def _write_certificate(sol, path: str) -> None:
@@ -297,7 +299,6 @@ def _write_certificate(sol, path: str) -> None:
             "eps_u2": cert.input_set.eps_u2,
             "lmi_margin": cert.lmi_margin,
             "objective_value": cert.objective_value,
-            "strictness_relaxed": sol.strictness_relaxed,
         },
         path,
     )
@@ -312,14 +313,13 @@ def _load_certificate(path: str) -> RobustnessCertificate:
     if not isinstance(doc, dict):
         raise SchemaError("certificate document must be a mapping")
     for key in doc:
-        if key not in _CERT_FIELDS:
+        if key not in _CERT_FIELDS and key != _LEGACY_CERT_KEY:
             raise SchemaError(f"unknown certificate key: {key!r}")
-    missing = [k for k in _CERT_FIELDS if k not in doc and k != "strictness_relaxed"]
+    missing = [k for k in _CERT_FIELDS if k not in doc]
     if missing:
         raise SchemaError(f"certificate document is missing keys: {missing}")
     for key in _CERT_FIELDS:
-        if key != "strictness_relaxed":
-            _require_number(doc[key], f"certificate key {key!r}")
+        _require_number(doc[key], f"certificate key {key!r}")
     return RobustnessCertificate(
         gamma=float(doc["gamma"]),
         gamma_u1=float(doc["gamma_u1"]),

@@ -62,24 +62,15 @@ from .errors import Infeasible, NumericalFailure
 from .multipliers import Dims, InputPairSet, MultiplierSet, certificate_matrix
 from .network import ImplicitNetwork
 
-# Fallback margin for structurally marginal instances: when the certificate
-# matrix has a fixed neutral eigendirection (a direction whose quadratic form
-# is identically zero for every multiplier choice), the strictly shifted
-# program is infeasible by exactly the shift although valid certificates
-# exist in the closure.  Rather than fail, such instances are re-solved with
-# the margin relaxed to this small positive slack; the reported lmi_margin
-# makes the relaxation visible.
-MARGINAL_RELAXATION = 5e-8
-
-# Fraction of the strictness shift a strict-rung solution must keep as
-# margin (lmi_margin <= -fraction * shift).  A marginal instance has no
-# strictly shifted solution, yet when the shift lies below the solver's
-# feasibility tolerance the solve can still converge, to a point of the
-# closure whose certificate matrix is singular (lmi_margin zero to
-# rounding).  Such a solution goes on to the relaxed margin like an
-# infeasible one.  Healthy strict solutions keep a margin of the order of
-# the shift.
-_KEPT_MARGIN_FRACTION = 1e-3
+# A block coordinate whose row, in the constant and in every coefficient
+# matrix, is at most this fraction of the block's largest entry is neutral:
+# the certificate matrix vanishes on it for every decision vector (the face
+# V = {[a; a]} of the MPC bridge networks' z slice), so no strictly shifted
+# block exists and the coordinate is dropped instead.  Such rows are rounding
+# noise of the block's assembly, at most 5.1e-17 of the largest entry on the
+# paper-MPC network and its bridges; live rows are at least 2.6e-2 of it.
+# The threshold sits well above the first and far below the second.
+_NEUTRAL_ROW = 1e-12
 
 # Iteration budget for first-attempt (uncapped) solves.  Healthy instances
 # converge well inside this; an instance drifting along an unbounded
@@ -393,14 +384,14 @@ def _block_map(A0: np.ndarray, A: np.ndarray) -> PsdBlockMap:
 def _psd_blocks(
     problem: SynthesisProblem,
     layout: VariableLayout,
-    shift: float,
     eigenbases: list,
 ) -> list[PsdBlockMap]:
-    """S(theta) = -M(theta) - shift I >= 0, derived from the certificate.
+    """S(theta) = -M(theta) - shift I >= 0 on the live coordinates, with
+    shift the problem's strictness_shift, derived from the certificate.
 
     M is affine in theta, so one batched evaluation of certificate_matrix at
     0 and at every column u_r of the orbit basis (every unit vector when
-    there is none) gives A_0 = -M(0) - shift I and A_r = -(M(u_r) - M(0)).
+    there is none) gives A_0 = -M(0) and A_r = -(M(u_r) - M(0)).
     Each entry of eigenbases is None (the whole block) or the eigenvectors V
     (entries 0 and +-1) of one eigenspace of the symmetry on p; on the
     orbits M commutes with that symmetry, so S is block diagonal in the
@@ -408,6 +399,13 @@ def _psd_blocks(
     columns normalised.  With entries 0 and +-1 each product adds at most
     two nonzero terms, so the entries zero by symmetry come out exactly
     zero.
+
+    A coordinate whose row is zero to rounding in A_0 and in every A_r
+    (see _NEUTRAL_ROW) spans a face on which M is zero whatever theta is,
+    so M <= -shift I cannot hold there (facial reduction; Borwein &
+    Wolkowicz 1981, Permenter & Parrilo 2018).  The block keeps the
+    principal sub-block of the other, live, coordinates, and the shift
+    applies to those; a block with every coordinate live is left as built.
     """
     nv = layout.num_vars
     directions = np.eye(nv) if layout.basis is None else layout.basis.T.toarray()
@@ -429,8 +427,13 @@ def _psd_blocks(
             scale = 1.0 / np.sqrt(np.outer(counts, counts))
             A0_blk = (V.T @ A0 @ V) * scale
             A_blk = (V.T @ A @ V) * scale
-        m = A0_blk.shape[0]
-        blocks.append(_block_map(A0_blk - shift * np.eye(m), A_blk))
+        rows = np.maximum(np.abs(A0_blk).max(axis=1), np.abs(A_blk).max(axis=(0, 2)))
+        live = rows > _NEUTRAL_ROW * rows.max()
+        if not live.all():
+            A0_blk = A0_blk[np.ix_(live, live)]
+            A_blk = A_blk[:, live][:, :, live]
+        shift = problem.strictness_shift * np.eye(A0_blk.shape[0])
+        blocks.append(_block_map(A0_blk - shift, A_blk))
     return blocks
 
 
@@ -448,7 +451,6 @@ def _rows_over(rows: list, U: scipy.sparse.csr_array) -> list:
 
 def assemble_synthesis_sdp(
     problem: SynthesisProblem,
-    shift_override: float | None = None,
     capped: bool = False,
 ) -> tuple[ConicProgram, VariableLayout]:
     """Build the conic program for the given problem, in deviation
@@ -463,10 +465,13 @@ def assemble_synthesis_sdp(
     blocks of 23 and 24 instead of one of 47; analysis has 25 variables
     instead of 35.  Without the symmetry the program is in theta itself.
 
-    shift_override replaces the problem's strictness shift (negative values
-    relax the margin; used for the marginal-instance fallback).  capped adds
-    T <= t_cap rows on every diagonal multiplier; synthesize solves that
-    variant only after the uncapped program fails numerically.
+    Each PSD block requires M <= -strictness_shift I on its live
+    coordinates; a neutral face, on which M vanishes whatever the decision
+    vector, is dropped from the block (see _psd_blocks).  On the paper-MPC
+    network that is 10 coordinates of the 23-block in analysis (blocks of 13
+    and 24) and none at a positive tolerance.  capped adds T <= t_cap rows
+    on every diagonal multiplier; synthesize solves that variant only after
+    the uncapped program fails numerically.
     """
     dims = Dims.of(problem.network)
     tol = problem.tolerances
@@ -482,8 +487,7 @@ def assemble_synthesis_sdp(
 
     # the PSD blocks first, so that their dense transients are freed before
     # the program's long-lived rows are allocated
-    shift = problem.strictness_shift if shift_override is None else shift_override
-    blocks = _psd_blocks(problem, layout, shift, eigenbases)
+    blocks = _psd_blocks(problem, layout, eigenbases)
 
     objective = np.zeros(nv)
     objective[layout.idx_gamma] = problem.weights.gamma
@@ -561,8 +565,11 @@ class RobustnessCertificate:
     """Certified bound coefficients over a given input pair set.
 
     lmi_margin is the largest eigenvalue of the certificate matrix at the
-    solution (valid certificates are negative definite, so this should sit
-    at or below -strictness_shift up to solver tolerance).
+    solution.  On its live coordinates the program holds the matrix at or
+    below -strictness_shift, up to solver tolerance; on a neutral face (see
+    _psd_blocks) the matrix is zero whatever the multipliers, and its
+    eigenvalues there are rounding noise of either sign.  A positive value
+    is reported as is and named by SynthesisSolution.status_label.
     """
 
     gamma: float
@@ -595,19 +602,20 @@ class SynthesisSolution:
     theta: np.ndarray
     layout: VariableLayout
     solver_result: SolverResult
-    strictness_relaxed: bool = False
     multiplier_capped: bool = False
 
     @property
     def status_label(self) -> str:
-        """Solve outcome plus whichever fallbacks were needed to reach it;
-        a solve that stopped short of its tolerances and returned its best
-        iterate is noted as reduced accuracy."""
+        """Solve outcome plus what the solution's data says about it: a
+        solve that stopped short of its tolerances and returned its best
+        iterate is noted as reduced accuracy, a certificate matrix whose top
+        eigenvalue is above zero as positive margin, and the multiplier cap
+        fallback as capped multipliers."""
         notes = []
         if self.solver_result.detail:
             notes.append("reduced accuracy")
-        if self.strictness_relaxed:
-            notes.append("relaxed margin")
+        if self.certificate.lmi_margin > 0:
+            notes.append("positive margin")
         if self.multiplier_capped:
             notes.append("capped multipliers")
         return f"optimal ({', '.join(notes)})" if notes else "optimal"
@@ -674,73 +682,56 @@ def _extract_solution(
     )
 
 
-def _keeps_margin(problem: SynthesisProblem, sol: SynthesisSolution) -> bool:
-    kept = _KEPT_MARGIN_FRACTION * problem.strictness_shift
-    return sol.certificate.lmi_margin <= -kept
-
-
 def synthesize(
     problem: SynthesisProblem,
     options: SolverOptions | None = None,
 ) -> SynthesisSolution:
     """Solve the joint synthesis program and extract network plus certificate.
 
-    Two fallbacks may engage, each recorded on the returned solution: a
-    relaxed strictness margin for structurally marginal instances
-    (strictness_relaxed) and a multiplier cap for instances whose optimal
-    multipliers run away (multiplier_capped).  Raises Infeasible when no
-    certificate exists within the tolerances and NumericalFailure when the
-    solver cannot resolve the instance on any rung.
+    One fallback may engage, recorded on the returned solution: a multiplier
+    cap for instances whose optimal multipliers run away (multiplier_capped).
+    A structurally marginal instance needs none, since the neutral face of
+    its certificate matrix is dropped from the program (see _psd_blocks).
+    Raises Infeasible when no certificate exists within the tolerances and
+    NumericalFailure when the solver cannot resolve the instance on either
+    rung.
     """
     opts = options if options is not None else SolverOptions()
     budget = opts
     if opts.max_iters > _UNCAPPED_ITER_BUDGET:
         budget = replace(opts, max_iters=_UNCAPPED_ITER_BUDGET)
 
-    # Fallback ladder.  Strict margin first, relaxed (see MARGINAL_RELAXATION)
-    # second; within each margin the uncapped program is tried before the
-    # capped rescue, so healthy instances keep the smaller program and full
-    # accuracy.  A genuinely uncertifiable problem stays infeasible under
-    # every rung, so nothing is masked.
+    # The uncapped program is tried before the capped rescue, so healthy
+    # instances keep the smaller program and full accuracy.  A genuinely
+    # uncertifiable problem is infeasible under both, so nothing is masked.
     first_detail = None
-    for relaxed in (False, True):
-        shift = -MARGINAL_RELAXATION if relaxed else None
-        exhausted = None
-        for capped in (False, True):
-            program, layout = assemble_synthesis_sdp(
-                problem, shift_override=shift, capped=capped
-            )
-            result = solve_conic(program, opts if capped else budget)
-            if layout.basis is not None and result.theta is not None:
-                # back from the orbit coordinates: theta = U phi
-                result = replace(result, theta=layout.basis @ result.theta)
-            if result.status is SolverStatus.OPTIMAL:
-                sol = _extract_solution(problem, layout, result)
-                if not (relaxed or _keeps_margin(problem, sol)):
-                    # a closure point: the cap cannot restore a margin either
-                    break
-                sol.strictness_relaxed = relaxed
-                sol.multiplier_capped = capped
-                if capped or result.iterations < budget.max_iters:
-                    return sol
-                # the best iterate of an uncapped solve that ran out of
-                # budget, the sign of a runaway multiplier ray: the capped
-                # rung decides, and this is kept in case the cap does worse
-                exhausted = sol
-                continue
-            if first_detail is None:
-                first_detail = result.detail
-            if result.status is SolverStatus.INFEASIBLE:
-                # the cap cannot manufacture feasibility, it sits far above
-                # any resolvable multiplier scale
-                break
-            # numerical breakdown, usually a runaway multiplier ray; capping
-            # T restores a bounded optimal face
-        if exhausted is not None:
-            return exhausted
-        # fall through to the relaxed margin: either this margin is
-        # infeasible or both solves broke down
-
+    exhausted = None
+    for capped in (False, True):
+        program, layout = assemble_synthesis_sdp(problem, capped=capped)
+        result = solve_conic(program, opts if capped else budget)
+        if layout.basis is not None and result.theta is not None:
+            # back from the orbit coordinates: theta = U phi
+            result = replace(result, theta=layout.basis @ result.theta)
+        if result.status is SolverStatus.OPTIMAL:
+            sol = _extract_solution(problem, layout, result)
+            sol.multiplier_capped = capped
+            if capped or result.iterations < budget.max_iters:
+                return sol
+            # the best iterate of an uncapped solve that ran out of budget,
+            # the sign of a runaway multiplier ray: the capped rung decides,
+            # and this is kept in case the cap does worse
+            exhausted = sol
+            continue
+        if first_detail is None:
+            first_detail = result.detail
+        if result.status is SolverStatus.INFEASIBLE:
+            # the cap cannot manufacture feasibility, it sits far above any
+            # resolvable multiplier scale
+            break
+        # numerical breakdown, usually a runaway multiplier ray; capping T
+        # restores a bounded optimal face
+    if exhausted is not None:
+        return exhausted
     if result.status is SolverStatus.INFEASIBLE:
         raise Infeasible(
             "no certificate exists for the requested tolerances and input set"

@@ -197,6 +197,18 @@ class TestSynthesizeAnalyzeVerify:
         cfg = write_config(tmp_path / "c.json", network=path, out=str(tmp_path), samples=200)
         assert main(["verify", "--config", cfg]) == 1
 
+    def test_verify_loads_a_certificate_with_the_legacy_relaxed_key(self, tmp_path, small_net):
+        # certificates written before the relaxed-margin fallback was removed
+        # carry strictness_relaxed; they still load
+        _, path = small_net
+        cfg = write_config(tmp_path / "c.json", network=path, out=str(tmp_path), samples=200)
+        assert main(["analyze", "--config", cfg]) == 0
+        cert_path = tmp_path / "certificate.json"
+        cert = json.loads(cert_path.read_text())
+        assert "strictness_relaxed" not in cert
+        cert_path.write_text(json.dumps({**cert, "strictness_relaxed": True}))
+        assert main(["verify", "--config", cfg]) == 0
+
     def test_verify_rejects_unknown_certificate_key(self, tmp_path, small_net):
         _, path = small_net
         cert = {"gamma": 1.0, "extra": 2}

@@ -23,9 +23,12 @@ because the tau-superposition cancels badly near convergence.
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import functools
 import logging
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -758,6 +761,89 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
     return finish(options.max_iters, f"iteration limit reached ({last})")
 
 
+# (get, set) thread-count symbols of the OpenBLAS builds: numpy's bundled
+# 64-bit-integer build, scipy's bundled build, then a system OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) ctypes functions for each OpenBLAS library loaded in this
+    process, found once from /proc/self/maps; importing this module loads
+    numpy's and scipy's BLAS, so both are there by the first solve.  Empty
+    where there is no OpenBLAS (MKL, Accelerate) or no /proc."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+class _OneBlasThread:
+    """Re-entrant context that runs every loaded OpenBLAS on one thread and
+    gives each library back its previous thread count at the last exit.
+
+    Each iteration's dense KKT work (congruences, Gram, Cholesky of a
+    matrix of a few hundred rows) is too small to gain from a second BLAS
+    thread, and on a busy 2-core machine waiting for that thread to be
+    scheduled made the paper-MPC synthesis about 2x slower.  With one thread
+    the result no longer depends on the machine's thread count either.
+
+    The thread count is process-global: while any solve runs, BLAS calls
+    from every other Python thread run on one thread too.  The lock and the
+    depth count make overlapping solves in several threads, and nested
+    ones, save the counts at the first entry and restore them at the last
+    exit only."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                controls = _openblas_thread_controls()
+                self._saved = [get() for get, _ in controls]
+                for _, set_ in controls:
+                    set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for (_, set_), count in zip(_openblas_thread_controls(), self._saved):
+                    set_(count)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def solve_conic(program: ConicProgram, options: SolverOptions | None = None) -> SolverResult:
-    """Solve the program with the bundled interior-point solver."""
-    return _solve_bundled(program, options or SolverOptions())
+    """Solve the program with the bundled interior-point solver.
+
+    The solve runs OpenBLAS on one thread and restores the caller's thread
+    counts when it returns or raises; see _OneBlasThread."""
+    with _ONE_BLAS_THREAD:
+        return _solve_bundled(program, options or SolverOptions())

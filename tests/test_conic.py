@@ -2,12 +2,15 @@
 its Nesterov-Todd scaling, and the independent solution checker."""
 
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import robsyn.conic
 from robsyn.conic import (
     ConicProgram,
     PsdBlockMap,
@@ -15,6 +18,7 @@ from robsyn.conic import (
     SolverStatus,
     _ConeData,
     _Scaling,
+    _openblas_thread_controls,
     smat,
     solve_conic,
     svec,
@@ -353,3 +357,122 @@ def test_random_sdp_solutions_verify(seed):
         cand = rng.uniform(-3, 3, prog.num_vars)
         if verify_solution(prog, cand).ok(1e-9):
             assert res.objective_value <= prog.objective @ cand + 1e-6
+
+
+# --- BLAS thread counts around a solve --- #
+
+
+def blas_threads():
+    return [get() for get, _ in _openblas_thread_controls()]
+
+
+def set_blas_threads(counts):
+    for (_, set_), count in zip(_openblas_thread_controls(), counts):
+        set_(count)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS at 2 threads, so that a pin to 1 shows; the
+    process's own counts come back at teardown."""
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS library is loaded")
+    before = blas_threads()
+    set_blas_threads([2] * len(controls))
+    yield [2] * len(controls)
+    set_blas_threads(before)
+
+
+def record_threads_inside(monkeypatch, inner=None):
+    """Replace the solver behind solve_conic by one that records the BLAS
+    thread counts it runs under; the first call also runs inner, if given,
+    and records the counts again after it."""
+    seen = []
+    solve = robsyn.conic._solve_bundled
+
+    def recorded(program, options):
+        nonlocal inner
+        seen.append(blas_threads())
+        if inner is not None:
+            run, inner = inner, None
+            run()
+            seen.append(blas_threads())
+        return solve(program, options)
+
+    monkeypatch.setattr(robsyn.conic, "_solve_bundled", recorded)
+    return seen
+
+
+def test_solve_runs_on_one_blas_thread_and_restores_the_count(two_blas_threads, monkeypatch):
+    seen = record_threads_inside(monkeypatch)
+    assert solve_conic(arrow_program()).status == SolverStatus.OPTIMAL
+    assert seen == [[1] * len(two_blas_threads)]
+    assert blas_threads() == two_blas_threads
+
+
+def test_blas_threads_restored_after_a_raise(two_blas_threads, monkeypatch):
+    seen = record_threads_inside(monkeypatch)
+    with pytest.raises(ValueError, match="no inequalities"):
+        solve_conic(ConicProgram(num_vars=1, objective=[1.0]))
+    assert seen == [[1] * len(two_blas_threads)]
+    assert blas_threads() == two_blas_threads
+
+
+def test_nested_solve_restores_only_at_the_outer_exit(two_blas_threads, monkeypatch):
+    inner_seen = []
+
+    def inner():
+        inner_seen.append(solve_conic(scalar_bound_program()).status)
+
+    seen = record_threads_inside(monkeypatch, inner)
+    solve_conic(arrow_program())
+    ones = [1] * len(two_blas_threads)
+    # outer entry, inner entry, and the outer region after the inner exit
+    assert seen == [ones, ones, ones]
+    assert inner_seen == [SolverStatus.OPTIMAL]
+    assert blas_threads() == two_blas_threads
+
+
+def test_overlapping_solves_in_two_threads_restore_the_count(two_blas_threads, monkeypatch):
+    # each thread waits inside its first solve for the other, so the two
+    # pinned regions overlap at least once
+    both_inside = threading.Barrier(2, timeout=30)
+    first = threading.local()
+    solve = robsyn.conic._solve_bundled
+    inside = []
+
+    def meeting(program, options):
+        inside.append(blas_threads())
+        if not getattr(first, "done", False):
+            first.done = True
+            both_inside.wait()
+        return solve(program, options)
+
+    monkeypatch.setattr(robsyn.conic, "_solve_bundled", meeting)
+    statuses = []
+
+    def loop():
+        statuses.extend(solve_conic(arrow_program()).status for _ in range(20))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=loop) for _ in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert statuses == [SolverStatus.OPTIMAL] * 40
+    assert inside == [[1] * len(two_blas_threads)] * 40
+    assert blas_threads() == two_blas_threads
+
+
+def test_a_caller_on_one_blas_thread_keeps_it(two_blas_threads):
+    ones = [1] * len(two_blas_threads)
+    set_blas_threads(ones)
+    solve_conic(arrow_program())
+    assert blas_threads() == ones

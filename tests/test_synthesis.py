@@ -9,7 +9,11 @@ instances, and soundness by sampling input pairs.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -620,6 +624,35 @@ class TestOddSymmetry:
         program, L = assemble_synthesis_sdp(prob, capped=capped)
         assert L.basis is None
         assert program_digest(program) == digest
+
+
+# the paper-MPC fine synthesis, printing a digest of theta and the iterations
+FINE_SYNTHESIS = """
+import hashlib
+from robsyn import (InputPairSet, SimilarityTolerances, SolverOptions, SynthesisProblem,
+                    condense_qp, qp_to_implicit_network, reference_mpc_problem, synthesize)
+net = qp_to_implicit_network(condense_qp(reference_mpc_problem()), attach_hint=False)
+prob = SynthesisProblem(network=net, input_set=InputPairSet(1.0, 1.0),
+                        tolerances=SimilarityTolerances.uniform(1e-5),
+                        fixed_gamma_u1=0.0, fixed_gamma_u2=0.0)
+res = synthesize(prob, SolverOptions(feas_tol=1e-8, gap_tol=1e-8)).solver_result
+print(hashlib.sha256(res.theta.tobytes()).hexdigest(), res.iterations)
+"""
+
+
+def test_fine_synthesis_does_not_depend_on_the_blas_thread_count():
+    src = str(Path(robsyn.synthesis.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        # the thread count is set in the child's environment only
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", FINE_SYNTHESIS],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.append(proc.stdout.split())
+    assert outputs[0] == outputs[1]
 
 
 class TestLadder:

@@ -99,15 +99,19 @@ _NUMBER_KEYS = {
     "seed", "jobs", "samples", "steps", "strictness_shift", "t_floor",
     "fixed_gamma_u1", "fixed_gamma_u2",
 }
+# Number keys, top-level or 'section.key', whose values must be integers.
+_INTEGER_KEYS = {"seed", "jobs", "samples", "steps", "mpc.horizon", "solver.max_iters"}
 _NUMBER_LIST_KEYS = {"sweep_grid": None, "w0": None, "base_box": 2}
 _MPC_MATRICES = {"A", "B", "Q", "R", "P"}
 
 ORACLE_AGREEMENT_TOL = 1e-5
 
 
-def _require_number(value, name: str) -> None:
+def _require_number(value, name: str, integer: bool = False) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise SchemaError(f"{name} must be a finite number")
+    if integer and not isinstance(value, int):
+        raise SchemaError(f"{name} must be an integer")
 
 
 def _require_matrix(value, name: str) -> None:
@@ -133,7 +137,7 @@ def _validate_config(raw: dict) -> None:
                 raise SchemaError(f"config key {key!r} must not be null")
             continue
         if key in _NUMBER_KEYS:
-            _require_number(value, f"config key {key!r}")
+            _require_number(value, f"config key {key!r}", key in _INTEGER_KEYS)
         if key in _NUMBER_LIST_KEYS:
             length = _NUMBER_LIST_KEYS[key]
             if not isinstance(value, list) or (length is not None and len(value) != length):
@@ -150,7 +154,8 @@ def _validate_config(raw: dict) -> None:
                 if key == "mpc" and sub in _MPC_MATRICES:
                     _require_matrix(item, f"config key '{key}.{sub}'")
                 else:
-                    _require_number(item, f"config key '{key}.{sub}'")
+                    name = f"{key}.{sub}"
+                    _require_number(item, f"config key {name!r}", name in _INTEGER_KEYS)
     tol = raw.get("tolerances")
     if isinstance(tol, dict) and "uniform" in tol and len(tol) > 1:
         raise SchemaError("config key 'tolerances.uniform' excludes the per-block keys")

@@ -7,9 +7,11 @@ A ConicProgram is
                 ineq_coeff . theta <= ineq_rhs      (each inequality)
                 A_0 + sum_k theta_k A_k  >= 0       (each PSD block)
 
+The equality rows, which must be linearly independent, are eliminated
+once: theta = x0 + N x with N spanning their null space (see _ConeData).
 The solver is an interior-point method for the homogeneous self-dual
-embedding of the equivalent cone program  min c'x  s.t.  Gx + s = h,
-Ax = b,  s in R+^l x PSD x ..., with a Mehrotra predictor-corrector and
+embedding of the remaining cone program  min c'x  s.t.  Gx + s = h,
+s in R+^l x PSD x ..., with a Mehrotra predictor-corrector and
 Nesterov-Todd scaling; one KKT solver (_KktSolver) and one scaling routine
 (_Scaling.update) serve both the initial point and the iterations.
 Symmetric matrices travel in scaled svec coordinates (upper triangle
@@ -238,9 +240,15 @@ def smat(v: np.ndarray, m: int, iu, mult) -> np.ndarray:
 
 
 class _ConeData:
-    """Standard-form data min c'x, Gx + s = h, Ax = b with s in
-    R+^l x PSD(m_1) x ... derived from a ConicProgram, in the rotated
-    variables x = Qa' theta.
+    """Standard-form data min c'x, Gx + s = h with s in R+^l x PSD(m_1) x ...
+    derived from a ConicProgram by eliminating its equalities once:
+    theta = x0 + N x, where x0 is the least-norm solution of the equalities
+    and the orthonormal columns of N span their null space.  Both come from
+    a pivoted QR factorisation A' P = Q [R1; 0] of the equality matrix:
+    x0 = Q1 R1^{-T} P'b and N = Q2.  For equalities that pin single
+    variables Q is a signed permutation, and G = G_theta N stays as sparse
+    as the program.  Equality rows must be linearly independent; the pivots
+    of R1 show whether they are.
 
     G is held sparse, with its transpose GT: the inequality rows have one
     or two terms and each A_k a handful of entries, so a product with G
@@ -248,28 +256,27 @@ class _ConeData:
 
     def __init__(self, program: ConicProgram):
         nv = program.num_vars
-        self.nv = nv
-        if program.equalities:
-            A = np.stack([a for a, _ in program.equalities])
-            self.b = np.array([r for _, r in program.equalities])
-        else:
-            A = np.zeros((0, nv))
-            self.b = np.zeros(0)
-        # The solver works in the rotated variables x = Qa' theta, where
-        # A' = Qa [R1; 0] is a QR factorisation (constant across iterations):
-        # the equalities then read R1' x[:ne] = b, and a KKT solve needs no
-        # rotation of its own.  For equalities that pin single variables Qa
-        # is a signed permutation, and G stays as sparse as the program.
-        ne = A.shape[0]
+        ne = len(program.equalities)
+        self.x0 = np.zeros(nv)
+        Q = np.eye(nv)
         if ne:
-            Qa, Ra = scipy.linalg.qr(A.T)
-            self.R1 = Ra[:ne]
-        else:
-            Qa = np.eye(nv)
-            self.R1 = np.zeros((0, 0))
-        self.Qa = scipy.sparse.csr_array(Qa)
-        self.c = Qa.T @ program.objective
-        self.A = np.hstack([self.R1.T, np.zeros((ne, nv - ne))])
+            A = np.stack([a for a, _ in program.equalities])
+            b = np.array([r for _, r in program.equalities])
+            Q, R, perm = scipy.linalg.qr(A.T, pivoting=True)
+            pivots = np.abs(np.diag(R))
+            rank = np.count_nonzero(pivots > pivots[0] * max(A.shape) * np.finfo(float).eps)
+            if rank < ne:
+                raise ValueError(
+                    f"the {ne} equality rows have rank {rank}; "
+                    "they must be linearly independent"
+                )
+            self.x0 = Q[:, :ne] @ scipy.linalg.solve_triangular(R[:ne], b[perm], trans="T")
+        self.N = scipy.sparse.csr_array(Q[:, ne:])
+        # the solver's variables are x, one per dimension of the null space
+        self.nv = nv - ne
+        self.c = self.N.T @ program.objective
+        # objective value at x0, the constant term of c'theta
+        self.c0 = float(program.objective @ self.x0)
         self.l = len(program.inequalities)
         G_parts = [
             scipy.sparse.csr_array(
@@ -287,12 +294,12 @@ class _ConeData:
             m = blk.dim
             iu, mult = svec_indices(m)
             msv = m * (m + 1) // 2
-            stack = self.Qa.T @ blk.coefficient_stack(nv).reshape(nv, -1)
+            stack = self.N.T @ blk.coefficient_stack(nv).reshape(nv, -1)
             self.block_dims.append(m)
             self.block_slices.append(slice(offset, offset + msv))
             self.block_iu.append(iu)
             self.block_mult.append(mult)
-            self.stacks.append(stack.reshape(nv, m, m))
+            self.stacks.append(stack.reshape(self.nv, m, m))
             # rows of G for this block: -svec(A_k) in column k; (i, j) is
             # entry i * m - i * (i - 1) / 2 + j - i of the row-wise triangle
             k, i, j, v = blk.coeffs
@@ -302,13 +309,18 @@ class _ConeData:
             h.extend(svec(blk.constant_matrix(), iu, mult))
             offset += msv
         self.rows = offset
-        self.G = (scipy.sparse.vstack(G_parts, format="csr") @ self.Qa).tocsr()
+        G_theta = scipy.sparse.vstack(G_parts, format="csr")
+        self.G = (G_theta @ self.N).tocsr()
         self.GT = self.G.T.tocsr()
-        self.h = np.asarray(h, dtype=float)
+        self.h = np.asarray(h, dtype=float) - G_theta @ self.x0
         self.degree = self.l + sum(self.block_dims)
         # the LP rows enter the per-iteration KKT matrix only through
         # G_lp' diag(w)^-2 G_lp
         self.G_lp = self.G[: self.l]
+
+    def theta(self, x: np.ndarray) -> np.ndarray:
+        """The program's variables at the point x."""
+        return self.x0 + self.N @ x
 
     def iter_blocks(self):
         return zip(self.block_dims, self.block_slices, self.block_iu, self.block_mult)
@@ -463,21 +475,19 @@ class _KktSolver:
     equations, as in the default KKT solvers of Vandenberghe, "The CVXOPT
     linear and quadratic cone program solvers" (2010).
 
-    In the rotated variables A = [R1' 0]; with Gs = W^{-T} G = [Gs1 Gs2],
-    the reduced matrix is Gs2'Gs2 = R3'R3 on the null space of A, and Gs
-    enters a solve only through the products Gs' w and Gs u.  Forming
-    Gs'Gs squares the condition number of Gs, which a QR of Gs would avoid,
-    but a QR of the dense scaled constraint matrix costs several times the
-    product; the refinement passes in f4, taken against the full embedding
-    residuals, recover the accuracy the squaring gives away.  The LP rows
-    enter as a sparse product, so only the PSD rows go through a dense
-    one.  It is the solver's only KKT solver: the initial point uses it at
-    the identity scaling."""
+    With Gs = W^{-T} G, the reduced matrix is Gs'Gs = R'R, and Gs enters a
+    solve only through the products Gs' w and Gs u.  Forming Gs'Gs squares
+    the condition number of Gs, which a QR of Gs would avoid, but a QR of
+    the dense scaled constraint matrix costs several times the product; the
+    refinement passes in f4, taken against the full embedding residuals,
+    recover the accuracy the squaring gives away.  The LP rows enter as a
+    sparse product, so only the PSD rows go through a dense one.  It is the
+    solver's only KKT solver: the initial point uses it at the identity
+    scaling."""
 
     def __init__(self, data: _ConeData, scaling: _Scaling):
         self.data = data
         self.sc = scaling
-        ne = data.A.shape[0]
         # diag(w)^-1 G_lp, scaling a copy of the CSR data row by row
         G_lp = data.G_lp
         row_scale = np.repeat(1.0 / scaling.w, np.diff(G_lp.indptr))
@@ -490,43 +500,39 @@ class _KktSolver:
             B = Rti.T @ data.stacks[idx] @ Rti
             P = B[:, iu[0], iu[1]] * mult
             K += P @ P.T
-        self.K21 = K[ne:, :ne]
-        K22 = K[ne:, ne:]
-        # raises LinAlgError if a variable drops out of the scaled
-        # constraints on the null space of A
-        self.R3 = scipy.linalg.cholesky(
-            K22 + np.diag(_KKT_REGULARIZATION * np.diag(K22)), check_finite=False
+        # raises LinAlgError if a variable drops out of the scaled constraints
+        self.R = scipy.linalg.cholesky(
+            K + np.diag(_KKT_REGULARIZATION * np.diag(K)), check_finite=False
         )
 
-    def solve3(self, bx: np.ndarray, by: np.ndarray, bz: np.ndarray):
-        """Solve  A'uy + G'uz = bx;  A ux = by;  G ux - W'W uz = bz."""
+    def solve(self, bx: np.ndarray, bz: np.ndarray):
+        """Solve  G'uz = bx;  G ux - W'W uz = bz."""
         d, sc = self.data, self.sc
-        ne = d.A.shape[0]
-        t = bx + d.GT @ sc.Winv(sc.WinvT(bz))
-        x1 = scipy.linalg.solve_triangular(d.R1, by, trans="T") if ne else np.zeros(0)
-        x2 = scipy.linalg.cho_solve(
-            (self.R3, False), t[ne:] - self.K21 @ x1, check_finite=False
+        ux = scipy.linalg.cho_solve(
+            (self.R, False), bx + d.GT @ sc.Winv(sc.WinvT(bz)), check_finite=False
         )
-        ux = np.concatenate([x1, x2])
         uz = sc.Winv(sc.WinvT(d.G @ ux - bz))
-        if ne:
-            uy = scipy.linalg.solve_triangular(d.R1, bx[:ne] - (d.GT @ uz)[:ne])
-        else:
-            uy = np.zeros(0)
         if not (np.all(np.isfinite(ux)) and np.all(np.isfinite(uz))):
             raise np.linalg.LinAlgError("non-finite KKT solution")
-        return ux, uy, uz
+        return ux, uz
 
 
-def _failure(it, detail):
+def _result(program: ConicProgram, status, theta, iterations, detail="") -> SolverResult:
+    """The solver's answer, with theta (if any) checked against the program
+    data by verify_solution."""
+    if theta is None:
+        return SolverResult(
+            status, None, math.nan, math.nan, math.nan, math.nan, iterations, detail
+        )
+    check = verify_solution(program, theta)
     return SolverResult(
-        status=SolverStatus.NUMERICAL_FAILURE,
-        theta=None,
-        objective_value=math.nan,
-        max_eig_violation=math.nan,
-        ineq_violation=math.nan,
-        eq_residual=math.nan,
-        iterations=it,
+        status=status,
+        theta=theta,
+        objective_value=float(program.objective @ theta),
+        max_eig_violation=check.max_eig_violation,
+        ineq_violation=check.ineq_violation,
+        eq_residual=check.eq_residual,
+        iterations=iterations,
         detail=detail,
     )
 
@@ -535,29 +541,27 @@ def _initial_point(data: _ConeData, e: np.ndarray):
     """Least-norm heuristic: the two KKT solves at the identity scaling
     (s = z = e, so W = I), with s and z shifted into the cone interior."""
     kkt = _KktSolver(data, _Scaling(data, e, e))
-    x, y, zhat = kkt.solve3(np.zeros(data.nv), data.b, data.h)
+    x, zhat = kkt.solve(np.zeros(data.nv), data.h)
     s = -zhat
     shift = data.min_cone_eig(s)
     s = s + (1.0 - shift) * e if shift <= 0 else s
-    _, _, z = kkt.solve3(-data.c, np.zeros_like(data.b), np.zeros_like(data.h))
+    _, z = kkt.solve(-data.c, np.zeros_like(data.h))
     shift = data.min_cone_eig(z)
     z = z + (1.0 - shift) * e if shift <= 0 else z
-    return x, y, s, z
+    return x, s, z
 
 
 def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResult:
     data = _ConeData(program)
     if data.rows == 0:
         raise ValueError("program has no inequalities and no PSD blocks")
-    c, A, b, G, GT, h = data.c, data.A, data.b, data.G, data.GT, data.h
-    ne = A.shape[0]
+    c, G, GT, h = data.c, data.G, data.GT, data.h
     e = data.cone_identity()
 
     try:
-        x, y, s, z = _initial_point(data, e)
+        x, s, z = _initial_point(data, e)
     except np.linalg.LinAlgError:
         x = np.zeros(data.nv)
-        y = np.zeros(ne)
         s = e.copy()
         z = e.copy()
     tau, kappa = 1.0, 1.0
@@ -565,7 +569,6 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
     sc = _Scaling(data, s, z)
     lam = sc.lam_vec()
 
-    norm_b = max(1.0, float(np.linalg.norm(b)))
     norm_h = max(1.0, float(np.linalg.norm(h)))
     norm_c = max(1.0, float(np.linalg.norm(c)))
 
@@ -577,33 +580,25 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
 
     def finish(it, detail):
         if best_theta is not None and best_score <= 10.0:
-            check = verify_solution(program, best_theta)
-            return SolverResult(
-                status=SolverStatus.OPTIMAL,
-                theta=best_theta,
-                objective_value=float(program.objective @ best_theta),
-                max_eig_violation=check.max_eig_violation,
-                ineq_violation=check.ineq_violation,
-                eq_residual=check.eq_residual,
-                iterations=it,
-                detail=f"terminated at reduced accuracy ({best_note})",
+            return _result(
+                program, SolverStatus.OPTIMAL, best_theta, it,
+                f"terminated at reduced accuracy ({best_note})",
             )
-        return _failure(it, detail)
+        return _result(program, SolverStatus.NUMERICAL_FAILURE, None, it, detail)
 
     last = ""
     for it in range(options.max_iters):
         # raw cone points reconstructed from the scaling so s'z == |lam|^2
         s = sc.WT(lam)
         z = sc.Winv(lam)
-        rx = (A.T @ y if ne else 0.0) + GT @ z + c * tau
-        ry = A @ x - b * tau
+        rx = GT @ z + c * tau
         rz = G @ x + s - h * tau
-        rtau = kappa + float(c @ x) + (float(b @ y) if ne else 0.0) + float(h @ z)
+        rtau = kappa + float(c @ x) + float(h @ z)
         gap = float(lam @ lam)
         mu = (gap + tau * kappa) / (data.degree + 1)
 
-        pcost = float(c @ x) / tau
-        pres = max(float(np.linalg.norm(ry)) / norm_b, float(np.linalg.norm(rz)) / norm_h) / tau
+        pcost = data.c0 + float(c @ x) / tau
+        pres = float(np.linalg.norm(rz)) / norm_h / tau
         dres = float(np.linalg.norm(rx)) / norm_c / tau
         rel_gap = gap / tau**2 / max(1.0, abs(pcost))
         score = max(
@@ -611,111 +606,78 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
         )
         if math.isfinite(score) and score < best_score:
             best_score = score
-            best_theta = data.Qa @ x / tau
+            best_theta = data.theta(x / tau)
             best_note = f"pres {pres:.1e}, dres {dres:.1e}, relgap {rel_gap:.1e}"
         logger.debug(
             "iter %3d  pcost %+.6e  pres %.2e  dres %.2e  relgap %.2e  tau %.2e  kappa %.2e",
             it, pcost, pres, dres, rel_gap, tau, kappa,
         )
         if pres <= options.feas_tol and dres <= options.feas_tol and rel_gap <= options.gap_tol:
-            theta = data.Qa @ x / tau
-            check = verify_solution(program, theta)
-            return SolverResult(
-                status=SolverStatus.OPTIMAL,
-                theta=theta,
-                objective_value=float(program.objective @ theta),
-                max_eig_violation=check.max_eig_violation,
-                ineq_violation=check.ineq_violation,
-                eq_residual=check.eq_residual,
-                iterations=it,
-                detail="",
-            )
+            return _result(program, SolverStatus.OPTIMAL, data.theta(x / tau), it)
         # infeasibility certificates
-        ct = (float(b @ y) if ne else 0.0) + float(h @ z)
-        if ct < 0:
-            cert = float(np.linalg.norm((A.T @ y if ne else 0.0) + GT @ z))
-            if cert / norm_c / (-ct) <= options.feas_tol:
-                return SolverResult(
-                    status=SolverStatus.INFEASIBLE,
-                    theta=None,
-                    objective_value=math.nan,
-                    max_eig_violation=math.nan,
-                    ineq_violation=math.nan,
-                    eq_residual=math.nan,
-                    iterations=it,
-                    detail="primal infeasibility certificate found",
-                )
-        if float(c @ x) < 0:
-            resid = max(
-                float(np.linalg.norm(A @ x)) if ne else 0.0,
-                float(np.linalg.norm(G @ x + s)),
+        ct = float(h @ z)
+        if ct < 0 and float(np.linalg.norm(GT @ z)) / norm_c / (-ct) <= options.feas_tol:
+            return _result(
+                program, SolverStatus.INFEASIBLE, None, it,
+                "primal infeasibility certificate found",
             )
-            if resid / max(norm_b, norm_h) / (-float(c @ x)) <= options.feas_tol:
-                return _failure(
-                    it, "dual infeasibility certificate: objective unbounded below"
+        if float(c @ x) < 0:
+            resid = float(np.linalg.norm(G @ x + s))
+            if resid / norm_h / (-float(c @ x)) <= options.feas_tol:
+                return _result(
+                    program, SolverStatus.NUMERICAL_FAILURE, None, it,
+                    "dual infeasibility certificate: objective unbounded below",
                 )
 
         try:
             kkt = _KktSolver(data, sc)
-            x1, y1, z1 = kkt.solve3(-c, b, h)
+            x1, z1 = kkt.solve(-c, h)
         except np.linalg.LinAlgError:
             return finish(
                 it,
                 f"factorization failed (pres {pres:.1e}, dres {dres:.1e}, relgap {rel_gap:.1e})",
             )
-        denom = float(c @ x1) + (float(b @ y1) if ne else 0.0) + float(h @ z1) - kappa / tau
+        denom = float(c @ x1) + float(h @ z1) - kappa / tau
 
-        def f4_once(bx, by, bz, btau, bs, bkap):
+        def f4_once(bx, bz, btau, bs, bkap):
             """One pass of the full linearized embedding:
-            A'dy + G'dz + c dtau = bx;  A dx - b dtau = by;
-            G dx + ds - h dtau = bz;  dkap + c'dx + b'dy + h'dz = btau;
-            W^{-T} ds + W dz = bs;  tau dkap + kappa dtau = bkap."""
-            u0x, u0y, u0z = kkt.solve3(bx, by, bz - sc.WT(bs))
-            num = (
-                btau
-                - bkap / tau
-                - (float(c @ u0x) + (float(b @ u0y) if ne else 0.0) + float(h @ u0z))
-            )
+            G'dz + c dtau = bx;  G dx + ds - h dtau = bz;
+            dkap + c'dx + h'dz = btau;  W^{-T} ds + W dz = bs;
+            tau dkap + kappa dtau = bkap."""
+            u0x, u0z = kkt.solve(bx, bz - sc.WT(bs))
+            num = btau - bkap / tau - (float(c @ u0x) + float(h @ u0z))
             dtau = num / denom
             dx = u0x + dtau * x1
-            dy = u0y + dtau * y1 if ne else u0y
             dz = u0z + dtau * z1
             ds = sc.WT(bs - sc.W(dz))
             dkap = (bkap - kappa * dtau) / tau
-            return dx, dy, dz, ds, dtau, dkap
+            return dx, dz, ds, dtau, dkap
 
-        def f4(bx, by, bz, btau, bs, bkap, refine=2):
-            dx, dy, dz, ds, dtau, dkap = f4_once(bx, by, bz, btau, bs, bkap)
+        def f4(bx, bz, btau, bs, bkap, refine=2):
+            dx, dz, ds, dtau, dkap = f4_once(bx, bz, btau, bs, bkap)
             for _ in range(refine):
-                r1 = bx - ((A.T @ dy if ne else 0.0) + GT @ dz + c * dtau)
-                r2 = by - (A @ dx - b * dtau)
-                r3 = bz - (G @ dx + ds - h * dtau)
-                r4 = btau - (
-                    dkap + float(c @ dx) + (float(b @ dy) if ne else 0.0) + float(h @ dz)
-                )
-                r5 = bs - (sc.WinvT(ds) + sc.W(dz))
-                r6 = bkap - (tau * dkap + kappa * dtau)
-                cx, cy, cz, cs, ctau, ckap = f4_once(r1, r2, r3, r4, r5, r6)
+                r1 = bx - (GT @ dz + c * dtau)
+                r2 = bz - (G @ dx + ds - h * dtau)
+                r3 = btau - (dkap + float(c @ dx) + float(h @ dz))
+                r4 = bs - (sc.WinvT(ds) + sc.W(dz))
+                r5 = bkap - (tau * dkap + kappa * dtau)
+                cx, cz, cs, ctau, ckap = f4_once(r1, r2, r3, r4, r5)
                 dx = dx + cx
-                dy = dy + cy if ne else dy
                 dz = dz + cz
                 ds = ds + cs
                 dtau += ctau
                 dkap += ckap
-            return dx, dy, dz, ds, dtau, dkap
+            return dx, dz, ds, dtau, dkap
 
         def direction(sigma, comp_corr, kap_corr):
             eta = 1.0 - sigma
             d_s = sigma * mu * e - sc.jordan_mul(lam, lam) - comp_corr
             rho = sc.jordan_div_lam(d_s)
             dk_rhs = sigma * mu - tau * kappa - kap_corr
-            dx, dy, dz, ds, dtau, dkap = f4(
-                -eta * rx, -eta * ry, -eta * rz, -eta * rtau, rho, dk_rhs
-            )
-            return dx, dy, dz, ds, dtau, dkap
+            return f4(-eta * rx, -eta * rz, -eta * rtau, rho, dk_rhs)
 
         zero = np.zeros_like(e)
-        dxa, dya, dza, dsa, dtaua, dkapa = direction(0.0, zero, 0.0)
+        dxa, dza, dsa, dtaua, dkapa = direction(0.0, zero, 0.0)
         dsa_scaled = sc.WinvT(dsa)
         dza_scaled = sc.W(dza)
         alpha = min(
@@ -728,7 +690,7 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
         sigma = min(1.0, max(0.0, (1.0 - alpha_aff) ** 3))
         comp_corr = sc.jordan_mul(dsa_scaled, dza_scaled)
         kap_corr = dtaua * dkapa
-        dx, dy, dz, ds, dtau, dkap = direction(sigma, comp_corr, kap_corr)
+        dx, dz, ds, dtau, dkap = direction(sigma, comp_corr, kap_corr)
         ds_scaled = sc.WinvT(ds)
         dz_scaled = sc.W(dz)
         alpha = min(
@@ -744,8 +706,6 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
                 f"step length collapsed (pres {pres:.1e}, dres {dres:.1e}, relgap {rel_gap:.1e})",
             )
         x = x + step * dx
-        if ne:
-            y = y + step * dy
         tau = tau + step * dtau
         kappa = kappa + step * dkap
         try:

@@ -74,9 +74,15 @@ _NEUTRAL_ROW = 1e-12
 
 # Iteration budget for first-attempt (uncapped) solves.  Healthy instances
 # converge well inside this; an instance drifting along an unbounded
-# multiplier ray (see SynthesisProblem.t_cap) only burns iterations, so the
+# multiplier ray (see _MULTIPLIER_CAP) only burns iterations, so the
 # budget bounds the cost of discovering that the capped rescue is needed.
 _UNCAPPED_ITER_BUDGET = 80
+
+# Upper bound on every diagonal multiplier in the capped rescue solve (see
+# synthesize): far above the scale of any multiplier the uncapped program
+# resolves, it only closes off the ray along which a loose-tolerance
+# instance's multipliers run away.
+_MULTIPLIER_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -129,11 +135,8 @@ class SynthesisProblem:
     strictness_shift is the margin by which the certificate matrix is pushed
     into the negative definite cone; t_floor is the lower bound on the
     diagonal multipliers (both keep the synthesized network certifiably
-    well-posed rather than marginally so).  t_cap bounds the multipliers
-    from above in the capped rescue solve (see synthesize); it is far above
-    the scale of any multiplier the uncapped program resolves.
-    fixed_gamma_u1/u2 pin a bound coefficient to a given value instead of
-    optimizing it.
+    well-posed rather than marginally so).  fixed_gamma_u1/u2 pin a bound
+    coefficient to a given value instead of optimizing it.
     """
 
     network: ImplicitNetwork
@@ -144,7 +147,6 @@ class SynthesisProblem:
     fixed_gamma_u2: float | None = None
     strictness_shift: float = 1e-8
     t_floor: float = 1e-6
-    t_cap: float = 1e6
 
     def __post_init__(self):
         act = self.network.activation
@@ -157,8 +159,6 @@ class SynthesisProblem:
             raise ValueError("strictness_shift must be positive")
         if self.t_floor <= 0:
             raise ValueError("t_floor must be positive")
-        if self.t_cap <= self.t_floor:
-            raise ValueError("t_cap must exceed t_floor")
         for name in ("fixed_gamma_u1", "fixed_gamma_u2"):
             v = getattr(self, name)
             if v is not None and v < 0:
@@ -469,9 +469,9 @@ def assemble_synthesis_sdp(
     coordinates; a neutral face, on which M vanishes whatever the decision
     vector, is dropped from the block (see _psd_blocks).  On the paper-MPC
     network that is 10 coordinates of the 23-block in analysis (blocks of 13
-    and 24) and none at a positive tolerance.  capped adds T <= t_cap rows
-    on every diagonal multiplier; synthesize solves that variant only after
-    the uncapped program fails numerically.
+    and 24) and none at a positive tolerance.  capped adds
+    T <= _MULTIPLIER_CAP rows on every diagonal multiplier; synthesize
+    solves that variant only after the uncapped program fails numerically.
     """
     dims = Dims.of(problem.network)
     tol = problem.tolerances
@@ -525,9 +525,9 @@ def assemble_synthesis_sdp(
         # closes off the ray along which loose-tolerance instances run away
         for sl in (layout.sl_T_z, layout.sl_T_g):
             for idx in range(sl.start, sl.stop):
-                inequalities.append((_unit_row(nv, [(idx, 1.0)]), problem.t_cap))
-        inequalities.append((_unit_row(nv, [(layout.idx_T_u1, 1.0)]), problem.t_cap))
-        inequalities.append((_unit_row(nv, [(layout.idx_T_u2, 1.0)]), problem.t_cap))
+                inequalities.append((_unit_row(nv, [(idx, 1.0)]), _MULTIPLIER_CAP))
+        inequalities.append((_unit_row(nv, [(layout.idx_T_u1, 1.0)]), _MULTIPLIER_CAP))
+        inequalities.append((_unit_row(nv, [(layout.idx_T_u2, 1.0)]), _MULTIPLIER_CAP))
     inequalities.append((_unit_row(nv, [(layout.idx_gamma, -1.0)]), 0.0))
 
     # fixed bound coefficients are pinned by equality; the nonnegativity row

@@ -71,6 +71,12 @@ class TestConfigHandling:
             ("analyze", {"seed": None}, None, "'seed'"),
             ("analyze", {"solver": {"feas_tol": None}}, None, "'solver.feas_tol'"),
             ("verify", {"base_box": None}, {}, "'base_box'"),
+            ("analyze", {"seed": 1.5}, None, "'seed'"),
+            ("analyze", {"jobs": 2.5}, None, "'jobs'"),
+            ("verify", {"samples": 10.7}, {}, "'samples'"),
+            ("simulate", {"steps": 2.5}, None, "'steps'"),
+            ("mpc-build", {"mpc": {"horizon": 2.5}}, None, "'mpc.horizon'"),
+            ("analyze", {"solver": {"max_iters": 50.5}}, None, "'solver.max_iters'"),
         ],
     )
     def test_value_of_wrong_type_exits_2(

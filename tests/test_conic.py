@@ -100,6 +100,48 @@ def test_equality_constraint_is_respected():
     assert res.objective_value == pytest.approx(0.0, abs=1e-6)
 
 
+NONNEGATIVE_PAIR = [([-1.0, 0.0], 0.0), ([0.0, -1.0], 0.0)]
+
+
+@pytest.mark.parametrize(
+    "equalities",
+    [
+        [([1.0, 1.0], 5.0), ([2.0, 2.0], 10.0)],
+        [([1.0, 1.0], 5.0), ([1.0, 1.0], 6.0)],
+        [([1.0, 0.0], 1.0), ([0.0, 1.0], 2.0), ([1.0, 1.0], 3.0)],
+    ],
+    ids=["dependent", "inconsistent", "more-rows-than-variables"],
+)
+def test_equality_rows_must_be_linearly_independent(equalities):
+    prog = ConicProgram(
+        num_vars=2,
+        objective=[1.0, 0.0],
+        equalities=equalities,
+        inequalities=NONNEGATIVE_PAIR,
+    )
+    with pytest.raises(ValueError, match="linearly independent"):
+        solve_conic(prog)
+
+
+def test_all_variables_pinned_solves_at_the_pinned_point():
+    # the null space of the equalities is empty: the only candidate is the
+    # pinned point, which satisfies the inequalities and the PSD block
+    prog = ConicProgram(
+        num_vars=2,
+        objective=[1.0, 1.0],
+        equalities=[([1.0, 0.0], 1.0), ([0.0, 1.0], 2.0)],
+        inequalities=NONNEGATIVE_PAIR + [([1.0, 1.0], 4.0)],
+        psd_blocks=[
+            PsdBlockMap(dim=2, const=[(0, 1, 1.0)], coeffs=[(0, 0, 0, 1.0), (1, 1, 1, 1.0)])
+        ],
+    )
+    res = solve_conic(prog)
+    assert res.status == SolverStatus.OPTIMAL
+    np.testing.assert_allclose(res.theta, [1.0, 2.0], atol=1e-9)
+    assert res.objective_value == pytest.approx(3.0, abs=1e-9)
+    assert res.eq_residual <= 1e-9
+
+
 def test_infeasible_program_is_certified():
     prog = ConicProgram(
         num_vars=1,

@@ -36,6 +36,7 @@ from robsyn.synthesis import (
     ObjectiveWeights,
     SimilarityTolerances,
     SynthesisProblem,
+    _MULTIPLIER_CAP,
     _unpack,
     analyze_network,
     assemble_synthesis_sdp,
@@ -188,10 +189,10 @@ class TestAssembly:
             assert abs(a[nz[1]]) == 1.0 and a[nz[0]] in (-1e-3, -2e-3)
 
     def test_capped_assembly_adds_upper_bound_rows(self):
-        # one extra row per diagonal multiplier, unit coefficient, rhs t_cap;
-        # everything else identical to the uncapped program
+        # one extra row per diagonal multiplier, unit coefficient, rhs the
+        # cap; everything else identical to the uncapped program
         net = random_well_posed_network(5, n=3, n_u=2, n_g=2)
-        prob = small_problem(net, 0.1, t_cap=50.0)
+        prob = small_problem(net, 0.1)
         base, L = assemble_synthesis_sdp(prob)
         capped, _ = assemble_synthesis_sdp(prob, capped=True)
         t_indices = (
@@ -201,7 +202,7 @@ class TestAssembly:
         )
         assert len(capped.inequalities) == len(base.inequalities) + len(t_indices)
         assert len(capped.equalities) == len(base.equalities)
-        extras = [(a, r) for (a, r) in capped.inequalities if r == 50.0]
+        extras = [(a, r) for (a, r) in capped.inequalities if r == _MULTIPLIER_CAP]
         assert len(extras) == len(t_indices)
         hit = set()
         for a, r in extras:
@@ -234,8 +235,6 @@ class TestAssembly:
             small_problem(net, 0.0, strictness_shift=0.0)
         with pytest.raises(ValueError):
             small_problem(net, 0.0, t_floor=-1.0)
-        with pytest.raises(ValueError):
-            small_problem(net, 0.0, t_cap=1e-7)
         with pytest.raises(ValueError):
             small_problem(net, 0.0, fixed_gamma_u1=-0.5)
         steep = ImplicitNetwork(

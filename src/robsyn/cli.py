@@ -48,7 +48,6 @@ from .synthesis import (
     RobustnessCertificate,
     SimilarityTolerances,
     SynthesisProblem,
-    analyze_network,
     synthesize,
 )
 from .verification import (
@@ -390,11 +389,11 @@ def cmd_mpc_build(cfg: dict) -> int:
     return 0 if err <= ORACLE_AGREEMENT_TOL else 1
 
 
-def _synthesis_problem(cfg: dict, net) -> SynthesisProblem:
+def _synthesis_problem(cfg: dict, net, tolerances: SimilarityTolerances) -> SynthesisProblem:
     return SynthesisProblem(
         network=net,
         input_set=_pairset(cfg),
-        tolerances=_tolerances(cfg),
+        tolerances=tolerances,
         weights=_weights(cfg),
         fixed_gamma_u1=cfg["fixed_gamma_u1"],
         fixed_gamma_u2=cfg["fixed_gamma_u2"],
@@ -414,7 +413,8 @@ def _summary(sol, extra: str = "") -> str:
 
 def cmd_synthesize(cfg: dict) -> int:
     net = load_network(_artifact(cfg, "network", "network.json"))
-    sol = synthesize(_synthesis_problem(cfg, net), options=_solver_options(cfg))
+    problem = _synthesis_problem(cfg, net, _tolerances(cfg))
+    sol = synthesize(problem, options=_solver_options(cfg))
     save_network(sol.network, _out_path(cfg, "synthesized_network.json"))
     _write_certificate(sol, _out_path(cfg, "certificate.json"))
     dev = max_weight_deviation(sol.network, net)
@@ -424,16 +424,10 @@ def cmd_synthesize(cfg: dict) -> int:
 
 def cmd_analyze(cfg: dict) -> int:
     net = load_network(_artifact(cfg, "network", "network.json"))
-    sol = analyze_network(
-        net,
-        _pairset(cfg),
-        weights=_weights(cfg),
-        fixed_gamma_u1=cfg["fixed_gamma_u1"],
-        fixed_gamma_u2=cfg["fixed_gamma_u2"],
-        strictness_shift=float(cfg["strictness_shift"]),
-        t_floor=float(cfg["t_floor"]),
-        options=_solver_options(cfg),
-    )
+    # analysis is synthesis with every tolerance zero (see analyze_network);
+    # the config's tolerances are not read
+    problem = _synthesis_problem(cfg, net, SimilarityTolerances.uniform(0.0))
+    sol = synthesize(problem, options=_solver_options(cfg))
     _write_certificate(sol, _out_path(cfg, "certificate.json"))
     cert = sol.certificate
     with _csv_open(_out_path(cfg, "analysis.csv"), cfg["timestamp"]) as fh:

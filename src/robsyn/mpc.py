@@ -173,16 +173,19 @@ class QpSolution:
     kkt_residual: float
 
 
-def _check_positive_definite(H: np.ndarray):
-    try:
-        return scipy.linalg.cho_factor(H)
-    except scipy.linalg.LinAlgError:
-        eigs = np.linalg.eigvalsh(H)
-        if abs(float(eigs[0])) <= 1e-12 * max(1.0, float(eigs[-1])):
-            raise SingularH("condensed quadratic term is singular") from None
+def _check_positive_definite(H: np.ndarray) -> np.ndarray:
+    """The eigenvalues of H, ascending, for the bridge and the oracle alike:
+    SingularH when the smallest is within 1e-12 max(1, |largest|) of zero,
+    NonPositiveDefinite when it is below that."""
+    eigs = np.linalg.eigvalsh(H)
+    floor = 1e-12 * max(1.0, abs(float(eigs[-1])))
+    if float(eigs[0]) <= floor:
+        if float(eigs[0]) > -floor:
+            raise SingularH("condensed quadratic term is singular")
         raise NonPositiveDefinite(
-            f"condensed quadratic term has eigenvalue {eigs[0]:.3e} < 0"
-        ) from None
+            f"condensed quadratic term has eigenvalue {float(eigs[0]):.3e} < 0"
+        )
+    return eigs
 
 
 def solve_qp_oracle(
@@ -204,13 +207,7 @@ def solve_qp_oracle(
     w = np.asarray(w, dtype=float).reshape(qp.n_x)
     q = qp.F @ w
     vb = qp.v_bound
-    eigs = np.linalg.eigvalsh(qp.H)
-    if float(eigs[0]) <= 1e-12 * max(1.0, abs(float(eigs[-1]))):
-        if float(eigs[0]) > -1e-12 * max(1.0, abs(float(eigs[-1]))):
-            raise SingularH("condensed quadratic term is singular")
-        raise NonPositiveDefinite(
-            f"condensed quadratic term has eigenvalue {float(eigs[0]):.3e} <= 0"
-        )
+    eigs = _check_positive_definite(qp.H)
     rho = float(np.sqrt(eigs[0] * eigs[-1]))
     factor = scipy.linalg.cho_factor(2.0 * qp.H + rho * np.eye(n))
     relax = 1.6
@@ -283,7 +280,8 @@ def qp_to_implicit_network(qp: CondensedQP, attach_hint: bool = True) -> Implici
     ReLU form encodes complementarity.  The output map returns the optimal
     stacked input sequence, so evaluating the network IS solving the QP.
     """
-    factor = _check_positive_definite(qp.H)
+    _check_positive_definite(qp.H)
+    factor = scipy.linalg.cho_factor(qp.H)
     n_dec = qp.n_dec
     HiG = scipy.linalg.cho_solve(factor, qp.G.T)       # H^{-1} G'
     HiF = scipy.linalg.cho_solve(factor, qp.F)          # H^{-1} F

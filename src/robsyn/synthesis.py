@@ -40,7 +40,9 @@ orbit coordinates phi of theta = U phi (VariableLayout.basis), its rows are
 the distinct a' U, and its PSD block, which commutes with Pi on the orbits,
 splits into one block per eigenspace of Pi.  The solution is expanded back
 to theta before extraction, so the synthesized network is exactly odd too.
-A network without the symmetry gets the program in theta itself.
+A network without the symmetry is reduced by the trivial group, the
+degenerate case: U = I and one eigenspace, all of p, so its program is the
+program in theta itself, built on the same path.
 """
 
 from __future__ import annotations
@@ -186,10 +188,11 @@ class VariableLayout:
     in D they read +-D_ij <= eps t_i, and +-s_ij <= eps (t_i + t_j) for
     a merged pair, the exact sum of the two boxes.
 
-    basis, when set, is the orbit basis U (sparse, num_vars x columns,
-    entries 0 and +-1) of an odd symmetry: the program's variables are the
-    coefficients phi of theta = U phi (see assemble_synthesis_sdp).  It is
-    None when the program's variables are theta itself.
+    basis is the orbit basis U (sparse, num_vars x columns, entries 0 and
+    +-1) of the program's symmetry group: the program's variables are the
+    coefficients phi of theta = U phi (see assemble_synthesis_sdp).
+    layout_variables gives the trivial group's U = I, under which phi is
+    theta itself; assembly replaces it for an odd network.
     """
 
     dims: Dims
@@ -205,7 +208,7 @@ class VariableLayout:
     idx_gamma_u1: int
     idx_gamma_u2: int
     num_vars: int
-    basis: scipy.sparse.csr_array | None = field(default=None, compare=False, repr=False)
+    basis: scipy.sparse.csr_array = field(compare=False, repr=False)
 
 
 def layout_variables(dims: Dims, tolerances: SimilarityTolerances) -> VariableLayout:
@@ -235,6 +238,7 @@ def layout_variables(dims: Dims, tolerances: SimilarityTolerances) -> VariableLa
         idx_gamma_u1=take(1).start,
         idx_gamma_u2=take(1).start,
         num_vars=pos,
+        basis=scipy.sparse.eye_array(pos, format="csr"),
     )
 
 
@@ -390,15 +394,14 @@ def _psd_blocks(
     shift the problem's strictness_shift, derived from the certificate.
 
     M is affine in theta, so one batched evaluation of certificate_matrix at
-    0 and at every column u_r of the orbit basis (every unit vector when
-    there is none) gives A_0 = -M(0) and A_r = -(M(u_r) - M(0)).
-    Each entry of eigenbases is None (the whole block) or the eigenvectors V
-    (entries 0 and +-1) of one eigenspace of the symmetry on p; on the
-    orbits M commutes with that symmetry, so S is block diagonal in the
-    orthonormal eigenbasis and each V gives one block, V' S V with its
-    columns normalised.  With entries 0 and +-1 each product adds at most
-    two nonzero terms, so the entries zero by symmetry come out exactly
-    zero.
+    0 and at every column u_r of the orbit basis gives A_0 = -M(0) and
+    A_r = -(M(u_r) - M(0)).  Each entry of eigenbases holds the
+    eigenvectors V (entries 0 and +-1) of one eigenspace of the symmetry on
+    p; on the orbits M commutes with that symmetry, so S is block diagonal
+    in the orthonormal eigenbasis and each V gives one block, V' S V with
+    its columns normalised.  With entries 0 and +-1 each product adds at
+    most two nonzero terms, so the entries zero by symmetry come out exactly
+    zero, and the trivial group's V = I gives the whole block unchanged.
 
     A coordinate whose row is zero to rounding in A_0 and in every A_r
     (see _NEUTRAL_ROW) spans a face on which M is zero whatever theta is,
@@ -407,10 +410,8 @@ def _psd_blocks(
     principal sub-block of the other, live, coordinates, and the shift
     applies to those; a block with every coordinate live is left as built.
     """
-    nv = layout.num_vars
-    directions = np.eye(nv) if layout.basis is None else layout.basis.T.toarray()
     mults, gammas, products, _ = _unpack(
-        problem, layout, np.vstack([np.zeros(nv), directions])
+        problem, layout, np.vstack([np.zeros(layout.num_vars), layout.basis.T.toarray()])
     )
     M = certificate_matrix(layout.dims, mults, problem.input_set, *gammas, *products)
     A0 = -M[0]
@@ -419,14 +420,11 @@ def _psd_blocks(
     np.negative(A, out=A)
     blocks = []
     for V in eigenbases:
-        if V is None:
-            A0_blk, A_blk = A0, A
-        else:
-            # 1 / (|v_i| |v_j|), exactly 1/2 between two swapped pairs
-            counts = np.count_nonzero(V, axis=0)
-            scale = 1.0 / np.sqrt(np.outer(counts, counts))
-            A0_blk = (V.T @ A0 @ V) * scale
-            A_blk = (V.T @ A @ V) * scale
+        # 1 / (|v_i| |v_j|), exactly 1/2 between two swapped pairs
+        counts = np.count_nonzero(V, axis=0)
+        scale = 1.0 / np.sqrt(np.outer(counts, counts))
+        A0_blk = (V.T @ A0 @ V) * scale
+        A_blk = (V.T @ A @ V) * scale
         rows = np.maximum(np.abs(A0_blk).max(axis=1), np.abs(A_blk).max(axis=(0, 2)))
         live = rows > _NEUTRAL_ROW * rows.max()
         if not live.all():
@@ -449,41 +447,41 @@ def _rows_over(rows: list, U: scipy.sparse.csr_array) -> list:
     return list(kept.values())
 
 
-def assemble_synthesis_sdp(
-    problem: SynthesisProblem,
-    capped: bool = False,
-) -> tuple[ConicProgram, VariableLayout]:
+def assemble_synthesis_sdp(problem: SynthesisProblem) -> tuple[ConicProgram, VariableLayout]:
     """Build the conic program for the given problem, in deviation
     coordinates (see VariableLayout).
 
-    When the network is odd (see odd_symmetry), the program is over the
-    orbit coordinates phi of theta = U phi, with U the returned layout's
-    basis: every row is a' U, rows that coincide are kept once, and the PSD
-    block is split into one block per eigenspace of the symmetry on p.  For
-    the paper-MPC network at a positive uniform tolerance that is 275
-    variables instead of 505, 523 inequality rows instead of 973, and
-    blocks of 23 and 24 instead of one of 47; analysis has 25 variables
-    instead of 35.  Without the symmetry the program is in theta itself.
+    The program is over the orbit coordinates phi of theta = U phi, with U
+    the returned layout's basis: every row is a' U, rows that coincide are
+    kept once, and the PSD block is split into one block per eigenspace of
+    the symmetry on p.  An odd network (see odd_symmetry) is reduced by its
+    odd symmetry: for the paper-MPC network at a positive uniform tolerance
+    that is 275 variables instead of 505, 523 inequality rows instead of
+    973, and blocks of 23 and 24 instead of one of 47; analysis has 25
+    variables instead of 35.  Any other network is reduced by the trivial
+    group, so U = I and its program is in theta itself.
 
     Each PSD block requires M <= -strictness_shift I on its live
     coordinates; a neutral face, on which M vanishes whatever the decision
     vector, is dropped from the block (see _psd_blocks).  On the paper-MPC
     network that is 10 coordinates of the 23-block in analysis (blocks of 13
-    and 24) and none at a positive tolerance.  capped adds
-    T <= _MULTIPLIER_CAP rows on every diagonal multiplier; synthesize
-    solves that variant only after the uncapped program fails numerically.
+    and 24) and none at a positive tolerance.  The inequality rows end with
+    gamma >= 0 and, for each unpinned gain, gamma_u >= 0 (see
+    _with_multiplier_cap, which inserts its rows before them).
     """
     dims = Dims.of(problem.network)
     tol = problem.tolerances
     layout = layout_variables(dims, tol)
     nv = layout.num_vars
-    eigenbases = [None]
+    # the trivial group's action on p; the odd symmetry replaces it and U
+    perm, sign = np.arange(dims.N_p), np.ones(dims.N_p)
     pi = odd_symmetry(problem.network)
     if pi is not None:
         basis = _orbit_basis(*_variable_action(layout, pi))
         layout = replace(layout, basis=scipy.sparse.csr_array(basis))
         perm, sign = _state_action(dims, pi)
-        eigenbases = [_orbit_basis(perm, sign), _orbit_basis(perm, -sign)]
+    # one block per nonempty eigenspace; the trivial group has only the first
+    eigenbases = [V for V in (_orbit_basis(perm, sign), _orbit_basis(perm, -sign)) if V.size]
 
     # the PSD blocks first, so that their dense transients are freed before
     # the program's long-lived rows are allocated
@@ -521,13 +519,6 @@ def assemble_synthesis_sdp(
             inequalities.append((_unit_row(nv, [(idx, -1.0)]), -problem.t_floor))
     inequalities.append((_unit_row(nv, [(layout.idx_T_u1, -1.0)]), 0.0))
     inequalities.append((_unit_row(nv, [(layout.idx_T_u2, -1.0)]), 0.0))
-    if capped:
-        # closes off the ray along which loose-tolerance instances run away
-        for sl in (layout.sl_T_z, layout.sl_T_g):
-            for idx in range(sl.start, sl.stop):
-                inequalities.append((_unit_row(nv, [(idx, 1.0)]), _MULTIPLIER_CAP))
-        inequalities.append((_unit_row(nv, [(layout.idx_T_u1, 1.0)]), _MULTIPLIER_CAP))
-        inequalities.append((_unit_row(nv, [(layout.idx_T_u2, 1.0)]), _MULTIPLIER_CAP))
     inequalities.append((_unit_row(nv, [(layout.idx_gamma, -1.0)]), 0.0))
 
     # fixed bound coefficients are pinned by equality; the nonnegativity row
@@ -546,18 +537,28 @@ def assemble_synthesis_sdp(
         )
 
     U = layout.basis
-    if U is not None:
-        objective = objective @ U + 0.0
-        equalities = _rows_over(equalities, U)
-        inequalities = _rows_over(inequalities, U)
     program = ConicProgram(
-        num_vars=objective.size,
-        objective=objective,
-        equalities=equalities,
-        inequalities=inequalities,
+        num_vars=U.shape[1],
+        objective=objective @ U + 0.0,
+        equalities=_rows_over(equalities, U),
+        inequalities=_rows_over(inequalities, U),
         psd_blocks=blocks,
     )
     return program, layout
+
+
+def _with_multiplier_cap(
+    problem: SynthesisProblem, program: ConicProgram, layout: VariableLayout
+) -> ConicProgram:
+    """The rescue program: the assembled program plus T <= _MULTIPLIER_CAP
+    on every diagonal multiplier (diag T_z, diag T_g, T_u1 and T_u2, which
+    lead the decision vector), placed before the trailing gamma >= 0 rows."""
+    nv = layout.num_vars
+    caps = [(_unit_row(nv, [(k, 1.0)]), _MULTIPLIER_CAP) for k in range(layout.idx_T_u2 + 1)]
+    caps = _rows_over(caps, layout.basis)
+    tail = 1 + (problem.fixed_gamma_u1 is None) + (problem.fixed_gamma_u2 is None)
+    rows = program.inequalities
+    return replace(program, inequalities=rows[:-tail] + caps + rows[-tail:])
 
 
 @dataclass(frozen=True)
@@ -688,10 +689,12 @@ def synthesize(
 ) -> SynthesisSolution:
     """Solve the joint synthesis program and extract network plus certificate.
 
-    One fallback may engage, recorded on the returned solution: a multiplier
-    cap for instances whose optimal multipliers run away (multiplier_capped).
-    A structurally marginal instance needs none, since the neutral face of
-    its certificate matrix is dropped from the program (see _psd_blocks).
+    The program is assembled once.  One fallback may engage, recorded on
+    the returned solution: the same program with a multiplier cap (see
+    _with_multiplier_cap) for instances whose optimal multipliers run away
+    (multiplier_capped).  A structurally marginal instance needs none, since
+    the neutral face of its certificate matrix is dropped from the program
+    (see _psd_blocks).
     Raises Infeasible when no certificate exists within the tolerances and
     NumericalFailure when the solver cannot resolve the instance on either
     rung.
@@ -706,10 +709,12 @@ def synthesize(
     # uncertifiable problem is infeasible under both, so nothing is masked.
     first_detail = None
     exhausted = None
+    program, layout = assemble_synthesis_sdp(problem)
     for capped in (False, True):
-        program, layout = assemble_synthesis_sdp(problem, capped=capped)
+        if capped:
+            program = _with_multiplier_cap(problem, program, layout)
         result = solve_conic(program, opts if capped else budget)
-        if layout.basis is not None and result.theta is not None:
+        if result.theta is not None:
             # back from the orbit coordinates: theta = U phi
             result = replace(result, theta=layout.basis @ result.theta)
         if result.status is SolverStatus.OPTIMAL:

@@ -188,6 +188,15 @@ class TestSynthesizeAnalyzeVerify:
         assert "violations=0/500" in out
         assert (tmp_path / "verify.csv").exists()
 
+    def test_analyze_does_not_read_the_tolerances(self, tmp_path, small_net):
+        # analysis has no weight freedom, so a tolerance synthesis would
+        # reject does not stop it
+        _, path = small_net
+        cfg = write_config(
+            tmp_path / "c.json", network=path, out=str(tmp_path), tolerances={"uniform": -1.0}
+        )
+        assert main(["analyze", "--config", cfg]) == 0
+
     def test_verify_exits_1_on_violations(self, tmp_path, small_net):
         _, path = small_net
         cert = {

@@ -233,6 +233,19 @@ class TestBridgeNetwork:
         with pytest.raises(SingularH):
             qp_to_implicit_network(bad)
 
+    def test_bridge_and_oracle_agree_on_a_nearly_singular_h(self):
+        # positive definite to Cholesky, singular to the eigenvalue test
+        qp = condense_qp(reference_mpc_problem())
+        H = np.diag(np.r_[1.0, np.full(qp.n_dec - 2, 0.5), 5e-13])
+        bad = CondensedQP(
+            H=H, F=qp.F, E=qp.E, G=qp.G, c=qp.c, S_w=qp.S_w,
+            v_bound=qp.v_bound, n_x=qp.n_x, n_v=qp.n_v, horizon=qp.horizon,
+        )
+        with pytest.raises(SingularH):
+            solve_qp_oracle(bad, np.zeros(2))
+        with pytest.raises(SingularH):
+            qp_to_implicit_network(bad)
+
 
 class TestClosedLoop:
     def test_regulates_to_origin(self):

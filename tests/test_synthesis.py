@@ -38,6 +38,7 @@ from robsyn.synthesis import (
     SynthesisProblem,
     _MULTIPLIER_CAP,
     _unpack,
+    _with_multiplier_cap,
     analyze_network,
     assemble_synthesis_sdp,
     layout_variables,
@@ -194,7 +195,7 @@ class TestAssembly:
         net = random_well_posed_network(5, n=3, n_u=2, n_g=2)
         prob = small_problem(net, 0.1)
         base, L = assemble_synthesis_sdp(prob)
-        capped, _ = assemble_synthesis_sdp(prob, capped=True)
+        capped = _with_multiplier_cap(prob, base, L)
         t_indices = (
             set(range(L.sl_T_z.start, L.sl_T_z.stop))
             | set(range(L.sl_T_g.start, L.sl_T_g.stop))
@@ -216,7 +217,7 @@ class TestAssembly:
         prob = small_problem(net, 0.05)
         base = synthesize(prob)
         assert not base.multiplier_capped
-        program, _ = assemble_synthesis_sdp(prob, capped=True)
+        program = _with_multiplier_cap(prob, *assemble_synthesis_sdp(prob))
         res = solve_conic(program)
         assert res.status is SolverStatus.OPTIMAL
         assert res.objective_value == pytest.approx(
@@ -568,7 +569,7 @@ class TestOddSymmetry:
         assert len(program.inequalities) == 523
         assert len(program.equalities) == 2
         assert [b.dim for b in program.psd_blocks] == [23, 24]
-        capped, _ = assemble_synthesis_sdp(mpc_problem(mpc_net, 1e-5), capped=True)
+        capped = _with_multiplier_cap(mpc_problem(mpc_net, 1e-5), program, L)
         assert len(capped.inequalities) == 545
         analysis, L0 = assemble_synthesis_sdp(mpc_problem(mpc_net, 0.0))
         assert (L0.num_vars, analysis.num_vars) == (35, 25)
@@ -620,8 +621,10 @@ class TestOddSymmetry:
             network=net, input_set=InputPairSet(0.7, 1.3), tolerances=tol,
             fixed_gamma_u1=0.5,
         )
-        program, L = assemble_synthesis_sdp(prob, capped=capped)
-        assert L.basis is None
+        program, L = assemble_synthesis_sdp(prob)
+        if capped:
+            program = _with_multiplier_cap(prob, program, L)
+        assert np.array_equal(L.basis.toarray(), np.eye(L.num_vars))
         assert program_digest(program) == digest
 
 
@@ -684,6 +687,30 @@ class TestLadder:
         assert rows1 > rows0
         assert sol.multiplier_capped
         assert sol.status_label == "optimal (capped multipliers)"
+
+    def test_both_rungs_solve_one_assembly(self, monkeypatch):
+        assemblies, programs = [], []
+        assemble = robsyn.synthesis.assemble_synthesis_sdp
+        solve = robsyn.synthesis.solve_conic
+
+        def count_assemblies(*args, **kwargs):
+            assemblies.append(args)
+            return assemble(*args, **kwargs)
+
+        def keep_programs(program, options=None):
+            programs.append(program)
+            return solve(program, options)
+
+        monkeypatch.setattr(robsyn.synthesis, "assemble_synthesis_sdp", count_assemblies)
+        monkeypatch.setattr(robsyn.synthesis, "solve_conic", keep_programs)
+        sol, calls = self._run(monkeypatch)
+        assert len(calls) == 2 and len(assemblies) == 1
+        assert sol.multiplier_capped
+        # digests of the uncapped and the capped program as two separate
+        # assemblies built them before the rescue reused the first
+        assert [program_digest(p) for p in programs] == [
+            "af3fb3d5cd909107", "880f9717806f7107",
+        ]
 
     def test_best_iterate_is_kept_when_the_capped_rung_fails(self, monkeypatch):
         failed = SolverResult(

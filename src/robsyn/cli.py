@@ -54,6 +54,7 @@ from .verification import (
     SampleSpec,
     empirical_bound_check,
     max_weight_deviation,
+    open_artifact,
     sweep_tolerance,
 )
 
@@ -334,15 +335,6 @@ def _load_certificate(path: str) -> RobustnessCertificate:
     )
 
 
-def _csv_open(path: str, timestamp: bool):
-    from datetime import datetime, timezone
-
-    fh = open(path, "w", newline="")
-    if timestamp:
-        fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-    return fh
-
-
 def _state_grid(n_x: int, base_box, seed: int) -> np.ndarray:
     lo, hi = float(base_box[0]), float(base_box[1])
     if n_x == 2:
@@ -430,7 +422,7 @@ def cmd_analyze(cfg: dict) -> int:
     sol = synthesize(problem, options=_solver_options(cfg))
     _write_certificate(sol, _out_path(cfg, "certificate.json"))
     cert = sol.certificate
-    with _csv_open(_out_path(cfg, "analysis.csv"), cfg["timestamp"]) as fh:
+    with open_artifact(_out_path(cfg, "analysis.csv"), cfg["timestamp"]) as fh:
         fh.write("gamma,gamma_u1,gamma_u2,objective,lmi_margin\n")
         fh.write(
             f"{cert.gamma:.17g},{cert.gamma_u1:.17g},{cert.gamma_u2:.17g},"
@@ -444,7 +436,7 @@ def cmd_verify(cfg: dict) -> int:
     net = load_network(_artifact(cfg, "network", "network.json"))
     cert = _load_certificate(_artifact(cfg, "certificate", "certificate.json"))
     check = empirical_bound_check(net, cert, _sample_spec(cfg), seed=int(cfg["seed"]))
-    with _csv_open(_out_path(cfg, "verify.csv"), cfg["timestamp"]) as fh:
+    with open_artifact(_out_path(cfg, "verify.csv"), cfg["timestamp"]) as fh:
         fh.write("num_pairs,violations,worst_margin,max_lhs,empirical_gamma_lb\n")
         fh.write(
             f"{check.num_pairs},{check.violations},{check.worst_margin:.17g},"
@@ -500,7 +492,7 @@ def cmd_simulate(cfg: dict) -> int:
         problem, w0, steps, controller=lambda w: evaluate(net, w).g, qp=qp
     )
     dev = float(np.max(np.abs(W_ref - W_net)))
-    with _csv_open(_out_path(cfg, "trajectory.csv"), cfg["timestamp"]) as fh:
+    with open_artifact(_out_path(cfg, "trajectory.csv"), cfg["timestamp"]) as fh:
         cols = (
             ["k"]
             + [f"w_ref_{i}" for i in range(problem.n_x)]

@@ -7,8 +7,12 @@ A ConicProgram is
                 ineq_coeff . theta <= ineq_rhs      (each inequality)
                 A_0 + sum_k theta_k A_k  >= 0       (each PSD block)
 
-The equality rows, which must be linearly independent, are eliminated
-once: theta = x0 + N x with N spanning their null space (see _ConeData).
+A PSD block keeps one format from assembly to solver (PsdBlockMap): A_0
+as a dense symmetric matrix, and the A_k as the rows of one sparse matrix,
+row k the upper triangle of A_k.  The solver takes the block's rows of G
+and h straight from these (see _ConeData).  The equality rows, which must
+be linearly independent, are eliminated once: theta = x0 + N x with N
+spanning their null space.
 The solver is an interior-point method for the homogeneous self-dual
 embedding of the remaining cone program  min c'x  s.t.  Gx + s = h,
 s in R+^l x PSD x ..., with a Mehrotra predictor-corrector and
@@ -41,83 +45,65 @@ import scipy.sparse
 logger = logging.getLogger(__name__)
 
 
-def _entry_columns(entries, width: int) -> list:
-    """Index columns and value column of block entries given either
-    column-wise, as a tuple of width arrays, or row-wise, as a sequence of
-    (index, ..., value) tuples."""
-    if (
-        isinstance(entries, tuple)
-        and len(entries) == width
-        and all(isinstance(col, np.ndarray) for col in entries)
-    ):
-        cols = [col.reshape(-1) for col in entries]
-    else:
-        cols = list(np.asarray(entries, dtype=float).reshape(-1, width).T)
-    if len({len(col) for col in cols}) > 1:
-        raise ValueError("entry columns must have equal lengths")
-    return [col.astype(np.intp) for col in cols[:-1]] + [cols[-1].astype(float)]
+def _csr(dense: np.ndarray) -> scipy.sparse.csr_array:
+    """The CSR array of a dense matrix, built straight from its nonzeros,
+    which row-major np.nonzero lists in CSR order; csr_array(dense) goes
+    through COO and takes about twice as long."""
+    rows, cols = np.nonzero(dense)
+    indptr = np.searchsorted(rows, np.arange(dense.shape[0] + 1))
+    return scipy.sparse.csr_array((dense[rows, cols], cols, indptr), shape=dense.shape)
 
 
 @dataclass
 class PsdBlockMap:
-    """Affine map theta -> A_0 + sum_k theta_k A_k into symmetric dim x dim
-    matrices, stored entrywise as arrays.
+    """Affine map theta -> A_0 + sum_k theta_k A_k into symmetric m x m
+    matrices.
 
-    const holds the entries of A_0 as arrays (i, j, value); coeffs holds the
-    entries of the A_k as arrays (var, i, j, value).  Either may also be
-    given as a list of (i, j, value) or (var, i, j, value) tuples.  Entries
-    are upper-triangle positions (i <= j after normalization); duplicates
-    accumulate.
+    const is A_0 as a dense symmetric array; only its upper triangle is
+    read, and the lower one is filled from it.  coeffs is a csr_array with
+    one row per program variable: row k holds the upper triangle of A_k,
+    row-wise in svec_indices order and unscaled, so it has m (m + 1) / 2
+    columns and stores A_k's nonzeros only.  Anything np.asarray accepts
+    may be passed for either; a csr_array is kept as given.
     """
 
-    dim: int
-    const: tuple = ()
-    coeffs: tuple = ()
+    const: np.ndarray
+    coeffs: scipy.sparse.csr_array
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("PSD block dimension must be positive")
-        i, j, v = _entry_columns(self.const, 3)
-        self.const = (*self._upper(i, j), v)
-        k, i, j, v = _entry_columns(self.coeffs, 4)
-        if np.any(k < 0):
-            raise ValueError("variable index must be nonnegative")
-        self.coeffs = (k, *self._upper(i, j), v)
-
-    def _upper(self, i, j):
-        outside = (i < 0) | (i >= self.dim) | (j < 0) | (j >= self.dim)
-        if np.any(outside):
-            at = int(np.argmax(outside))
-            raise ValueError(f"entry ({i[at]}, {j[at]}) outside block of dim {self.dim}")
-        return np.minimum(i, j), np.maximum(i, j)
-
-    def _scatter(self, i, j, v, k=0, count=1) -> np.ndarray:
-        """Dense (count, dim, dim) array holding each value at (k, i, j) and,
-        off the diagonal, at (k, j, i) as well."""
-        m = self.dim
-        off = i != j
-        flat = np.concatenate([(k * m + i) * m + j, ((k * m + j) * m + i)[off]])
-        vals = np.concatenate([v, v[off]])
-        out = np.bincount(flat, weights=vals, minlength=count * m * m)
-        return out.reshape(count, m, m)
-
-    def constant_matrix(self) -> np.ndarray:
-        return self._scatter(*self.const)[0]
-
-    def coefficient_stack(self, num_vars: int) -> np.ndarray:
-        """Dense (num_vars, dim, dim) array of the A_k."""
-        k, i, j, v = self.coeffs
-        if k.size and k.max() >= num_vars:
+        const = np.asarray(self.const, dtype=float)
+        if const.ndim != 2 or const.shape[0] != const.shape[1] or not const.size:
+            raise ValueError(f"the constant must be a nonempty square matrix, not {const.shape}")
+        upper = np.triu(const)
+        self.const = upper + np.triu(upper, 1).T
+        if not isinstance(self.coeffs, scipy.sparse.csr_array):
+            dense = np.asarray(self.coeffs, dtype=float)
+            if dense.ndim != 2:
+                raise ValueError(f"coefficients must be a matrix, not shape {dense.shape}")
+            self.coeffs = _csr(dense)
+        width = self.dim * (self.dim + 1) // 2
+        if self.coeffs.ndim != 2 or self.coeffs.shape[1] != width:
             raise ValueError(
-                f"variable index {k.max()} outside program of size {num_vars}"
+                f"coefficient rows must have {width} upper-triangle entries, "
+                f"not shape {self.coeffs.shape}"
             )
-        return self._scatter(i, j, v, k, num_vars)
+
+    @property
+    def dim(self) -> int:
+        return self.const.shape[0]
+
+    def coefficient_stack(self) -> np.ndarray:
+        """Dense (num_vars, dim, dim) array of the A_k."""
+        iu, _ = svec_indices(self.dim)
+        stack = np.zeros((self.coeffs.shape[0], self.dim, self.dim))
+        stack[:, iu[0], iu[1]] = stack[:, iu[1], iu[0]] = self.coeffs.toarray()
+        return stack
 
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
         """The block value at a particular theta."""
-        k, i, j, v = self.coeffs
-        theta = np.asarray(theta, dtype=float)
-        return self.constant_matrix() + self._scatter(i, j, theta[k] * v)[0]
+        iu, _ = svec_indices(self.dim)
+        upper = self.coeffs.T @ np.asarray(theta, dtype=float)
+        return self.const + smat(upper, self.dim, iu, 1.0)
 
 
 @dataclass
@@ -142,6 +128,12 @@ class ConicProgram:
             (np.asarray(a, dtype=float).reshape(self.num_vars), float(r))
             for a, r in self.inequalities
         ]
+        for blk in self.psd_blocks:
+            if blk.coeffs.shape[0] != self.num_vars:
+                raise ValueError(
+                    f"a PSD block has {blk.coeffs.shape[0]} coefficient rows "
+                    f"for {self.num_vars} variables"
+                )
 
 
 @dataclass
@@ -218,9 +210,14 @@ def verify_solution(program: ConicProgram, theta: np.ndarray) -> SolutionCheck:
 _SQRT2 = math.sqrt(2.0)
 
 
+@functools.cache
 def svec_indices(m: int):
+    """The upper triangle's indices, row-wise, and each entry's svec weight
+    (1 on the diagonal, sqrt(2) off it); computed once per m, read-only."""
     iu = np.triu_indices(m)
     mult = np.where(iu[0] == iu[1], 1.0, _SQRT2)
+    for arr in (*iu, mult):
+        arr.flags.writeable = False
     return iu, mult
 
 
@@ -250,6 +247,12 @@ class _ConeData:
     as the program.  Equality rows must be linearly independent; the pivots
     of R1 show whether they are.
 
+    A PSD block's rows of G_theta are -svec(A_k) in column k: the block's
+    coeffs with each column scaled by its svec weight, transposed by
+    reading its CSR arrays as CSC arrays; its part of h is svec(const).  The
+    KKT solver's dense (nv, m, m) stack of the N-mapped A_k comes from the
+    same coeffs.
+
     G is held sparse, with its transpose GT: the inequality rows have one
     or two terms and each A_k a handful of entries, so a product with G
     costs its few thousand nonzeros rather than rows x nv."""
@@ -271,18 +274,14 @@ class _ConeData:
                     "they must be linearly independent"
                 )
             self.x0 = Q[:, :ne] @ scipy.linalg.solve_triangular(R[:ne], b[perm], trans="T")
-        self.N = scipy.sparse.csr_array(Q[:, ne:])
+        self.N = _csr(Q[:, ne:])
         # the solver's variables are x, one per dimension of the null space
         self.nv = nv - ne
         self.c = self.N.T @ program.objective
         # objective value at x0, the constant term of c'theta
         self.c0 = float(program.objective @ self.x0)
         self.l = len(program.inequalities)
-        G_parts = [
-            scipy.sparse.csr_array(
-                np.array([a for a, _ in program.inequalities]).reshape(self.l, nv)
-            )
-        ]
+        G_parts = [_csr(np.array([a for a, _ in program.inequalities]).reshape(self.l, nv))]
         h = [r for _, r in program.inequalities]
         self.block_dims = []
         self.block_slices = []
@@ -294,19 +293,20 @@ class _ConeData:
             m = blk.dim
             iu, mult = svec_indices(m)
             msv = m * (m + 1) // 2
-            stack = self.N.T @ blk.coefficient_stack(nv).reshape(nv, -1)
+            stack = self.N.T @ blk.coefficient_stack().reshape(nv, -1)
             self.block_dims.append(m)
             self.block_slices.append(slice(offset, offset + msv))
             self.block_iu.append(iu)
             self.block_mult.append(mult)
             self.stacks.append(stack.reshape(self.nv, m, m))
-            # rows of G for this block: -svec(A_k) in column k; (i, j) is
-            # entry i * m - i * (i - 1) / 2 + j - i of the row-wise triangle
-            k, i, j, v = blk.coeffs
-            pos = i * m - i * (i - 1) // 2 + j - i
-            vals = -v * np.where(i == j, 1.0, _SQRT2)
-            G_parts.append(scipy.sparse.csr_array((vals, (pos, k)), shape=(msv, nv)))
-            h.extend(svec(blk.constant_matrix(), iu, mult))
+            # rows of G for this block, -svec(A_k) in column k: coeffs with
+            # its columns scaled to svec and its CSR arrays read as the CSC
+            # arrays of the transpose
+            C = blk.coeffs
+            G_parts.append(scipy.sparse.csc_array(
+                (-C.data * mult[C.indices], C.indices, C.indptr), shape=(msv, nv)
+            ).tocsr())
+            h.extend(svec(blk.const, iu, mult))
             offset += msv
         self.rows = offset
         G_theta = scipy.sparse.vstack(G_parts, format="csr")

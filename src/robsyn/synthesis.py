@@ -59,6 +59,7 @@ from .conic import (
     SolverResult,
     SolverStatus,
     solve_conic,
+    svec_indices,
 )
 from .errors import Infeasible, NumericalFailure
 from .multipliers import Dims, InputPairSet, MultiplierSet, certificate_matrix
@@ -371,20 +372,6 @@ def _orbit_basis(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return U
 
 
-def _block_map(A0: np.ndarray, A: np.ndarray) -> PsdBlockMap:
-    """The sparse block map of the constant A0 and the stack A of
-    coefficient matrices."""
-    iu = np.triu_indices(A0.shape[0])
-    upper = A[:, iu[0], iu[1]]
-    k, e = np.nonzero(upper)
-    c = np.flatnonzero(A0[iu])
-    return PsdBlockMap(
-        dim=A0.shape[0],
-        const=(iu[0][c], iu[1][c], A0[iu][c]),
-        coeffs=(k, iu[0][e], iu[1][e], upper[k, e]),
-    )
-
-
 def _psd_blocks(
     problem: SynthesisProblem,
     layout: VariableLayout,
@@ -409,6 +396,10 @@ def _psd_blocks(
     Wolkowicz 1981, Permenter & Parrilo 2018).  The block keeps the
     principal sub-block of the other, live, coordinates, and the shift
     applies to those; a block with every coordinate live is left as built.
+
+    Each block is handed over in the solver's format: the dense constant,
+    and row r of the coefficients the upper triangle of A_r, of which the
+    PsdBlockMap keeps the nonzeros.
     """
     mults, gammas, products, _ = _unpack(
         problem, layout, np.vstack([np.zeros(layout.num_vars), layout.basis.T.toarray()])
@@ -431,7 +422,8 @@ def _psd_blocks(
             A0_blk = A0_blk[np.ix_(live, live)]
             A_blk = A_blk[:, live][:, :, live]
         shift = problem.strictness_shift * np.eye(A0_blk.shape[0])
-        blocks.append(_block_map(A0_blk - shift, A_blk))
+        iu, _ = svec_indices(A0_blk.shape[0])
+        blocks.append(PsdBlockMap(const=A0_blk - shift, coeffs=A_blk[:, iu[0], iu[1]]))
     return blocks
 
 
@@ -625,7 +617,10 @@ class SynthesisSolution:
 def _extract_solution(
     problem: SynthesisProblem, layout: VariableLayout, result: SolverResult
 ) -> SynthesisSolution:
-    theta = result.theta
+    """The solution of a solve over the orbit coordinates, expanded back to
+    theta = U phi; the returned solver_result carries that theta."""
+    theta = layout.basis @ result.theta
+    result = replace(result, theta=theta)
     # the sign-constrained scalars may come back a rounding error below zero
     scalars = [
         layout.idx_T_u1, layout.idx_T_u2,
@@ -707,41 +702,29 @@ def synthesize(
     # The uncapped program is tried before the capped rescue, so healthy
     # instances keep the smaller program and full accuracy.  A genuinely
     # uncertifiable problem is infeasible under both, so nothing is masked.
-    first_detail = None
-    exhausted = None
     program, layout = assemble_synthesis_sdp(problem)
-    for capped in (False, True):
-        if capped:
-            program = _with_multiplier_cap(problem, program, layout)
-        result = solve_conic(program, opts if capped else budget)
-        if result.theta is not None:
-            # back from the orbit coordinates: theta = U phi
-            result = replace(result, theta=layout.basis @ result.theta)
-        if result.status is SolverStatus.OPTIMAL:
-            sol = _extract_solution(problem, layout, result)
-            sol.multiplier_capped = capped
-            if capped or result.iterations < budget.max_iters:
-                return sol
-            # the best iterate of an uncapped solve that ran out of budget,
-            # the sign of a runaway multiplier ray: the capped rung decides,
-            # and this is kept in case the cap does worse
-            exhausted = sol
-            continue
-        if first_detail is None:
-            first_detail = result.detail
-        if result.status is SolverStatus.INFEASIBLE:
-            # the cap cannot manufacture feasibility, it sits far above any
-            # resolvable multiplier scale
-            break
-        # numerical breakdown, usually a runaway multiplier ray; capping T
-        # restores a bounded optimal face
-    if exhausted is not None:
-        return exhausted
-    if result.status is SolverStatus.INFEASIBLE:
-        raise Infeasible(
-            "no certificate exists for the requested tolerances and input set"
-        )
-    raise NumericalFailure(f"solver failed: {result.detail or first_detail}")
+    uncapped = solve_conic(program, budget)
+    if uncapped.status is SolverStatus.OPTIMAL and uncapped.iterations < budget.max_iters:
+        return _extract_solution(problem, layout, uncapped)
+    if uncapped.status is SolverStatus.INFEASIBLE:
+        # the cap cannot manufacture feasibility, it sits far above any
+        # resolvable multiplier scale
+        raise Infeasible("no certificate exists for the requested tolerances and input set")
+
+    # a numerical breakdown, or the best iterate of a solve that ran out of
+    # budget: both the sign of a runaway multiplier ray, and capping T
+    # restores a bounded optimal face
+    capped = solve_conic(_with_multiplier_cap(problem, program, layout), opts)
+    if capped.status is SolverStatus.OPTIMAL:
+        sol = _extract_solution(problem, layout, capped)
+        sol.multiplier_capped = True
+        return sol
+    if uncapped.status is SolverStatus.OPTIMAL:
+        # the cap did worse than the uncapped best iterate
+        return _extract_solution(problem, layout, uncapped)
+    if capped.status is SolverStatus.INFEASIBLE:
+        raise Infeasible("no certificate exists for the requested tolerances and input set")
+    raise NumericalFailure(f"solver failed: {capped.detail}")
 
 
 def analyze_network(

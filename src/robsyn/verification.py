@@ -246,6 +246,15 @@ def lemma_property_suite(
     )
 
 
+def open_artifact(path: str, timestamp: bool):
+    """A text file opened for writing with LF line endings; unless timestamp
+    is False, its first line is a '# generated <UTC time>' comment."""
+    fh = open(path, "w", newline="")
+    if timestamp:
+        fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+    return fh
+
+
 @dataclass
 class SweepRow:
     eps: float
@@ -274,9 +283,7 @@ class SweepResult:
     )
 
     def write_csv(self, path: str, timestamp: bool = True) -> None:
-        with open(path, "w", newline="") as fh:
-            if timestamp:
-                fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+        with open_artifact(path, timestamp) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(self.COLUMNS)
             for r in self.rows:
@@ -295,9 +302,7 @@ class SweepResult:
 
     def write_gnuplot(self, path: str, timestamp: bool = True) -> None:
         """Two-column (eps, gamma) whitespace file for direct plotting."""
-        with open(path, "w") as fh:
-            if timestamp:
-                fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+        with open_artifact(path, timestamp) as fh:
             fh.write("# eps gamma\n")
             for r in self.rows:
                 if math.isfinite(r.gamma):

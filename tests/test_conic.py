@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,7 @@ def scalar_bound_program():
     return ConicProgram(
         num_vars=1,
         objective=[1.0],
-        psd_blocks=[PsdBlockMap(dim=1, const=[(0, 0, -2.0)], coeffs=[(0, 0, 0, 1.0)])],
+        psd_blocks=[PsdBlockMap(const=[[-2.0]], coeffs=[[1.0]])],
     )
 
 
@@ -42,11 +43,7 @@ def arrow_program():
         num_vars=2,
         objective=[1.0, 1.0],
         psd_blocks=[
-            PsdBlockMap(
-                dim=2,
-                const=[(0, 1, 1.0), (1, 1, -3.0)],
-                coeffs=[(0, 0, 0, 1.0), (1, 1, 1, 1.0)],
-            )
+            PsdBlockMap(const=[[0.0, 1.0], [1.0, -3.0]], coeffs=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         ],
     )
 
@@ -89,9 +86,7 @@ def test_equality_constraint_is_respected():
         objective=[1.0, 0.0],
         equalities=[([1.0, 1.0], 5.0)],
         inequalities=[([-1.0, 0.0], 0.0), ([0.0, -1.0], 0.0)],
-        psd_blocks=[
-            PsdBlockMap(dim=1, const=[], coeffs=[(0, 0, 0, 1.0), (1, 0, 0, 1.0)])
-        ],
+        psd_blocks=[PsdBlockMap(const=[[0.0]], coeffs=[[1.0], [1.0]])],
     )
     res = solve_conic(prog)
     assert res.status == SolverStatus.OPTIMAL
@@ -132,7 +127,7 @@ def test_all_variables_pinned_solves_at_the_pinned_point():
         equalities=[([1.0, 0.0], 1.0), ([0.0, 1.0], 2.0)],
         inequalities=NONNEGATIVE_PAIR + [([1.0, 1.0], 4.0)],
         psd_blocks=[
-            PsdBlockMap(dim=2, const=[(0, 1, 1.0)], coeffs=[(0, 0, 0, 1.0), (1, 1, 1, 1.0)])
+            PsdBlockMap(const=[[0.0, 1.0], [1.0, 0.0]], coeffs=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         ],
     )
     res = solve_conic(prog)
@@ -147,7 +142,7 @@ def test_infeasible_program_is_certified():
         num_vars=1,
         objective=[1.0],
         inequalities=[([1.0], 1.0)],
-        psd_blocks=[PsdBlockMap(dim=1, const=[(0, 0, -2.0)], coeffs=[(0, 0, 0, 1.0)])],
+        psd_blocks=[PsdBlockMap(const=[[-2.0]], coeffs=[[1.0]])],
     )
     res = solve_conic(prog)
     assert res.status == SolverStatus.INFEASIBLE
@@ -158,7 +153,7 @@ def test_unbounded_program_reports_numerical_failure():
     prog = ConicProgram(
         num_vars=1,
         objective=[-1.0],
-        psd_blocks=[PsdBlockMap(dim=1, const=[(0, 0, -1.0)], coeffs=[(0, 0, 0, 1.0)])],
+        psd_blocks=[PsdBlockMap(const=[[-1.0]], coeffs=[[1.0]])],
     )
     res = solve_conic(prog)
     assert res.status == SolverStatus.NUMERICAL_FAILURE
@@ -187,55 +182,49 @@ def test_verify_solution_reports_violations():
     assert bad.max_eig_violation == pytest.approx(-bad.psd_min_eig)
 
 
-def test_psd_block_entry_validation():
-    with pytest.raises(ValueError):
-        PsdBlockMap(dim=2, const=[(0, 2, 1.0)])
-    with pytest.raises(ValueError):
-        PsdBlockMap(dim=0)
-    with pytest.raises(ValueError):
-        PsdBlockMap(dim=1, coeffs=[(-1, 0, 0, 1.0)])
+def test_psd_block_validation():
+    with pytest.raises(ValueError, match="square"):
+        PsdBlockMap(const=[[1.0, 0.0]], coeffs=[[1.0]])
+    with pytest.raises(ValueError, match="square"):
+        PsdBlockMap(const=np.zeros((0, 0)), coeffs=np.zeros((1, 0)))
+    with pytest.raises(ValueError, match="3 upper-triangle entries"):
+        PsdBlockMap(const=np.eye(2), coeffs=[[1.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="3 upper-triangle entries"):
+        PsdBlockMap(const=np.eye(2), coeffs=scipy.sparse.csr_array(np.ones((1, 4))))
+    blk = PsdBlockMap(const=np.eye(2), coeffs=[[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="1 coefficient rows for 2 variables"):
+        ConicProgram(num_vars=2, objective=[1.0, 1.0], psd_blocks=[blk])
 
 
-def test_psd_block_accumulates_duplicates_and_symmetrizes():
-    blk = PsdBlockMap(
-        dim=2,
-        const=[(0, 1, 1.0), (1, 0, 0.5)],       # both land on the (0, 1) slot
-        coeffs=[(0, 0, 0, 1.0), (0, 0, 0, 2.0)],
-    )
-    A = blk.evaluate([1.0])
-    assert A[0, 1] == A[1, 0] == 1.5
-    assert A[0, 0] == 3.0
+def test_psd_block_ignores_entries_below_the_diagonal():
+    blk = PsdBlockMap(const=[[1.0, 2.0], [99.0, 3.0]], coeffs=[[0.0, 5.0, 0.0]])
+    assert np.array_equal(blk.const, [[1.0, 2.0], [2.0, 3.0]])
+    assert np.array_equal(blk.evaluate([1.0]), [[1.0, 7.0], [7.0, 3.0]])
 
 
-def test_psd_block_arrays_match_entrywise_loop():
-    # the block scatters its entry arrays; a loop over the same entries,
-    # one at a time, must give the same matrices bit for bit
+def test_psd_block_matches_a_dense_reference():
+    # coefficient rows given dense and as a csr_array, which is kept as is
     rng = np.random.default_rng(3)
-    m, nv, count = 4, 3, 40
-    k = rng.integers(0, nv, count)
-    i, j = rng.integers(0, m, count), rng.integers(0, m, count)  # both triangles, repeats
-    v = rng.standard_normal(count)
-    rows = PsdBlockMap(dim=m, const=list(zip(i, j, v)), coeffs=list(zip(k, i, j, v)))
-    cols = PsdBlockMap(dim=m, const=(i, j, v), coeffs=(k, i, j, v))
-    A0 = np.zeros((m, m))
+    m, nv = 4, 3
+    iu = np.triu_indices(m)
+    upper = rng.standard_normal((nv, iu[0].size)) * (rng.random((nv, iu[0].size)) < 0.4)
+    const = rng.standard_normal((m, m))
+    A0 = np.triu(const) + np.triu(const, 1).T
     stack = np.zeros((nv, m, m))
-    for a, b, x, kk in zip(i, j, v, k):
-        for p, q in {(a, b), (b, a)}:
-            A0[p, q] += x
-            stack[kk, p, q] += x
+    for k in range(nv):
+        stack[k][iu] = upper[k]
+        stack[k] = stack[k] + np.triu(stack[k], 1).T
     theta = rng.standard_normal(nv)
-    for blk in (rows, cols):
-        assert np.array_equal(blk.constant_matrix(), A0)
-        assert np.array_equal(blk.coefficient_stack(nv), stack)
+    sparse = scipy.sparse.csr_array(upper)
+    for coeffs in (upper, sparse):
+        blk = PsdBlockMap(const=const, coeffs=coeffs)
+        assert blk.dim == m
+        assert np.array_equal(blk.const, A0)
+        assert np.array_equal(blk.coefficient_stack(), stack)
         np.testing.assert_allclose(
             blk.evaluate(theta), A0 + np.tensordot(theta, stack, 1), rtol=0, atol=1e-14
         )
-    with pytest.raises(ValueError):
-        cols.coefficient_stack(nv - 1)
-    with pytest.raises(ValueError):
-        PsdBlockMap(dim=m, coeffs=(k, i, j + m, v))
-    with pytest.raises(ValueError):
-        PsdBlockMap(dim=m, const=(i, j, v[:-1]))
+    assert blk.coeffs is sparse
 
 
 def test_iterations_are_logged_at_debug(caplog):
@@ -284,9 +273,9 @@ def random_box_sdp(seed):
     for k in range(nv):
         X = rng.standard_normal((m, m))
         S = (X + X.T) / 2
-        coeffs.extend((k, i, j, S[i, j]) for i in range(m) for j in range(i, m))
+        coeffs.append(S[np.triu_indices(m)])
     margin = 1.0 + rng.uniform(0, 2)
-    const = [(i, i, margin) for i in range(m)]
+    const = margin * np.eye(m)
     ineqs = []
     for k in range(nv):
         e = np.zeros(nv)
@@ -297,7 +286,7 @@ def random_box_sdp(seed):
         num_vars=nv,
         objective=rng.standard_normal(nv),
         inequalities=ineqs,
-        psd_blocks=[PsdBlockMap(dim=m, const=const, coeffs=coeffs)],
+        psd_blocks=[PsdBlockMap(const=const, coeffs=coeffs)],
     )
 
 
@@ -313,8 +302,8 @@ def lagrange_dual(prog):
     iu = np.triu_indices(m)
     nz = len(iu[0])
     weight = np.where(iu[0] == iu[1], 1.0, 2.0)      # <Z, A> over the triangle
-    A0 = blk.constant_matrix()[iu] * weight
-    Ak = blk.coefficient_stack(nv)[:, iu[0], iu[1]] * weight
+    A0 = blk.const[iu] * weight
+    Ak = blk.coefficient_stack()[:, iu[0], iu[1]] * weight
     G = np.array([a for a, _ in prog.inequalities])
     r = np.array([b for _, b in prog.inequalities])
     nl = len(r)
@@ -325,9 +314,7 @@ def lagrange_dual(prog):
         objective=np.concatenate([A0, r]),
         equalities=equalities,
         inequalities=inequalities,
-        psd_blocks=[
-            PsdBlockMap(dim=m, coeffs=(np.arange(nz), iu[0], iu[1], np.ones(nz)))
-        ],
+        psd_blocks=[PsdBlockMap(const=np.zeros((m, m)), coeffs=np.eye(nz + nl, nz))],
     )
 
 

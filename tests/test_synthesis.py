@@ -448,8 +448,8 @@ class TestSynthesis:
                 program.objective,
                 [a for a, _ in program.inequalities], [r for _, r in program.inequalities],
                 [a for a, _ in program.equalities], [r for _, r in program.equalities],
-                *(blk.constant_matrix() for blk in program.psd_blocks),
-                *(blk.coefficient_stack(program.num_vars) for blk in program.psd_blocks),
+                *(blk.const for blk in program.psd_blocks),
+                *(blk.coefficient_stack() for blk in program.psd_blocks),
             ))
             return solve(program, options)
 
@@ -517,13 +517,22 @@ class TestMergedStatePairs:
 
 
 def program_digest(program):
-    """SHA-256 prefix of every array of a conic program, in order."""
+    """SHA-256 prefix of every array of a conic program, in order.  A PSD
+    block is read as entry arrays: (i, j, value) of the nonzero upper
+    entries of the constant, then (variable, i, j, value) of the coefficient
+    rows' entries."""
     h = hashlib.sha256()
     arrays = [np.array([program.num_vars]), program.objective]
     for rows in (program.equalities, program.inequalities):
         arrays += [a for a, _ in rows] + [np.array([r for _, r in rows])]
     for blk in program.psd_blocks:
-        arrays += [np.array([blk.dim]), *blk.const, *blk.coeffs]
+        iu = np.triu_indices(blk.dim)
+        nz = np.flatnonzero(blk.const[iu])
+        coo = blk.coeffs.tocoo()
+        arrays += [
+            np.array([blk.dim]), iu[0][nz], iu[1][nz], blk.const[iu][nz],
+            coo.row, iu[0][coo.col], iu[1][coo.col], coo.data,
+        ]
     for arr in arrays:
         arr = np.asarray(arr)
         h.update(arr.astype(np.int64 if arr.dtype.kind == "i" else np.float64).tobytes())
@@ -680,8 +689,19 @@ class TestLadder:
         return synthesize(small_problem(net, 0.1), SolverOptions(max_iters=150)), calls
 
     def test_budget_exhausted_best_iterate_goes_on_to_the_capped_rung(self, monkeypatch):
+        extractions = []
+        extract = robsyn.synthesis._extract_solution
+
+        def count_extractions(*args):
+            extractions.append(args)
+            return extract(*args)
+
+        monkeypatch.setattr(robsyn.synthesis, "_extract_solution", count_extractions)
         sol, calls = self._run(monkeypatch)
         assert len(calls) == 2
+        # only the capped rung's solution is extracted; the best iterate
+        # would be extracted only if the capped rung failed
+        assert len(extractions) == 1
         (rows0, iters0), (rows1, iters1) = calls
         assert iters0 == robsyn.synthesis._UNCAPPED_ITER_BUDGET and iters1 == 150
         assert rows1 > rows0

@@ -231,14 +231,45 @@ def test_iterations_are_logged_at_debug(caplog):
     caplog.set_level(logging.DEBUG, logger="robsyn.conic")
     res = solve_conic(arrow_program())
     records = [r for r in caplog.records if r.name == "robsyn.conic"]
-    # one record per iteration, the converged one included
-    assert len(records) == res.iterations + 1
+    # the cone record, then one record per iteration, the converged one included
+    assert len(records) == res.iterations + 2
     assert all(r.levelno == logging.DEBUG for r in records)
-    assert records[0].getMessage().startswith("iter   0  pcost")
+    assert records[0].getMessage().startswith("cone  ")
+    assert records[1].getMessage().startswith("iter   0  pcost")
     caplog.clear()
     caplog.set_level(logging.INFO, logger="robsyn.conic")
     solve_conic(arrow_program())
     assert not [r for r in caplog.records if r.name == "robsyn.conic"]
+
+
+def two_formula_program():
+    # the arrow program plus a second 2x2 block [[1 + t1, t1], [t1, 1 + t2]],
+    # which does not bind at the optimum t1 = 1, t2 = 4, objective 5.  The
+    # arrow block's coefficients touch 2 of its 3 svec rows (2^2 <= 2 * 2^2:
+    # the sparse Gram); the second block's touch all 3 (3^2 > 2 * 2^2: the
+    # dense one)
+    arrow = arrow_program()
+    second = PsdBlockMap(const=np.eye(2), coeffs=[[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    return ConicProgram(
+        num_vars=2, objective=arrow.objective, psd_blocks=[*arrow.psd_blocks, second]
+    )
+
+
+def test_cone_record_names_each_blocks_gram_formula(caplog):
+    caplog.set_level(logging.DEBUG, logger="robsyn.conic")
+    res = solve_conic(two_formula_program())
+    assert res.status == SolverStatus.OPTIMAL
+    assert res.objective_value == pytest.approx(5.0, abs=1e-6)
+    cones = [r for r in caplog.records if r.name == "robsyn.conic" and r.msg.startswith("cone")]
+    # one record per solve
+    assert len(cones) == 1
+    assert cones[0].levelno == logging.DEBUG
+    assert cones[0].getMessage() == (
+        "cone  2 variables  0 linear rows  "
+        "block 2: 2/3 svec rows, 2/2 columns, sparse Gram  "
+        "block 2: 3/3 svec rows, 2/2 columns, dense Gram"
+    )
+    assert [g.formula for g in _ConeData(two_formula_program()).grams] == ["sparse", "dense"]
 
 
 def test_program_validation():
@@ -260,9 +291,40 @@ def test_svec_round_trip_preserves_inner_products():
     A = (X + X.T) / 2
     Y = rng.standard_normal((m, m))
     B = (Y + Y.T) / 2
-    va, vb = svec(A, iu, mult), svec(B, iu, mult)
-    assert np.allclose(smat(va, m, iu, mult), A)
+    va, vb = svec(A, mult), svec(B, mult)
+    assert np.allclose(smat(va, m, mult), A)
     assert float(va @ vb) == pytest.approx(float(np.trace(A @ B)), rel=1e-12)
+
+
+def svec_by_fancy_index(A, iu, mult):
+    return A[iu] * mult
+
+
+def smat_by_fancy_index(v, m, iu, mult):
+    M = np.zeros((m, m))
+    vals = v / mult
+    M[iu] = vals
+    M[(iu[1], iu[0])] = vals
+    return M
+
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_svec_and_smat_gathers_are_bit_identical_to_fancy_indexing(m):
+    # the svec weights, and the scalar weight PsdBlockMap.evaluate passes
+    rng = np.random.default_rng(m)
+    iu, weights = svec_indices(m)
+    A = rng.standard_normal((m, m))        # svec reads the upper triangle only
+    v = rng.standard_normal(iu[0].size)
+    for mult in (weights, 1.0):
+        assert svec(A, mult).tobytes() == svec_by_fancy_index(A, iu, mult).tobytes()
+        assert svec(A.T, mult).tobytes() == svec_by_fancy_index(A.T, iu, mult).tobytes()
+        M = smat(v, m, mult)
+        assert M.shape == (m, m)
+        assert M.tobytes() == smat_by_fancy_index(v, m, iu, mult).tobytes()
+        # a fresh writeable array each call, sharing no memory with v
+        assert M.flags.writeable and not np.shares_memory(M, v)
+        M[...] = np.nan
+        assert smat(v, m, mult).tobytes() == smat_by_fancy_index(v, m, iu, mult).tobytes()
 
 
 def random_box_sdp(seed):
@@ -340,10 +402,10 @@ def random_pd(rng, m):
 
 
 def random_cone_point(rng, data):
-    ((m, sl, iu, mult),) = data.iter_blocks()
+    ((m, sl, mult),) = data.iter_blocks()
     v = np.empty(data.rows)
     v[: data.l] = rng.uniform(0.5, 2.0, data.l)
-    v[sl] = svec(random_pd(rng, m), iu, mult)
+    v[sl] = svec(random_pd(rng, m), mult)
     return v
 
 

@@ -22,7 +22,15 @@ from helpers import random_well_posed_network
 
 from robsyn import evaluate
 import robsyn.synthesis
-from robsyn.conic import SolverOptions, SolverResult, SolverStatus, solve_conic
+from robsyn.conic import (
+    SolverOptions,
+    SolverResult,
+    SolverStatus,
+    _ConeData,
+    _DenseGram,
+    _SparseGram,
+    solve_conic,
+)
 from robsyn.errors import Infeasible
 from robsyn.mpc import (
     MpcProblem,
@@ -635,6 +643,74 @@ class TestOddSymmetry:
             program = _with_multiplier_cap(prob, program, L)
         assert np.array_equal(L.basis.toarray(), np.eye(L.num_vars))
         assert program_digest(program) == digest
+
+
+@pytest.fixture(scope="module")
+def corpus_programs():
+    """The programs of the benchmark's corpus workload: small random ReLU
+    and tanh networks, half of them with pinned gains."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        from workloads import corpus_problems
+    finally:
+        sys.path.remove(bench)
+    return [assemble_synthesis_sdp(prob)[0] for prob in corpus_problems()]
+
+
+def grams_by_both_formulas(program, seed):
+    """For each PSD block: the formula _ConeData picked, and the block's part
+    of the KKT Gram by the sparse and by the dense formula at one random
+    scaling, whose X = Rti Rti' has condition number 1e3."""
+    data = _ConeData(program)
+    rng = np.random.default_rng(seed)
+    out = []
+    for gram, (m, sl, mult) in zip(data.grams, data.iter_blocks()):
+        G_block = data.G[sl]
+        rows = np.flatnonzero(np.diff(G_block.indptr))
+        cols = np.unique(G_block.indices)
+        Q1, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        Rti = (Q1 * np.logspace(-1.5, 0, m)) @ Q2
+        K_sparse = np.zeros((data.nv, data.nv))
+        K_dense = np.zeros((data.nv, data.nv))
+        _SparseGram(G_block, rows, m, mult).add_to(K_sparse, Rti)
+        _DenseGram(G_block, cols, m, mult).add_to(K_dense, Rti)
+        out.append((gram.formula, K_sparse, K_dense))
+    return out
+
+
+def assert_formulas_agree(grams):
+    for _, K_sparse, K_dense in grams:
+        scale = np.linalg.norm(K_dense)
+        assert scale > 0
+        assert np.linalg.norm(K_sparse - K_dense) <= 1e-12 * scale
+
+
+class TestKktGram:
+    @pytest.mark.parametrize(
+        "eps, capped, formulas",
+        [
+            (1e-5, False, ["sparse", "sparse"]),
+            (1e-1, True, ["sparse", "sparse"]),
+            # analysis: the 24-block's coefficients touch 209 of its svec
+            # rows but only 21 columns, so it keeps the dense congruences
+            (0.0, False, ["sparse", "dense"]),
+        ],
+    )
+    def test_paper_mpc_blocks(self, mpc_net, eps, capped, formulas):
+        prob = mpc_problem(mpc_net, eps)
+        program, L = assemble_synthesis_sdp(prob)
+        if capped:
+            program = _with_multiplier_cap(prob, program, L)
+        grams = grams_by_both_formulas(program, seed=5)
+        assert [formula for formula, _, _ in grams] == formulas
+        assert_formulas_agree(grams)
+
+    def test_corpus_blocks(self, corpus_programs):
+        assert corpus_programs
+        for seed, program in enumerate(corpus_programs):
+            assert_formulas_agree(grams_by_both_formulas(program, seed))
 
 
 # the paper-MPC fine synthesis, printing a digest of theta and the iterations

@@ -43,6 +43,7 @@ from .multipliers import (
 )
 from .conic import (
     ConicProgram,
+    LinearRows,
     PsdBlockMap,
     SolutionCheck,
     SolverOptions,

@@ -476,6 +476,8 @@ def cmd_simulate(cfg: dict) -> int:
             doc = json.load(fh)
         except json.JSONDecodeError as ex:
             raise SchemaError(f"qp file is not valid JSON: {ex}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("qp document must be a mapping")
     try:
         problem = MpcProblem(
             A=doc["A"], B=doc["B"], Q=doc["Q"], R=doc["R"], P=doc["P"],

@@ -3,16 +3,15 @@
 A ConicProgram is
 
     minimize    objective . theta
-    subject to  eq_coeff . theta == eq_rhs          (each equality)
-                ineq_coeff . theta <= ineq_rhs      (each inequality)
-                A_0 + sum_k theta_k A_k  >= 0       (each PSD block)
+    subject to  A_eq theta == b_eq,  A_in theta <= b_in   (LinearRows each)
+                A_0 + sum_k theta_k A_k  >= 0             (each PSD block)
 
-A PSD block keeps one format from assembly to solver (PsdBlockMap): A_0
-as a dense symmetric matrix, and the A_k as the rows of one sparse matrix,
-row k the upper triangle of A_k.  The solver takes the block's rows of G
-and h straight from these (see _ConeData).  The equality rows, which must
-be linearly independent, are eliminated once: theta = x0 + N x with N
-spanning their null space.
+Each part keeps one format from assembly to solver: a LinearRows is one
+sparse matrix of rows and one right-hand side; a PsdBlockMap holds A_0 as a
+dense symmetric matrix and the A_k as the rows of one sparse matrix, row k
+the upper triangle of A_k.  The solver takes G and h straight from these
+(see _ConeData).  The equality rows, which must be linearly independent,
+are eliminated once: theta = x0 + N x with N spanning their null space.
 The solver is an interior-point method for the homogeneous self-dual
 embedding of the remaining cone program  min c'x  s.t.  Gx + s = h,
 s in R+^l x PSD x ..., with a Mehrotra predictor-corrector and
@@ -61,10 +60,15 @@ import scipy.sparse
 logger = logging.getLogger(__name__)
 
 
-def _csr(dense: np.ndarray) -> scipy.sparse.csr_array:
-    """The CSR array of a dense matrix, built straight from its nonzeros,
-    which row-major np.nonzero lists in CSR order; csr_array(dense) goes
-    through COO and takes about twice as long."""
+def _csr(matrix) -> scipy.sparse.csr_array:
+    """A csr_array as it is; anything else through np.asarray, as the CSR
+    array built straight from its nonzeros, which row-major np.nonzero lists
+    in CSR order (csr_array(dense) goes through COO, about twice as slow)."""
+    if isinstance(matrix, scipy.sparse.csr_array):
+        return matrix
+    dense = np.asarray(matrix, dtype=float)
+    if dense.ndim != 2:
+        raise ValueError(f"expected a matrix, not shape {dense.shape}")
     rows, cols = np.nonzero(dense)
     indptr = np.searchsorted(rows, np.arange(dense.shape[0] + 1))
     return scipy.sparse.csr_array((dense[rows, cols], cols, indptr), shape=dense.shape)
@@ -80,7 +84,7 @@ class PsdBlockMap:
     one row per program variable: row k holds the upper triangle of A_k,
     row-wise in svec_indices order and unscaled, so it has m (m + 1) / 2
     columns and stores A_k's nonzeros only.  Anything np.asarray accepts
-    may be passed for either; a csr_array is kept as given.
+    may be passed for either; a csr_array is kept as given (see _csr).
     """
 
     const: np.ndarray
@@ -92,11 +96,7 @@ class PsdBlockMap:
             raise ValueError(f"the constant must be a nonempty square matrix, not {const.shape}")
         upper = np.triu(const)
         self.const = upper + np.triu(upper, 1).T
-        if not isinstance(self.coeffs, scipy.sparse.csr_array):
-            dense = np.asarray(self.coeffs, dtype=float)
-            if dense.ndim != 2:
-                raise ValueError(f"coefficients must be a matrix, not shape {dense.shape}")
-            self.coeffs = _csr(dense)
+        self.coeffs = _csr(self.coeffs)
         width = self.dim * (self.dim + 1) // 2
         if self.coeffs.ndim != 2 or self.coeffs.shape[1] != width:
             raise ValueError(
@@ -108,11 +108,6 @@ class PsdBlockMap:
     def dim(self) -> int:
         return self.const.shape[0]
 
-    def coefficient_stack(self) -> np.ndarray:
-        """Dense (num_vars, dim, dim) array of the A_k."""
-        _, full = _svec_gathers(self.dim)
-        return self.coeffs.toarray().take(full, axis=1).reshape(-1, self.dim, self.dim)
-
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
         """The block value at a particular theta."""
         upper = self.coeffs.T @ np.asarray(theta, dtype=float)
@@ -120,27 +115,47 @@ class PsdBlockMap:
 
 
 @dataclass
+class LinearRows:
+    """Rows coeffs @ theta against rhs, one entry of rhs per row; len()
+    counts them.  coeffs (see _csr) has one column per program variable and
+    is kept canonical, so that a product sums each row's terms in column
+    order."""
+
+    coeffs: scipy.sparse.csr_array
+    rhs: np.ndarray
+
+    def __post_init__(self):
+        self.coeffs = _csr(self.coeffs)
+        self.coeffs.sum_duplicates()
+        self.rhs = np.asarray(self.rhs, dtype=float)
+        if self.rhs.shape != (len(self),):
+            raise ValueError(f"need one entry per row ({len(self)}), not {self.rhs.shape}")
+
+    def __len__(self) -> int:
+        return self.coeffs.shape[0]
+
+
+@dataclass
 class ConicProgram:
-    """Linear SDP in inequality/equality/PSD-block form; see module docstring."""
+    """Linear SDP in inequality/equality/PSD-block form; see module docstring.
+    equalities and inequalities default to no rows."""
 
     num_vars: int
     objective: np.ndarray
-    equalities: list = field(default_factory=list)
-    inequalities: list = field(default_factory=list)
+    equalities: LinearRows | None = None
+    inequalities: LinearRows | None = None
     psd_blocks: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("program must have at least one variable")
         self.objective = np.asarray(self.objective, dtype=float).reshape(self.num_vars)
-        self.equalities = [
-            (np.asarray(a, dtype=float).reshape(self.num_vars), float(r))
-            for a, r in self.equalities
-        ]
-        self.inequalities = [
-            (np.asarray(a, dtype=float).reshape(self.num_vars), float(r))
-            for a, r in self.inequalities
-        ]
+        for name in ("equalities", "inequalities"):
+            if getattr(self, name) is None:
+                setattr(self, name, LinearRows(np.zeros((0, self.num_vars)), []))
+            width = getattr(self, name).coeffs.shape[1]
+            if width != self.num_vars:
+                raise ValueError(f"{name}: {width} columns for {self.num_vars} variables")
         for blk in self.psd_blocks:
             if blk.coeffs.shape[0] != self.num_vars:
                 raise ValueError(
@@ -203,19 +218,15 @@ class SolutionCheck:
 
 def verify_solution(program: ConicProgram, theta: np.ndarray) -> SolutionCheck:
     theta = np.asarray(theta, dtype=float).reshape(program.num_vars)
-    min_eig = math.inf
-    for blk in program.psd_blocks:
-        vals = np.linalg.eigvalsh(blk.evaluate(theta))
-        min_eig = min(min_eig, float(vals[0]))
-    if not program.psd_blocks:
-        min_eig = 0.0
-    ineq = 0.0
-    for a, r in program.inequalities:
-        ineq = max(ineq, float(a @ theta - r))
-    eq = 0.0
-    for a, r in program.equalities:
-        eq = max(eq, abs(float(a @ theta - r)))
-    return SolutionCheck(psd_min_eig=min_eig, ineq_violation=max(0.0, ineq), eq_residual=eq)
+    ineq, eq = program.inequalities, program.equalities
+    return SolutionCheck(
+        psd_min_eig=min(
+            (float(np.linalg.eigvalsh(blk.evaluate(theta))[0]) for blk in program.psd_blocks),
+            default=0.0,
+        ),
+        ineq_violation=float(np.max(ineq.coeffs @ theta - ineq.rhs, initial=0.0)),
+        eq_residual=float(np.max(np.abs(eq.coeffs @ theta - eq.rhs), initial=0.0)),
+    )
 
 
 # --- svec utilities --- #
@@ -277,9 +288,10 @@ class _ConeData:
     of R1 show whether they are.  A program without equalities is solved in
     theta itself: x0 = 0, N is None and G = G_theta.
 
-    A PSD block's rows of G_theta are -svec(A_k) in column k: the block's
-    coeffs with each column scaled by its svec weight, transposed by
-    reading its CSR arrays as CSC arrays; its part of h is svec(const).
+    The inequalities' rows lead G_theta and h as they are.  A PSD block's
+    rows of G_theta are -svec(A_k) in column k: the block's coeffs with each
+    column scaled by its svec weight, transposed by reading its CSR arrays
+    as CSC arrays; its part of h is svec(const).
 
     Each block's part of the KKT Gram is built by one of two formulas
     (grams, one per block), picked here from the block's rows of G: with r
@@ -299,8 +311,8 @@ class _ConeData:
         self.x0 = np.zeros(nv)
         self.N = None
         if ne:
-            A = np.stack([a for a, _ in program.equalities])
-            b = np.array([r for _, r in program.equalities])
+            A = program.equalities.coeffs.toarray()
+            b = program.equalities.rhs
             Q, R, perm = scipy.linalg.qr(A.T, pivoting=True)
             pivots = np.abs(np.diag(R))
             rank = np.count_nonzero(pivots > pivots[0] * max(A.shape) * np.finfo(float).eps)
@@ -317,8 +329,8 @@ class _ConeData:
         # objective value at x0, the constant term of c'theta
         self.c0 = float(program.objective @ self.x0)
         self.l = len(program.inequalities)
-        G_parts = [_csr(np.array([a for a, _ in program.inequalities]).reshape(self.l, nv))]
-        h = [r for _, r in program.inequalities]
+        G_parts = [program.inequalities.coeffs]
+        h = [program.inequalities.rhs]
         self.block_dims = []
         self.block_slices = []
         self.block_mult = []
@@ -337,11 +349,11 @@ class _ConeData:
             G_parts.append(scipy.sparse.csc_array(
                 (-C.data * mult[C.indices], C.indices, C.indptr), shape=(msv, nv)
             ).tocsr())
-            h.extend(svec(blk.const, mult))
+            h.append(svec(blk.const, mult))
             offset += msv
         self.rows = offset
         G_theta = scipy.sparse.vstack(G_parts, format="csr")
-        h = np.asarray(h, dtype=float)
+        h = np.concatenate(h)
         if self.N is None:
             self.G, self.h = G_theta, h
         else:
@@ -386,9 +398,7 @@ class _ConeData:
 
     def min_cone_eig(self, v: np.ndarray) -> float:
         """Smallest 'eigenvalue' of a cone point (LP entries and PSD spectra)."""
-        worst = math.inf
-        if self.l:
-            worst = float(np.min(v[: self.l]))
+        worst = float(np.min(v[: self.l], initial=math.inf))
         for m, sl, mult in self.iter_blocks():
             M = smat(v[sl], m, mult)
             worst = min(worst, float(np.linalg.eigvalsh(M)[0]))
@@ -414,11 +424,10 @@ class _Scaling:
         """Refresh the scaling for stepped points given in scaled coordinates:
         ls = lam + alpha W^{-T} ds, lz = lam + alpha W dz, both interior."""
         d = self.data
-        if d.l:
-            a = ls[: d.l]
-            b = lz[: d.l]
-            self.w *= np.sqrt(a / b)
-            self.lam_lp = np.sqrt(a * b)
+        a = ls[: d.l]
+        b = lz[: d.l]
+        self.w *= np.sqrt(a / b)
+        self.lam_lp = np.sqrt(a * b)
         for idx, (m, sl, mult) in enumerate(d.iter_blocks()):
             Sm = smat(ls[sl], m, mult)
             Zm = smat(lz[sl], m, mult)
@@ -440,11 +449,7 @@ class _Scaling:
     def _congruence(self, v, which):
         d = self.data
         out = np.empty_like(v)
-        if d.l:
-            if which in ("W", "WT"):
-                out[: d.l] = v[: d.l] * self.w
-            else:
-                out[: d.l] = v[: d.l] / self.w
+        out[: d.l] = v[: d.l] * self.w if which in ("W", "WT") else v[: d.l] / self.w
         for idx, (m, sl, mult) in enumerate(d.iter_blocks()):
             M = smat(v[sl], m, mult)
             R, Rti = self.R[idx], self.Rti[idx]
@@ -473,8 +478,7 @@ class _Scaling:
     def jordan_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d = self.data
         out = np.empty_like(a)
-        if d.l:
-            out[: d.l] = a[: d.l] * b[: d.l]
+        out[: d.l] = a[: d.l] * b[: d.l]
         for m, sl, mult in d.iter_blocks():
             A = smat(a[sl], m, mult)
             B = smat(b[sl], m, mult)
@@ -485,8 +489,7 @@ class _Scaling:
         """lam \\ v for the current scaling point (lam diagonal per block)."""
         d = self.data
         out = np.empty_like(v)
-        if d.l:
-            out[: d.l] = v[: d.l] / self.lam_lp
+        out[: d.l] = v[: d.l] / self.lam_lp
         for idx, (m, sl, mult) in enumerate(d.iter_blocks()):
             sig = self.lam_psd[idx]
             M = smat(v[sl], m, mult)
@@ -497,11 +500,8 @@ class _Scaling:
     def max_step(self, v: np.ndarray) -> float:
         """Largest t with lam + a*v in the cone for all a in [0, t]."""
         d = self.data
-        t = math.inf
-        if d.l:
-            neg = v[: d.l] < 0
-            if np.any(neg):
-                t = float(np.min(self.lam_lp[neg] / -v[: d.l][neg]))
+        neg = v[: d.l] < 0
+        t = float(np.min(self.lam_lp[neg] / -v[: d.l][neg], initial=math.inf))
         for idx, (m, sl, mult) in enumerate(d.iter_blocks()):
             sig = self.lam_psd[idx]
             M = smat(v[sl], m, mult)

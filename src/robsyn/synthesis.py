@@ -37,9 +37,12 @@ over the group gives an invariant optimum with the same objective (Gatermann
 & Parrilo, "Symmetry groups, semidefinite programs, and sums of squares",
 J. Pure Appl. Algebra 2004).  The program's variables are therefore the
 orbit coordinates phi of theta = U phi (VariableLayout.basis), its rows are
-the distinct a' U, and its PSD block, which commutes with Pi on the orbits,
-splits into one block per eigenspace of Pi.  The solution is expanded back
-to theta before extraction, so the synthesized network is exactly odd too.
+a' U, made once per orbit because mirrored rows coincide, and its PSD block,
+which commutes with Pi on the orbits, splits into one block per eigenspace
+of Pi.  A fixed variable that the symmetry flips is zero on the orbits: its
+box rows reduce to -eps t <= 0, implied by the floors, and are not made.
+The solution is expanded back to theta before extraction, so the
+synthesized network is exactly odd too.
 A network without the symmetry is reduced by the trivial group, the
 degenerate case: U = I and one eigenspace, all of p, so its program is the
 program in theta itself, built on the same path.
@@ -54,6 +57,7 @@ import scipy.sparse
 
 from .conic import (
     ConicProgram,
+    LinearRows,
     PsdBlockMap,
     SolverOptions,
     SolverResult,
@@ -286,13 +290,6 @@ def _unpack(problem: SynthesisProblem, layout: VariableLayout, theta: np.ndarray
     return mults, gammas, products, deviations
 
 
-def _unit_row(num_vars: int, entries) -> np.ndarray:
-    row = np.zeros(num_vars)
-    for idx, val in entries:
-        row[idx] += val
-    return row
-
-
 def odd_symmetry(network: ImplicitNetwork) -> np.ndarray | None:
     """The state permutation pi under which the network is odd, or None.
 
@@ -427,16 +424,26 @@ def _psd_blocks(
     return blocks
 
 
-def _rows_over(rows: list, U: scipy.sparse.csr_array) -> list:
-    """The rows (a' U, r) of a program over the orbit coordinates, each
-    distinct one once: the rows of mirrored variables coincide."""
-    if not rows:
-        return rows
-    reduced = np.array([a for a, _ in rows]) @ U + 0.0  # -0.0 -> 0.0
-    kept = {}
-    for a, (_, r) in zip(reduced, rows):
-        kept.setdefault((a.tobytes(), r), (a, r))
-    return list(kept.values())
+def _rows_over(rows: list, U: scipy.sparse.csr_array) -> LinearRows:
+    """The rows (a' U, r) over the orbit coordinates of rows (a, r), each a
+    given by its (variable, coefficient) entries.  A variable has at most
+    one entry in U, in its orbit's column, so a' U moves each entry of a
+    there, times U's entry.  A row is made only when its first variable
+    leads its orbit (is its column's first): the other variable's rows are
+    the leader's, mirrored, and a variable in no orbit is zero on them."""
+    var = np.repeat(np.arange(U.shape[0]), np.diff(U.indptr))
+    # per variable: its orbit's column, its entry of U there, whether it leads
+    col, unit, leads = np.zeros((3, U.shape[0]))
+    col[var], unit[var] = U.indices, U.data
+    leads[var[np.unique(U.indices, return_index=True)[1]]] = 1.0
+    kept = [(entries, r) for entries, r in rows if leads[entries[0][0]]]
+    k, a = np.array([e for entries, _ in kept for e in entries]).reshape(-1, 2).T
+    k = k.astype(np.intp)
+    reduced = scipy.sparse.csr_array(
+        (a * unit[k], col[k].astype(np.intp), np.cumsum([0] + [len(e) for e, _ in kept])),
+        shape=(len(kept), U.shape[1]),
+    )
+    return LinearRows(reduced, [r for _, r in kept])
 
 
 def assemble_synthesis_sdp(problem: SynthesisProblem) -> tuple[ConicProgram, VariableLayout]:
@@ -444,14 +451,14 @@ def assemble_synthesis_sdp(problem: SynthesisProblem) -> tuple[ConicProgram, Var
     coordinates (see VariableLayout).
 
     The program is over the orbit coordinates phi of theta = U phi, with U
-    the returned layout's basis: every row is a' U, rows that coincide are
-    kept once, and the PSD block is split into one block per eigenspace of
-    the symmetry on p.  An odd network (see odd_symmetry) is reduced by its
-    odd symmetry: for the paper-MPC network at a positive uniform tolerance
-    that is 275 variables instead of 505, 523 inequality rows instead of
-    973, and blocks of 23 and 24 instead of one of 47; analysis has 25
-    variables instead of 35.  Any other network is reduced by the trivial
-    group, so U = I and its program is in theta itself.
+    the returned layout's basis: every row is a' U, made once per orbit
+    (see _rows_over), and the PSD block is split into one block per
+    eigenspace of the symmetry on p.  An odd network (see odd_symmetry) is
+    reduced by its odd symmetry: for the paper-MPC network at a positive
+    uniform tolerance that is 275 variables instead of 505, 523 inequality
+    rows instead of 973, and blocks of 23 and 24 instead of one of 47;
+    analysis has 25 variables instead of 35.  Any other network is reduced
+    by the trivial group, so U = I and its program is in theta itself.
 
     Each PSD block requires M <= -strictness_shift I on its live
     coordinates; a neutral face, on which M vanishes whatever the decision
@@ -464,7 +471,6 @@ def assemble_synthesis_sdp(problem: SynthesisProblem) -> tuple[ConicProgram, Var
     dims = Dims.of(problem.network)
     tol = problem.tolerances
     layout = layout_variables(dims, tol)
-    nv = layout.num_vars
     # the trivial group's action on p; the odd symmetry replaces it and U
     perm, sign = np.arange(dims.N_p), np.ones(dims.N_p)
     pi = odd_symmetry(problem.network)
@@ -475,25 +481,20 @@ def assemble_synthesis_sdp(problem: SynthesisProblem) -> tuple[ConicProgram, Var
     # one block per nonempty eigenspace; the trivial group has only the first
     eigenbases = [V for V in (_orbit_basis(perm, sign), _orbit_basis(perm, -sign)) if V.size]
 
-    # the PSD blocks first, so that their dense transients are freed before
-    # the program's long-lived rows are allocated
-    blocks = _psd_blocks(problem, layout, eigenbases)
-
-    objective = np.zeros(nv)
+    objective = np.zeros(layout.num_vars)
     objective[layout.idx_gamma] = problem.weights.gamma
     objective[layout.idx_gamma_u1] = problem.weights.gamma_u1
     objective[layout.idx_gamma_u2] = problem.weights.gamma_u2
 
-    equalities = []
-    inequalities = []
-
+    # rows in theta as (variable, coefficient) entries and right-hand side:
     # weight rows +-D_ij - eps t_i <= 0, i.e. |Psi_ij - W_ij| <= eps, and
     # +-s_ij - eps (t_i + t_j) <= 0 for a merged pair s_ij = D_ij + D_ji
-    boxes = []
     t_z = layout.sl_T_z.start
     merged = range(layout.sl_D_z.start, layout.sl_D_z.stop)
-    for k, i, j in zip(merged, *np.triu_indices(dims.n)):
-        boxes.append((k, (t_z + i,) if i == j else (t_z + i, t_z + j), tol.w_x))
+    boxes = [
+        (k, (t_z + i,) if i == j else (t_z + i, t_z + j), tol.w_x)
+        for k, i, j in zip(merged, *np.triu_indices(dims.n))
+    ]
     for sl_D, sl_T, cols, eps in (
         (layout.sl_D_u, layout.sl_T_z, dims.n_u, tol.w_u),
         (layout.sl_D_gz, layout.sl_T_g, dims.n, tol.w_fx),
@@ -501,32 +502,22 @@ def assemble_synthesis_sdp(problem: SynthesisProblem) -> tuple[ConicProgram, Var
     ):
         for k in range(sl_D.start, sl_D.stop):
             boxes.append((k, (sl_T.start + (k - sl_D.start) // cols,), eps))
-    for k, t_idx, eps in boxes:
-        for sign in (1.0, -1.0):
-            row = _unit_row(nv, [(k, sign)] + [(t, -eps) for t in t_idx])
-            inequalities.append((row, 0.0))
-
-    for sl in (layout.sl_T_z, layout.sl_T_g):
-        for idx in range(sl.start, sl.stop):
-            inequalities.append((_unit_row(nv, [(idx, -1.0)]), -problem.t_floor))
-    inequalities.append((_unit_row(nv, [(layout.idx_T_u1, -1.0)]), 0.0))
-    inequalities.append((_unit_row(nv, [(layout.idx_T_u2, -1.0)]), 0.0))
-    inequalities.append((_unit_row(nv, [(layout.idx_gamma, -1.0)]), 0.0))
+    inequalities = [
+        ([(k, sign)] + [(t, -eps) for t in t_idx], 0.0)
+        for k, t_idx, eps in boxes
+        for sign in (1.0, -1.0)
+    ]
+    # floors on diag T_z and diag T_g, which lead the decision vector
+    inequalities += [([(k, -1.0)], -problem.t_floor) for k in range(layout.sl_T_g.stop)]
+    for k in (layout.idx_T_u1, layout.idx_T_u2, layout.idx_gamma):
+        inequalities.append(([(k, -1.0)], 0.0))
 
     # fixed bound coefficients are pinned by equality; the nonnegativity row
     # is dropped so a strictly feasible interior survives
-    if problem.fixed_gamma_u1 is None:
-        inequalities.append((_unit_row(nv, [(layout.idx_gamma_u1, -1.0)]), 0.0))
-    else:
-        equalities.append(
-            (_unit_row(nv, [(layout.idx_gamma_u1, 1.0)]), problem.fixed_gamma_u1)
-        )
-    if problem.fixed_gamma_u2 is None:
-        inequalities.append((_unit_row(nv, [(layout.idx_gamma_u2, -1.0)]), 0.0))
-    else:
-        equalities.append(
-            (_unit_row(nv, [(layout.idx_gamma_u2, 1.0)]), problem.fixed_gamma_u2)
-        )
+    u1, u2 = layout.idx_gamma_u1, layout.idx_gamma_u2
+    gains = [(u1, problem.fixed_gamma_u1), (u2, problem.fixed_gamma_u2)]
+    inequalities += [([(k, -1.0)], 0.0) for k, fixed in gains if fixed is None]
+    equalities = [([(k, 1.0)], fixed) for k, fixed in gains if fixed is not None]
 
     U = layout.basis
     program = ConicProgram(
@@ -534,7 +525,7 @@ def assemble_synthesis_sdp(problem: SynthesisProblem) -> tuple[ConicProgram, Var
         objective=objective @ U + 0.0,
         equalities=_rows_over(equalities, U),
         inequalities=_rows_over(inequalities, U),
-        psd_blocks=blocks,
+        psd_blocks=_psd_blocks(problem, layout, eigenbases),
     )
     return program, layout
 
@@ -545,12 +536,14 @@ def _with_multiplier_cap(
     """The rescue program: the assembled program plus T <= _MULTIPLIER_CAP
     on every diagonal multiplier (diag T_z, diag T_g, T_u1 and T_u2, which
     lead the decision vector), placed before the trailing gamma >= 0 rows."""
-    nv = layout.num_vars
-    caps = [(_unit_row(nv, [(k, 1.0)]), _MULTIPLIER_CAP) for k in range(layout.idx_T_u2 + 1)]
+    caps = [([(k, 1.0)], _MULTIPLIER_CAP) for k in range(layout.idx_T_u2 + 1)]
     caps = _rows_over(caps, layout.basis)
-    tail = 1 + (problem.fixed_gamma_u1 is None) + (problem.fixed_gamma_u2 is None)
     rows = program.inequalities
-    return replace(program, inequalities=rows[:-tail] + caps + rows[-tail:])
+    cut = len(rows) - 1 - (problem.fixed_gamma_u1 is None) - (problem.fixed_gamma_u2 is None)
+    return replace(program, inequalities=LinearRows(
+        scipy.sparse.vstack([rows.coeffs[:cut], caps.coeffs, rows.coeffs[cut:]], format="csr"),
+        np.concatenate([rows.rhs[:cut], caps.rhs, rows.rhs[cut:]]),
+    ))
 
 
 @dataclass(frozen=True)

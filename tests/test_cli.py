@@ -309,3 +309,15 @@ class TestSweepAndSimulate:
             out=str(tmp_path),
         )
         assert main(["simulate", "--config", cfg]) == 2
+
+    def test_simulate_qp_not_a_mapping_exits_2(self, tmp_path, small_net, capsys):
+        _, path = small_net
+        (tmp_path / "qp.json").write_text(json.dumps([1, 2]))
+        cfg = write_config(
+            tmp_path / "c.json",
+            network=path,
+            qp=str(tmp_path / "qp.json"),
+            out=str(tmp_path),
+        )
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "qp document must be a mapping" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import robsyn.conic
 from robsyn.conic import (
     ConicProgram,
+    LinearRows,
     PsdBlockMap,
     SolverOptions,
     SolverStatus,
@@ -67,25 +68,25 @@ def test_pure_lp_corner():
     prog = ConicProgram(
         num_vars=2,
         objective=[-1.0, -2.0],
-        inequalities=[
-            ([1.0, 0.0], 1.0),
-            ([0.0, 1.0], 1.0),
-            ([-1.0, 0.0], 0.0),
-            ([0.0, -1.0], 0.0),
-            ([1.0, 1.0], 1.5),
-        ],
+        inequalities=LinearRows(
+            [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+            [1.0, 1.0, 0.0, 0.0, 1.5],
+        ),
     )
     res = solve_conic(prog)
     assert res.status == SolverStatus.OPTIMAL
     assert np.allclose(res.theta, [0.5, 1.0], atol=1e-6)
 
 
+NONNEGATIVE_PAIR = LinearRows(-np.eye(2), np.zeros(2))
+
+
 def test_equality_constraint_is_respected():
     prog = ConicProgram(
         num_vars=2,
         objective=[1.0, 0.0],
-        equalities=[([1.0, 1.0], 5.0)],
-        inequalities=[([-1.0, 0.0], 0.0), ([0.0, -1.0], 0.0)],
+        equalities=LinearRows([[1.0, 1.0]], [5.0]),
+        inequalities=NONNEGATIVE_PAIR,
         psd_blocks=[PsdBlockMap(const=[[0.0]], coeffs=[[1.0], [1.0]])],
     )
     res = solve_conic(prog)
@@ -95,15 +96,12 @@ def test_equality_constraint_is_respected():
     assert res.objective_value == pytest.approx(0.0, abs=1e-6)
 
 
-NONNEGATIVE_PAIR = [([-1.0, 0.0], 0.0), ([0.0, -1.0], 0.0)]
-
-
 @pytest.mark.parametrize(
     "equalities",
     [
-        [([1.0, 1.0], 5.0), ([2.0, 2.0], 10.0)],
-        [([1.0, 1.0], 5.0), ([1.0, 1.0], 6.0)],
-        [([1.0, 0.0], 1.0), ([0.0, 1.0], 2.0), ([1.0, 1.0], 3.0)],
+        LinearRows([[1.0, 1.0], [2.0, 2.0]], [5.0, 10.0]),
+        LinearRows([[1.0, 1.0], [1.0, 1.0]], [5.0, 6.0]),
+        LinearRows([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0]),
     ],
     ids=["dependent", "inconsistent", "more-rows-than-variables"],
 )
@@ -124,8 +122,8 @@ def test_all_variables_pinned_solves_at_the_pinned_point():
     prog = ConicProgram(
         num_vars=2,
         objective=[1.0, 1.0],
-        equalities=[([1.0, 0.0], 1.0), ([0.0, 1.0], 2.0)],
-        inequalities=NONNEGATIVE_PAIR + [([1.0, 1.0], 4.0)],
+        equalities=LinearRows(np.eye(2), [1.0, 2.0]),
+        inequalities=LinearRows([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 4.0]),
         psd_blocks=[
             PsdBlockMap(const=[[0.0, 1.0], [1.0, 0.0]], coeffs=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         ],
@@ -141,7 +139,7 @@ def test_infeasible_program_is_certified():
     prog = ConicProgram(
         num_vars=1,
         objective=[1.0],
-        inequalities=[([1.0], 1.0)],
+        inequalities=LinearRows([[1.0]], [1.0]),
         psd_blocks=[PsdBlockMap(const=[[-2.0]], coeffs=[[1.0]])],
     )
     res = solve_conic(prog)
@@ -182,6 +180,31 @@ def test_verify_solution_reports_violations():
     assert bad.max_eig_violation == pytest.approx(-bad.psd_min_eig)
 
 
+def test_verify_solution_reads_the_linear_rows():
+    prog = ConicProgram(
+        num_vars=2,
+        objective=[1.0, 0.0],
+        equalities=LinearRows([[1.0, 1.0]], [5.0]),
+        inequalities=LinearRows([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]], [0.0, 0.0, 4.0]),
+    )
+    # rows -7, 1 and 3 above their bounds; the equality 1 off
+    bad = verify_solution(prog, [7.0, -1.0])
+    assert (bad.ineq_violation, bad.eq_residual) == (3.0, 1.0)
+    good = verify_solution(prog, [3.0, 2.0])
+    assert (good.ineq_violation, good.eq_residual) == (0.0, 0.0)
+
+
+def test_linear_rows_are_kept_canonical():
+    # row 0 as the unsorted, duplicated entries (1, 2.0), (0, 1.0), (1, 0.5)
+    coeffs = scipy.sparse.csr_array(
+        ([2.0, 1.0, 0.5, -1.0], [1, 0, 1, 1], [0, 3, 4]), shape=(2, 2)
+    )
+    rows = LinearRows(coeffs, [1.0, 0.0])
+    assert len(rows) == 2 and rows.coeffs.has_canonical_format
+    assert np.array_equal(rows.coeffs.indices, [0, 1, 1])
+    assert np.array_equal(rows.coeffs.toarray(), [[1.0, 2.5], [0.0, -1.0]])
+
+
 def test_psd_block_validation():
     with pytest.raises(ValueError, match="square"):
         PsdBlockMap(const=[[1.0, 0.0]], coeffs=[[1.0]])
@@ -220,7 +243,7 @@ def test_psd_block_matches_a_dense_reference():
         blk = PsdBlockMap(const=const, coeffs=coeffs)
         assert blk.dim == m
         assert np.array_equal(blk.const, A0)
-        assert np.array_equal(blk.coefficient_stack(), stack)
+        assert np.array_equal(blk.coeffs.toarray(), upper)
         np.testing.assert_allclose(
             blk.evaluate(theta), A0 + np.tensordot(theta, stack, 1), rtol=0, atol=1e-14
         )
@@ -277,6 +300,15 @@ def test_program_validation():
         ConicProgram(num_vars=0, objective=[])
     with pytest.raises(ValueError):
         ConicProgram(num_vars=2, objective=[1.0])
+    for rows in ("equalities", "inequalities"):
+        with pytest.raises(ValueError, match="3 columns for 2 variables"):
+            ConicProgram(num_vars=2, objective=[1.0, 0.0], **{rows: LinearRows(np.eye(3), np.ones(3))})
+    with pytest.raises(ValueError, match="one entry per row"):
+        LinearRows(np.eye(2), [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="one entry per row"):
+        LinearRows(scipy.sparse.csr_array(np.eye(2)), [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="matrix"):
+        LinearRows([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         SolverOptions(feas_tol=0.0)
     with pytest.raises(ValueError):
@@ -338,16 +370,12 @@ def random_box_sdp(seed):
         coeffs.append(S[np.triu_indices(m)])
     margin = 1.0 + rng.uniform(0, 2)
     const = margin * np.eye(m)
-    ineqs = []
-    for k in range(nv):
-        e = np.zeros(nv)
-        e[k] = 1.0
-        ineqs.append((e.copy(), 3.0))
-        ineqs.append((-e, 3.0))
+    # theta_k <= 3 and -theta_k <= 3, row by row
+    box = np.repeat(np.eye(nv), 2, axis=0) * np.tile([1.0, -1.0], nv)[:, None]
     return ConicProgram(
         num_vars=nv,
         objective=rng.standard_normal(nv),
-        inequalities=ineqs,
+        inequalities=LinearRows(box, np.full(2 * nv, 3.0)),
         psd_blocks=[PsdBlockMap(const=const, coeffs=coeffs)],
     )
 
@@ -365,17 +393,15 @@ def lagrange_dual(prog):
     nz = len(iu[0])
     weight = np.where(iu[0] == iu[1], 1.0, 2.0)      # <Z, A> over the triangle
     A0 = blk.const[iu] * weight
-    Ak = blk.coefficient_stack()[:, iu[0], iu[1]] * weight
-    G = np.array([a for a, _ in prog.inequalities])
-    r = np.array([b for _, b in prog.inequalities])
+    Ak = blk.coeffs.toarray() * weight
+    G = prog.inequalities.coeffs.toarray()
+    r = prog.inequalities.rhs
     nl = len(r)
-    equalities = [(np.concatenate([Ak[k], -G[:, k]]), prog.objective[k]) for k in range(nv)]
-    inequalities = [(-np.eye(nz + nl)[nz + i], 0.0) for i in range(nl)]
     return ConicProgram(
         num_vars=nz + nl,
         objective=np.concatenate([A0, r]),
-        equalities=equalities,
-        inequalities=inequalities,
+        equalities=LinearRows(np.hstack([Ak, -G.T]), prog.objective),
+        inequalities=LinearRows(-np.eye(nz + nl)[nz:], np.zeros(nl)),
         psd_blocks=[PsdBlockMap(const=np.zeros((m, m)), coeffs=np.eye(nz + nl, nz))],
     )
 

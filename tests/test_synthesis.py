@@ -192,7 +192,8 @@ class TestAssembly:
         assert L.num_vars == net.n + net.n_g + 5 + n_dev
         assert len(program.equalities) == 0
         assert len(program.inequalities) == floor_rows + 2 * n_dev
-        for a, r in program.inequalities[: 2 * n_dev]:
+        rows = program.inequalities
+        for a, r in zip(rows.coeffs.toarray()[: 2 * n_dev], rows.rhs):
             nz = np.flatnonzero(a)
             assert r == 0.0 and len(nz) == 2
             assert abs(a[nz[1]]) == 1.0 and a[nz[0]] in (-1e-3, -2e-3)
@@ -211,10 +212,11 @@ class TestAssembly:
         )
         assert len(capped.inequalities) == len(base.inequalities) + len(t_indices)
         assert len(capped.equalities) == len(base.equalities)
-        extras = [(a, r) for (a, r) in capped.inequalities if r == _MULTIPLIER_CAP]
+        rows = capped.inequalities
+        extras = rows.coeffs.toarray()[rows.rhs == _MULTIPLIER_CAP]
         assert len(extras) == len(t_indices)
         hit = set()
-        for a, r in extras:
+        for a in extras:
             nz = np.flatnonzero(a)
             assert len(nz) == 1 and a[nz[0]] == 1.0
             hit.add(int(nz[0]))
@@ -454,10 +456,10 @@ class TestSynthesis:
             seen[-1].append((
                 program.num_vars,
                 program.objective,
-                [a for a, _ in program.inequalities], [r for _, r in program.inequalities],
-                [a for a, _ in program.equalities], [r for _, r in program.equalities],
+                program.inequalities.coeffs.toarray(), program.inequalities.rhs,
+                program.equalities.coeffs.toarray(), program.equalities.rhs,
                 *(blk.const for blk in program.psd_blocks),
-                *(blk.coefficient_stack() for blk in program.psd_blocks),
+                *(blk.coeffs.toarray() for blk in program.psd_blocks),
             ))
             return solve(program, options)
 
@@ -513,7 +515,7 @@ class TestMergedStatePairs:
         net = random_well_posed_network(4, n=3, n_u=1, n_g=1)
         eps = 0.1
         program, L = assemble_synthesis_sdp(small_problem(net, eps))
-        rows = [a for a, _ in program.inequalities[: 2 * (L.sl_D_z.stop - L.sl_D_z.start)]]
+        rows = program.inequalities.coeffs.toarray()[: 2 * (L.sl_D_z.stop - L.sl_D_z.start)]
         for k, (i, j) in enumerate(zip(*np.triu_indices(net.n))):
             for row, sign in zip(rows[2 * k : 2 * k + 2], (1.0, -1.0)):
                 expect = np.zeros(L.num_vars)
@@ -525,14 +527,15 @@ class TestMergedStatePairs:
 
 
 def program_digest(program):
-    """SHA-256 prefix of every array of a conic program, in order.  A PSD
-    block is read as entry arrays: (i, j, value) of the nonzero upper
-    entries of the constant, then (variable, i, j, value) of the coefficient
-    rows' entries."""
+    """SHA-256 prefix of every array of a conic program, in order.  The
+    linear rows are read as dense rows, then their right-hand side; a PSD
+    block as entry arrays: (i, j, value) of the nonzero upper entries of the
+    constant, then (variable, i, j, value) of the coefficient rows'
+    entries."""
     h = hashlib.sha256()
     arrays = [np.array([program.num_vars]), program.objective]
     for rows in (program.equalities, program.inequalities):
-        arrays += [a for a, _ in rows] + [np.array([r for _, r in rows])]
+        arrays += [rows.coeffs.toarray(), rows.rhs]
     for blk in program.psd_blocks:
         iu = np.triu_indices(blk.dim)
         nz = np.flatnonzero(blk.const[iu])
@@ -621,6 +624,70 @@ class TestOddSymmetry:
             [np.linalg.eigvalsh(blk.evaluate(phi)) for blk in program.psd_blocks]
         ))
         np.testing.assert_allclose(reduced, full, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_rows_are_made_once_per_orbit(self, mpc_net, monkeypatch, capped):
+        # the program assembled in theta, reduced by the orbit basis, has
+        # exactly the orbit program's rows, each once and in the same order:
+        # a mirrored variable's rows are its leader's, so they are not made
+        prob = mpc_problem(mpc_net, 1e-5)
+        program, L = assemble_synthesis_sdp(prob)
+        monkeypatch.setattr(robsyn.synthesis, "odd_symmetry", lambda network: None)
+        full, L_full = assemble_synthesis_sdp(prob)
+        assert full.num_vars == L.num_vars == 505
+        if capped:
+            program = _with_multiplier_cap(prob, program, L)
+            full = _with_multiplier_cap(prob, full, L_full)
+        for name in ("equalities", "inequalities"):
+            rows, rows_full = getattr(program, name), getattr(full, name)
+            reduced = (rows_full.coeffs @ L.basis).toarray()
+            distinct = dict.fromkeys((a.tobytes(), r) for a, r in zip(reduced, rows_full.rhs))
+            made = [(a.tobytes(), r) for a, r in zip(rows.coeffs.toarray(), rows.rhs)]
+            assert list(distinct) == made
+        sizes = (1005, 545) if capped else (973, 523)
+        assert (len(full.inequalities), len(program.inequalities)) == sizes
+
+    def test_flipped_fixed_variables_lose_only_implied_rows(self, monkeypatch):
+        # state 2 is fixed by pi = [1, 0, 2] and its input weight is zero, so
+        # the symmetry flips D_u[2, 0] and D_gz[0, 2] in place: they lie in
+        # no orbit, and their box rows reduce to -eps t <= 0, which the
+        # floors t >= t_floor already imply; those two rows are not made
+        net = ImplicitNetwork(
+            W_x=np.array([[0.2, 0.1, 0.3], [0.1, 0.2, 0.3], [0.15, 0.15, 0.1]]),
+            W_u=np.array([[1.0], [-1.0], [0.0]]),
+            W_fx=np.array([[1.0, -1.0, 0.0]]),
+            W_fu=np.array([[0.5]]),
+            b=np.zeros(3),
+            b_f=np.zeros(1),
+            activation=Activation.relu(),
+        )
+        assert np.array_equal(odd_symmetry(net), [1, 0, 2])
+        eps = 0.05
+        prob = small_problem(net, eps)
+        program, L = assemble_synthesis_sdp(prob)
+        orbit = synthesize(prob)
+        monkeypatch.setattr(robsyn.synthesis, "odd_symmetry", lambda network: None)
+        full, _ = assemble_synthesis_sdp(prob)
+        plain = synthesize(prob)
+        reduced = (full.inequalities.coeffs @ L.basis).toarray()
+        distinct = dict.fromkeys(
+            (a.tobytes(), r) for a, r in zip(reduced, full.inequalities.rhs)
+        )
+        made = [(a.tobytes(), r) for a, r in zip(
+            program.inequalities.coeffs.toarray(), program.inequalities.rhs
+        )]
+        assert (len(distinct), len(made)) == (24, 22)
+        dropped = [np.frombuffer(a) for a, r in distinct if (a, r) not in made]
+        col = L.basis.toarray().argmax(axis=1)
+        t_cols = {col[L.sl_T_z.start + 2], col[L.sl_T_g.start]}
+        assert len(dropped) == 2
+        for a in dropped:
+            (nz,) = np.flatnonzero(a)
+            assert nz in t_cols and a[nz] == -eps
+        assert [a for a in made if a not in distinct] == []
+        assert orbit.certificate.objective_value == pytest.approx(
+            plain.certificate.objective_value, rel=1e-6
+        )
 
     # digests of the programs assembled before the symmetry reduction existed
     @pytest.mark.parametrize(

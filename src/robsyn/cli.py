@@ -11,12 +11,19 @@ record of an experiment.  Subcommands:
     sweep        synthesis across a tolerance grid, CSV + plot data out
     simulate     closed-loop rollout of a network against the exact QP law
 
+Every config value is type-checked against its key's kind in _KINDS
+(string, boolean, number, integer, number list, matrix, or a section of
+sub-keys) before anything runs.  Each document is written down once: the
+MPC problem's fields by the mpc section (for the preset, the config,
+mpc-build's qp.json and simulate, which checks qp.json by the same kinds),
+certificate.json's keys by _CERT_KEYS for its writer and its loader.
+
 Exit codes: 0 success, 1 runtime failure (including verify finding
 violations and mpc-build failing its oracle-agreement check), 2 config or
 schema problem (the offending key is named), 3 infeasible, 4 numerical
-failure.  CSV output is comma-separated with '.' decimals, a header row and
-LF line endings; the leading timestamp comment can be disabled with
---no-timestamp so reruns are byte-identical.
+failure.  CSV output (verification.write_csv) is comma-separated with '.'
+decimals, a header row and LF line endings; the leading timestamp comment
+can be disabled with --no-timestamp so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -54,8 +61,8 @@ from .verification import (
     SampleSpec,
     empirical_bound_check,
     max_weight_deviation,
-    open_artifact,
     sweep_tolerance,
+    write_csv,
 )
 
 _DEFAULTS = {
@@ -84,25 +91,46 @@ _DEFAULTS = {
     "t_floor": 1e-6,
 }
 
-_SECTION_KEYS = {
-    "mpc": {"A", "B", "Q", "R", "P", "horizon", "v_bound"},
-    "pairset": {"eps_u1", "eps_u2"},
-    "weights": {"gamma", "gamma_u1", "gamma_u2"},
-    "tolerances": {"uniform", "w_x", "w_u", "w_fx", "w_fu"},
-    "solver": {f.name for f in dataclasses.fields(SolverOptions)},
+# The kind of every config key: "string", "boolean", "number", "integer",
+# "number list", "number pair" (a list of two numbers), "matrix" (a list of
+# equal-length lists of numbers), or a section mapping each sub-key to its
+# kind.  The mpc section's kinds also check the problem fields of qp.json.
+_KINDS = {
+    "preset": "string",
+    "network": "string",
+    "qp": "string",
+    "certificate": "string",
+    "out": "string",
+    "seed": "integer",
+    "jobs": "integer",
+    "timestamp": "boolean",
+    "mpc": {
+        "A": "matrix",
+        "B": "matrix",
+        "Q": "matrix",
+        "R": "matrix",
+        "P": "matrix",
+        "horizon": "integer",
+        "v_bound": "number",
+    },
+    "pairset": {"eps_u1": "number", "eps_u2": "number"},
+    "weights": {"gamma": "number", "gamma_u1": "number", "gamma_u2": "number"},
+    "tolerances": dict.fromkeys(("uniform", "w_x", "w_u", "w_fx", "w_fu"), "number"),
+    "fixed_gamma_u1": "number",
+    "fixed_gamma_u2": "number",
+    "fix_gains": "boolean",
+    "sweep_grid": "number list",
+    "samples": "integer",
+    "base_box": "number pair",
+    "steps": "integer",
+    "w0": "number list",
+    "solver": {
+        f.name: "integer" if f.type in (int, "int") else "number"
+        for f in dataclasses.fields(SolverOptions)
+    },
+    "strictness_shift": "number",
+    "t_floor": "number",
 }
-
-# Keys whose values are numbers, and keys whose values are lists of numbers
-# (with the required length, if any).  Every key of a section is a number
-# except the mpc matrices, which are lists of equal-length lists of numbers.
-_NUMBER_KEYS = {
-    "seed", "jobs", "samples", "steps", "strictness_shift", "t_floor",
-    "fixed_gamma_u1", "fixed_gamma_u2",
-}
-# Number keys, top-level or 'section.key', whose values must be integers.
-_INTEGER_KEYS = {"seed", "jobs", "samples", "steps", "mpc.horizon", "solver.max_iters"}
-_NUMBER_LIST_KEYS = {"sweep_grid": None, "w0": None, "base_box": 2}
-_MPC_MATRICES = {"A", "B", "Q", "R", "P"}
 
 ORACLE_AGREEMENT_TOL = 1e-5
 
@@ -114,73 +142,94 @@ def _require_number(value, name: str, integer: bool = False) -> None:
         raise SchemaError(f"{name} must be an integer")
 
 
-def _require_matrix(value, name: str) -> None:
-    if (
-        not isinstance(value, list)
-        or not all(isinstance(row, list) for row in value)
-        or len({len(row) for row in value}) > 1
-    ):
-        raise SchemaError(f"{name} must be a list of equal-length lists of numbers")
-    for row in value:
-        for item in row:
+def _check(value, kind, doc: str, key: str) -> None:
+    """Raise SchemaError, naming the key, unless value is of the given kind.
+
+    doc names the document ("config", "certificate", "qp document") and key
+    is the value's dotted path in it.
+    """
+    name = f"{doc} key {key!r}"
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise SchemaError(f"{name} must be an object")
+        for sub, item in value.items():
+            if sub not in kind:
+                raise SchemaError(f"unknown {doc} key: '{key}.{sub}'")
+            _check(item, kind[sub], doc, f"{key}.{sub}")
+    elif kind in ("string", "boolean"):
+        if not isinstance(value, str if kind == "string" else bool):
+            raise SchemaError(f"{name} must be a {kind}")
+    elif kind in ("number", "integer"):
+        _require_number(value, name, kind == "integer")
+    elif kind == "matrix":
+        if (
+            not isinstance(value, list)
+            or not all(isinstance(row, list) for row in value)
+            or len({len(row) for row in value}) > 1
+        ):
+            raise SchemaError(f"{name} must be a list of equal-length lists of numbers")
+        for row in value:
+            for item in row:
+                _require_number(item, f"each entry of {name}")
+    else:
+        pair = kind == "number pair"
+        if not isinstance(value, list) or (pair and len(value) != 2):
+            raise SchemaError(f"{name} must be a list of {'2 ' if pair else ''}numbers")
+        for item in value:
             _require_number(item, f"each entry of {name}")
 
 
-def _validate_config(raw: dict) -> None:
+def _read_document(path: str, doc: str) -> dict:
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as ex:
+            raise SchemaError(f"{doc} file is not valid JSON: {ex}") from None
     if not isinstance(raw, dict):
-        raise SchemaError("config document must be a mapping")
+        raise SchemaError(f"{doc} document must be a mapping")
+    return raw
+
+
+def _validate_config(raw: dict) -> None:
     for key, value in raw.items():
-        if key not in _DEFAULTS:
+        if key not in _KINDS:
             raise SchemaError(f"unknown config key: {key!r}")
         if value is None:
             if _DEFAULTS[key] is not None:
                 raise SchemaError(f"config key {key!r} must not be null")
             continue
-        if key in _NUMBER_KEYS:
-            _require_number(value, f"config key {key!r}", key in _INTEGER_KEYS)
-        if key in _NUMBER_LIST_KEYS:
-            length = _NUMBER_LIST_KEYS[key]
-            if not isinstance(value, list) or (length is not None and len(value) != length):
-                what = f"a list of {length} numbers" if length else "a list of numbers"
-                raise SchemaError(f"config key {key!r} must be {what}")
-            for item in value:
-                _require_number(item, f"each entry of config key {key!r}")
-        if key in _SECTION_KEYS:
-            if not isinstance(value, dict):
-                raise SchemaError(f"config key {key!r} must be an object")
-            for sub, item in value.items():
-                if sub not in _SECTION_KEYS[key]:
-                    raise SchemaError(f"unknown config key: '{key}.{sub}'")
-                if key == "mpc" and sub in _MPC_MATRICES:
-                    _require_matrix(item, f"config key '{key}.{sub}'")
-                else:
-                    name = f"{key}.{sub}"
-                    _require_number(item, f"config key {name!r}", name in _INTEGER_KEYS)
+        _check(value, _KINDS[key], "config", key)
     tol = raw.get("tolerances")
     if isinstance(tol, dict) and "uniform" in tol and len(tol) > 1:
         raise SchemaError("config key 'tolerances.uniform' excludes the per-block keys")
 
 
+def _mpc_fields(problem: MpcProblem) -> dict:
+    """The problem's fields as JSON values, in the mpc section's order."""
+    return {key: np.asarray(getattr(problem, key)).tolist() for key in _KINDS["mpc"]}
+
+
+def _mpc_problem(fields: dict, doc: str) -> MpcProblem:
+    """The problem whose fields are given, each checked by the mpc section's
+    kind; keys other than the problem's are ignored."""
+    for key, kind in _KINDS["mpc"].items():
+        if key not in fields:
+            raise SchemaError(f"{doc} is missing key {key!r}")
+        _check(fields[key], kind, doc, key)
+    values = {key: fields[key] for key in _KINDS["mpc"]}
+    values["v_bound"] = float(values["v_bound"])
+    return MpcProblem(**values)
+
+
 def _preset_sections(name: str) -> dict:
     if name == "paper-mpc":
-        p = reference_mpc_problem()
-        return {
-            "mpc": {
-                "A": p.A.tolist(),
-                "B": p.B.tolist(),
-                "Q": p.Q.tolist(),
-                "R": p.R.tolist(),
-                "P": p.P.tolist(),
-                "horizon": p.horizon,
-                "v_bound": p.v_bound,
-            }
-        }
+        return {"mpc": _mpc_fields(reference_mpc_problem())}
     raise SchemaError(f"unknown preset {name!r}")
 
 
 def _merge(cfg: dict, updates: dict) -> None:
     for key, value in updates.items():
-        if key in _SECTION_KEYS and isinstance(value, dict) and isinstance(cfg.get(key), dict):
+        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
             cfg[key].update(value)
         else:
             cfg[key] = copy.deepcopy(value)
@@ -191,11 +240,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(_DEFAULTS)
     raw = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as ex:
-                raise SchemaError(f"config file is not valid JSON: {ex}") from None
+        raw = _read_document(args.config, "config")
         _validate_config(raw)
     preset = raw.get("preset")
     if preset:
@@ -207,9 +252,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
             cfg[flag] = value
     if args.no_timestamp:
         cfg["timestamp"] = False
-    if not 0 <= int(cfg["seed"]) < 2**64:
+    if not 0 <= cfg["seed"] < 2**64:
         raise SchemaError("config key 'seed' must fit in an unsigned 64-bit integer")
-    if int(cfg["jobs"]) < 1:
+    if cfg["jobs"] < 1:
         raise SchemaError("config key 'jobs' must be a positive integer")
     return cfg
 
@@ -248,29 +293,15 @@ def _solver_options(cfg: dict) -> SolverOptions | None:
     return SolverOptions(**cfg["solver"]) if cfg["solver"] else None
 
 
-def _sample_spec(cfg: dict, num_pairs: int | None = None) -> SampleSpec:
+def _sample_spec(cfg: dict) -> SampleSpec:
     lo, hi = cfg["base_box"]
-    return SampleSpec(
-        num_pairs=int(num_pairs if num_pairs is not None else cfg["samples"]),
-        base_box=(float(lo), float(hi)),
-    )
+    return SampleSpec(num_pairs=cfg["samples"], base_box=(float(lo), float(hi)))
 
 
 def _problem_from_cfg(cfg: dict) -> MpcProblem:
-    m = cfg["mpc"]
-    if not m:
-        return reference_mpc_problem()
-    filled = dict(_preset_sections("paper-mpc")["mpc"])
-    filled.update(m)
-    return MpcProblem(
-        A=np.asarray(filled["A"], dtype=float),
-        B=np.asarray(filled["B"], dtype=float),
-        Q=np.asarray(filled["Q"], dtype=float),
-        R=np.asarray(filled["R"], dtype=float),
-        P=np.asarray(filled["P"], dtype=float),
-        horizon=int(filled["horizon"]),
-        v_bound=float(filled["v_bound"]),
-    )
+    """The config's mpc section over the reference problem's fields."""
+    fields = {**_mpc_fields(reference_mpc_problem()), **(cfg["mpc"] or {})}
+    return _mpc_problem(fields, "config")
 
 
 def _write_json(doc: dict, path: str) -> None:
@@ -279,15 +310,9 @@ def _write_json(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
-_CERT_FIELDS = (
-    "gamma",
-    "gamma_u1",
-    "gamma_u2",
-    "eps_u1",
-    "eps_u2",
-    "lmi_margin",
-    "objective_value",
-)
+# certificate.json's keys, in the order they are written: the certificate's
+# fields with its input set's two radii in place of input_set
+_CERT_KEYS = ("gamma", "gamma_u1", "gamma_u2", "eps_u1", "eps_u2", "lmi_margin", "objective_value")
 # written by earlier releases, which re-solved marginal instances at a
 # relaxed margin; accepted and ignored so that their certificates still load
 _LEGACY_CERT_KEY = "strictness_relaxed"
@@ -295,44 +320,24 @@ _LEGACY_CERT_KEY = "strictness_relaxed"
 
 def _write_certificate(sol, path: str) -> None:
     cert = sol.certificate
-    _write_json(
-        {
-            "gamma": cert.gamma,
-            "gamma_u1": cert.gamma_u1,
-            "gamma_u2": cert.gamma_u2,
-            "eps_u1": cert.input_set.eps_u1,
-            "eps_u2": cert.input_set.eps_u2,
-            "lmi_margin": cert.lmi_margin,
-            "objective_value": cert.objective_value,
-        },
-        path,
-    )
+    values = {**dataclasses.asdict(cert), **dataclasses.asdict(cert.input_set)}
+    _write_json({key: values[key] for key in _CERT_KEYS}, path)
 
 
 def _load_certificate(path: str) -> RobustnessCertificate:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as ex:
-            raise SchemaError(f"certificate file is not valid JSON: {ex}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("certificate document must be a mapping")
+    doc = _read_document(path, "certificate")
     for key in doc:
-        if key not in _CERT_FIELDS and key != _LEGACY_CERT_KEY:
+        if key not in _CERT_KEYS and key != _LEGACY_CERT_KEY:
             raise SchemaError(f"unknown certificate key: {key!r}")
-    missing = [k for k in _CERT_FIELDS if k not in doc]
+    missing = [k for k in _CERT_KEYS if k not in doc]
     if missing:
         raise SchemaError(f"certificate document is missing keys: {missing}")
-    for key in _CERT_FIELDS:
-        _require_number(doc[key], f"certificate key {key!r}")
-    return RobustnessCertificate(
-        gamma=float(doc["gamma"]),
-        gamma_u1=float(doc["gamma_u1"]),
-        gamma_u2=float(doc["gamma_u2"]),
-        input_set=InputPairSet(float(doc["eps_u1"]), float(doc["eps_u2"])),
-        lmi_margin=float(doc["lmi_margin"]),
-        objective_value=float(doc["objective_value"]),
-    )
+    values = {}
+    for key in _CERT_KEYS:
+        _check(doc[key], "number", "certificate", key)
+        values[key] = float(doc[key])
+    input_set = InputPairSet(values.pop("eps_u1"), values.pop("eps_u2"))
+    return RobustnessCertificate(input_set=input_set, **values)
 
 
 def _state_grid(n_x: int, base_box, seed: int) -> np.ndarray:
@@ -348,31 +353,16 @@ def cmd_mpc_build(cfg: dict) -> int:
     problem = _problem_from_cfg(cfg)
     qp = condense_qp(problem)
     net = qp_to_implicit_network(qp, attach_hint=False)
-    states = _state_grid(problem.n_x, cfg["base_box"], int(cfg["seed"]))
+    states = _state_grid(problem.n_x, cfg["base_box"], cfg["seed"])
     G = evaluate_batch(net, states.T)[0]
     err = 0.0
     for j, w in enumerate(states):
         err = max(err, float(np.max(np.abs(G[:, j] - solve_qp_oracle(qp, w).v))))
     net_path = _out_path(cfg, "network.json")
     save_network(net, net_path)
-    _write_json(
-        {
-            "A": problem.A.tolist(),
-            "B": problem.B.tolist(),
-            "Q": problem.Q.tolist(),
-            "R": problem.R.tolist(),
-            "P": problem.P.tolist(),
-            "horizon": problem.horizon,
-            "v_bound": problem.v_bound,
-            "H": qp.H.tolist(),
-            "F": qp.F.tolist(),
-            "E": qp.E.tolist(),
-            "G": qp.G.tolist(),
-            "c": qp.c.tolist(),
-            "S_w": qp.S_w.tolist(),
-        },
-        _out_path(cfg, "qp.json"),
-    )
+    qp_doc = _mpc_fields(problem)
+    qp_doc.update((key, getattr(qp, key).tolist()) for key in ("H", "F", "E", "G", "c", "S_w"))
+    _write_json(qp_doc, _out_path(cfg, "qp.json"))
     print(f"network dims: n={net.n} n_u={net.n_u} n_g={net.n_g}")
     if qp.n_dec == 1:
         print(f"condensed cost H = {qp.H[0, 0]:.4f}")
@@ -422,12 +412,12 @@ def cmd_analyze(cfg: dict) -> int:
     sol = synthesize(problem, options=_solver_options(cfg))
     _write_certificate(sol, _out_path(cfg, "certificate.json"))
     cert = sol.certificate
-    with open_artifact(_out_path(cfg, "analysis.csv"), cfg["timestamp"]) as fh:
-        fh.write("gamma,gamma_u1,gamma_u2,objective,lmi_margin\n")
-        fh.write(
-            f"{cert.gamma:.17g},{cert.gamma_u1:.17g},{cert.gamma_u2:.17g},"
-            f"{cert.objective_value:.17g},{cert.lmi_margin:.17g}\n"
-        )
+    write_csv(
+        _out_path(cfg, "analysis.csv"),
+        ("gamma", "gamma_u1", "gamma_u2", "objective", "lmi_margin"),
+        [(cert.gamma, cert.gamma_u1, cert.gamma_u2, cert.objective_value, cert.lmi_margin)],
+        cfg["timestamp"],
+    )
     print(_summary(sol))
     return 0
 
@@ -435,13 +425,13 @@ def cmd_analyze(cfg: dict) -> int:
 def cmd_verify(cfg: dict) -> int:
     net = load_network(_artifact(cfg, "network", "network.json"))
     cert = _load_certificate(_artifact(cfg, "certificate", "certificate.json"))
-    check = empirical_bound_check(net, cert, _sample_spec(cfg), seed=int(cfg["seed"]))
-    with open_artifact(_out_path(cfg, "verify.csv"), cfg["timestamp"]) as fh:
-        fh.write("num_pairs,violations,worst_margin,max_lhs,empirical_gamma_lb\n")
-        fh.write(
-            f"{check.num_pairs},{check.violations},{check.worst_margin:.17g},"
-            f"{check.max_lhs:.17g},{check.empirical_gamma_lb:.17g}\n"
-        )
+    check = empirical_bound_check(net, cert, _sample_spec(cfg), seed=cfg["seed"])
+    write_csv(
+        _out_path(cfg, "verify.csv"),
+        [f.name for f in dataclasses.fields(check)],
+        [dataclasses.astuple(check)],
+        cfg["timestamp"],
+    )
     print(
         f"violations={check.violations}/{check.num_pairs} "
         f"worst_margin={check.worst_margin:.6g} "
@@ -456,11 +446,11 @@ def cmd_sweep(cfg: dict) -> int:
         net,
         _pairset(cfg),
         cfg["sweep_grid"],
-        fix_gains=bool(cfg["fix_gains"]),
+        fix_gains=cfg["fix_gains"],
         weights=_weights(cfg),
         spec=_sample_spec(cfg),
-        seed=int(cfg["seed"]),
-        jobs=int(cfg["jobs"]),
+        seed=cfg["seed"],
+        jobs=cfg["jobs"],
     )
     csv_path = _out_path(cfg, "sweep.csv")
     result.write_csv(csv_path, timestamp=cfg["timestamp"])
@@ -470,49 +460,37 @@ def cmd_sweep(cfg: dict) -> int:
     return 0
 
 
+def _load_mpc_problem(path: str) -> MpcProblem:
+    """The MPC problem of a qp.json file, as mpc-build writes it."""
+    return _mpc_problem(_read_document(path, "qp"), "qp document")
+
+
 def cmd_simulate(cfg: dict) -> int:
-    with open(_artifact(cfg, "qp", "qp.json")) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as ex:
-            raise SchemaError(f"qp file is not valid JSON: {ex}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("qp document must be a mapping")
-    try:
-        problem = MpcProblem(
-            A=doc["A"], B=doc["B"], Q=doc["Q"], R=doc["R"], P=doc["P"],
-            horizon=int(doc["horizon"]), v_bound=float(doc["v_bound"]),
+    problem = _load_mpc_problem(_artifact(cfg, "qp", "qp.json"))
+    if len(cfg["w0"]) != problem.n_x:
+        raise SchemaError(
+            f"config key 'w0' must be a list of {problem.n_x} numbers, one per plant state"
         )
-    except KeyError as ex:
-        raise SchemaError(f"qp document is missing key {ex}") from None
     qp = condense_qp(problem)
     net = load_network(_artifact(cfg, "network", "synthesized_network.json"))
     w0 = np.asarray(cfg["w0"], dtype=float)
-    steps = int(cfg["steps"])
+    steps = cfg["steps"]
     W_ref, V_ref = simulate_closed_loop(problem, w0, steps, qp=qp)
     W_net, V_net = simulate_closed_loop(
         problem, w0, steps, controller=lambda w: evaluate(net, w).g, qp=qp
     )
     dev = float(np.max(np.abs(W_ref - W_net)))
-    with open_artifact(_out_path(cfg, "trajectory.csv"), cfg["timestamp"]) as fh:
-        cols = (
-            ["k"]
-            + [f"w_ref_{i}" for i in range(problem.n_x)]
-            + [f"w_net_{i}" for i in range(problem.n_x)]
-            + [f"v_ref_{i}" for i in range(problem.n_v)]
-            + [f"v_net_{i}" for i in range(problem.n_v)]
-        )
-        fh.write(",".join(cols) + "\n")
-        for k in range(steps + 1):
-            row = [str(k)]
-            row += [f"{x:.17g}" for x in W_ref[k]]
-            row += [f"{x:.17g}" for x in W_net[k]]
-            if k < steps:
-                row += [f"{x:.17g}" for x in V_ref[k]]
-                row += [f"{x:.17g}" for x in V_net[k]]
-            else:
-                row += [""] * (2 * problem.n_v)
-            fh.write(",".join(row) + "\n")
+    columns = (
+        ["k"]
+        + [f"w_ref_{i}" for i in range(problem.n_x)]
+        + [f"w_net_{i}" for i in range(problem.n_x)]
+        + [f"v_ref_{i}" for i in range(problem.n_v)]
+        + [f"v_net_{i}" for i in range(problem.n_v)]
+    )
+    rows = [[k, *W_ref[k], *W_net[k], *V_ref[k], *V_net[k]] for k in range(steps)]
+    # the rollout applies no input after its last state
+    rows.append([steps, *W_ref[steps], *W_net[steps], *[""] * (2 * problem.n_v)])
+    write_csv(_out_path(cfg, "trajectory.csv"), columns, rows, cfg["timestamp"])
     print(f"max trajectory deviation = {dev:.6g} over {steps} steps")
     return 0
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -255,6 +255,16 @@ def open_artifact(path: str, timestamp: bool):
     return fh
 
 
+def write_csv(path: str, columns, rows, timestamp: bool = True) -> None:
+    """A CSV artifact (see open_artifact) of a header row and one line per
+    row: floats printed with 17 significant digits, other values as str."""
+    with open_artifact(path, timestamp) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+
+
 @dataclass
 class SweepRow:
     eps: float
@@ -271,34 +281,10 @@ class SweepRow:
 class SweepResult:
     rows: list[SweepRow] = field(default_factory=list)
 
-    COLUMNS = (
-        "eps",
-        "gamma",
-        "gamma_u1",
-        "gamma_u2",
-        "objective",
-        "status",
-        "empirical_max_lhs",
-        "max_weight_deviation",
-    )
+    COLUMNS = tuple(f.name for f in fields(SweepRow))
 
     def write_csv(self, path: str, timestamp: bool = True) -> None:
-        with open_artifact(path, timestamp) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.COLUMNS)
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        f"{r.eps:.17g}",
-                        f"{r.gamma:.17g}",
-                        f"{r.gamma_u1:.17g}",
-                        f"{r.gamma_u2:.17g}",
-                        f"{r.objective:.17g}",
-                        r.status,
-                        f"{r.empirical_max_lhs:.17g}",
-                        f"{r.max_weight_deviation:.17g}",
-                    ]
-                )
+        write_csv(path, self.COLUMNS, [astuple(r) for r in self.rows], timestamp)
 
     def write_gnuplot(self, path: str, timestamp: bool = True) -> None:
         """Two-column (eps, gamma) whitespace file for direct plotting."""

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import random_well_posed_network
+from robsyn import cli
 from robsyn.cli import main
+from robsyn.mpc import reference_mpc_problem
 from robsyn.network import Activation, ImplicitNetwork, load_network, save_network
 
 
@@ -77,6 +79,14 @@ class TestConfigHandling:
             ("simulate", {"steps": 2.5}, None, "'steps'"),
             ("mpc-build", {"mpc": {"horizon": 2.5}}, None, "'mpc.horizon'"),
             ("analyze", {"solver": {"max_iters": 50.5}}, None, "'solver.max_iters'"),
+            ("analyze", {"out": 5}, None, "config key 'out' must be a string"),
+            ("analyze", {"network": 5}, None, "config key 'network' must be a string"),
+            ("verify", {"certificate": 3}, None, "config key 'certificate' must be a string"),
+            ("simulate", {"qp": 5}, None, "config key 'qp' must be a string"),
+            ("mpc-build", {"preset": 7}, None, "config key 'preset' must be a string"),
+            ("analyze", {"timestamp": "no"}, None, "config key 'timestamp' must be a boolean"),
+            ("sweep", {"fix_gains": "false"}, None, "config key 'fix_gains' must be a boolean"),
+            ("sweep", {"fix_gains": 1}, None, "config key 'fix_gains' must be a boolean"),
         ],
     )
     def test_value_of_wrong_type_exits_2(
@@ -84,15 +94,15 @@ class TestConfigHandling:
     ):
         _, path = small_net
         if cert is not None:
-            doc = dict.fromkeys(
-                ("gamma", "gamma_u1", "gamma_u2", "eps_u1", "eps_u2",
-                 "lmi_margin", "objective_value"),
-                1.0,
-            )
+            doc = dict.fromkeys(cli._CERT_KEYS, 1.0)
             (tmp_path / "certificate.json").write_text(json.dumps({**doc, **cert}))
-        cfg = write_config(tmp_path / "c.json", network=path, out=str(tmp_path), **config)
+        cfg = write_config(tmp_path / "c.json", **{"network": path, "out": str(tmp_path), **config})
         assert main([command, "--config", cfg]) == 2
         assert key in capsys.readouterr().err
+
+    def test_every_config_key_has_a_kind_its_default_is_of(self):
+        assert cli._KINDS.keys() == cli._DEFAULTS.keys()
+        cli._validate_config(cli._DEFAULTS)
 
     @pytest.mark.parametrize(
         "matrix",
@@ -231,6 +241,20 @@ class TestSynthesizeAnalyzeVerify:
         cfg = write_config(tmp_path / "c.json", network=path, out=str(tmp_path))
         assert main(["verify", "--config", cfg]) == 2
 
+    def test_certificate_reads_back_exactly(self, tmp_path, small_net, monkeypatch):
+        _, path = small_net
+        synthesize, solutions = cli.synthesize, []
+
+        def recording_synthesize(*args, **kwargs):
+            solutions.append(synthesize(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(cli, "synthesize", recording_synthesize)
+        cfg = write_config(tmp_path / "c.json", network=path, out=str(tmp_path))
+        assert main(["analyze", "--config", cfg]) == 0
+        loaded = cli._load_certificate(str(tmp_path / "certificate.json"))
+        assert loaded == solutions[0].certificate
+
     def test_verify_deterministic_per_seed(self, tmp_path, small_net):
         _, path = small_net
         cfg = write_config(tmp_path / "c.json", network=path, out=str(tmp_path), samples=300)
@@ -309,6 +333,40 @@ class TestSweepAndSimulate:
             out=str(tmp_path),
         )
         assert main(["simulate", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("horizon", 2.7, "qp document key 'horizon' must be an integer"),
+            ("A", [[1.0, None], [0.0, 1.0]], "each entry of qp document key 'A'"),
+            ("v_bound", "10", "qp document key 'v_bound' must be a finite number"),
+        ],
+    )
+    def test_simulate_checks_qp_fields_by_the_mpc_kinds(
+        self, tmp_path, small_net, capsys, key, value, message
+    ):
+        _, path = small_net
+        doc = {**cli._mpc_fields(reference_mpc_problem()), key: value}
+        (tmp_path / "qp.json").write_text(json.dumps(doc))
+        cfg = write_config(
+            tmp_path / "c.json", network=path, qp=str(tmp_path / "qp.json"), out=str(tmp_path)
+        )
+        assert main(["simulate", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_simulate_w0_of_the_wrong_length_exits_2(self, tmp_path, capsys):
+        assert main(["mpc-build", "--out", str(tmp_path)]) == 0
+        cfg = write_config(tmp_path / "c.json", out=str(tmp_path), w0=[1.0])
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "config key 'w0' must be a list of 2 numbers" in capsys.readouterr().err
+
+    def test_qp_document_reads_back_the_problem_exactly(self, tmp_path):
+        assert main(["mpc-build", "--out", str(tmp_path)]) == 0
+        problem = cli._load_mpc_problem(str(tmp_path / "qp.json"))
+        ref = reference_mpc_problem()
+        for key in ("A", "B", "Q", "R", "P"):
+            assert np.array_equal(getattr(problem, key), getattr(ref, key)), key
+        assert (problem.horizon, problem.v_bound) == (ref.horizon, ref.v_bound)
 
     def test_simulate_qp_not_a_mapping_exits_2(self, tmp_path, small_net, capsys):
         _, path = small_net

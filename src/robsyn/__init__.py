@@ -31,7 +31,6 @@ from .network import (
 )
 from .multipliers import (
     Dims,
-    IncrementalVector,
     InputPairSet,
     MultiplierSet,
     assemble_p,

@@ -13,10 +13,12 @@ record of an experiment.  Subcommands:
 
 Every config value is type-checked against its key's kind in _KINDS
 (string, boolean, number, integer, number list, matrix, or a section of
-sub-keys) before anything runs.  Each document is written down once: the
-MPC problem's fields by the mpc section (for the preset, the config,
-mpc-build's qp.json and simulate, which checks qp.json by the same kinds),
-certificate.json's keys by _CERT_KEYS for its writer and its loader.
+sub-keys) before anything runs, then range-checked, whichever command runs,
+by building the object the commands build from it (_BUILDERS).  Each
+document is written down once: the MPC problem's fields by the mpc section
+(for the preset, the config, mpc-build's qp.json and simulate, which checks
+qp.json by the same kinds), certificate.json's keys by _CERT_KEYS for its
+writer and its loader.
 
 Exit codes: 0 success, 1 runtime failure (including verify finding
 violations and mpc-build failing its oracle-agreement check), 2 config or
@@ -252,10 +254,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
             cfg[flag] = value
     if args.no_timestamp:
         cfg["timestamp"] = False
-    if not 0 <= cfg["seed"] < 2**64:
-        raise SchemaError("config key 'seed' must fit in an unsigned 64-bit integer")
-    if cfg["jobs"] < 1:
-        raise SchemaError("config key 'jobs' must be a positive integer")
+    _check_ranges(cfg, args.command)
     return cfg
 
 
@@ -302,6 +301,39 @@ def _problem_from_cfg(cfg: dict) -> MpcProblem:
     """The config's mpc section over the reference problem's fields."""
     fields = {**_mpc_fields(reference_mpc_problem()), **(cfg["mpc"] or {})}
     return _mpc_problem(fields, "config")
+
+
+# the object the commands build from each config value (see _check_ranges)
+_BUILDERS = {
+    "mpc": _problem_from_cfg,
+    "pairset": _pairset,
+    "weights": _weights,
+    "tolerances": _tolerances,
+    "sweep_grid": lambda cfg: [SimilarityTolerances.uniform(float(e)) for e in cfg["sweep_grid"]],
+    "samples": lambda cfg: SampleSpec(num_pairs=cfg["samples"]),
+    "base_box": lambda cfg: SampleSpec(base_box=tuple(cfg["base_box"])),
+    "solver": _solver_options,
+}
+
+
+def _check_ranges(cfg: dict, command: str) -> None:
+    """Raise SchemaError, naming the key, for a value of the right kind that
+    no command can use, whichever command runs: seed, jobs and steps by
+    their bounds (they build no object), the others by building their
+    _BUILDERS object.  analyze skips the tolerances, which it does not read."""
+    if not 0 <= cfg["seed"] < 2**64:
+        raise SchemaError("config key 'seed' must fit in an unsigned 64-bit integer")
+    if cfg["jobs"] < 1:
+        raise SchemaError("config key 'jobs' must be a positive integer")
+    if cfg["steps"] < 0:
+        raise SchemaError("config key 'steps' must be a nonnegative integer")
+    for key, build in _BUILDERS.items():
+        if (command, key) == ("analyze", "tolerances"):
+            continue
+        try:
+            build(cfg)
+        except (ValueError, DimensionMismatch) as ex:
+            raise SchemaError(f"config key {key!r}: {ex}") from None
 
 
 def _write_json(doc: dict, path: str) -> None:
@@ -407,7 +439,7 @@ def cmd_synthesize(cfg: dict) -> int:
 def cmd_analyze(cfg: dict) -> int:
     net = load_network(_artifact(cfg, "network", "network.json"))
     # analysis is synthesis with every tolerance zero (see analyze_network);
-    # the config's tolerances are not read
+    # the config's tolerances are not read, nor range-checked (_check_ranges)
     problem = _synthesis_problem(cfg, net, SimilarityTolerances.uniform(0.0))
     sol = synthesize(problem, options=_solver_options(cfg))
     _write_certificate(sol, _out_path(cfg, "certificate.json"))

@@ -6,8 +6,10 @@ Everything here operates on the stacked incremental vector
                                                   u_pm = [relu(u~); relu(-u~)],
 
 where tilde quantities are differences between two evaluations of a network
-at inputs u1, u2.  Each builder returns a symmetric matrix whose quadratic
-form p' M p equals the scalar certificate term it encodes:
+at inputs u1, u2.  Dims is the one layout of p, and assemble_p, which takes
+stacks of input pairs, is its one builder.  Each omega builder returns a
+symmetric matrix whose quadratic form p' M p equals the scalar certificate
+term it encodes:
 
     omega_z:      z~' T_z (Psi_z z~ + Psi_u u~ - z~)            (slope restriction)
     omega_g:      r(g~)' T_g (g~ - r(g~)) + r(-g~)' T_g (-g~ - r(-g~))
@@ -35,12 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .network import FixedPointConfig, ImplicitNetwork, evaluate, relu
+from .network import FixedPointConfig, ImplicitNetwork, evaluate_batch, relu
 
 
 @dataclass(frozen=True)
 class Dims:
-    """Dimensions (n, n_u, n_g) of a network and the induced p-vector layout."""
+    """Dimensions (n, n_u, n_g) of a network and the one layout of p: the
+    slices below place each part, and assemble_p fills them."""
 
     n: int
     n_u: int
@@ -89,11 +92,12 @@ class InputPairSet:
         if self.eps_u1 < 0 or self.eps_u2 < 0:
             raise ValueError("input pair set radii must be nonnegative")
 
-    def contains(self, u_diff: np.ndarray, slack: float = 0.0) -> bool:
+    def contains(self, u_diff: np.ndarray, slack: float = 0.0) -> bool | np.ndarray:
+        """Whether u~ lies in the set, each norm to within slack; for a stack
+        of differences, one answer per row (the norms reduce the last axis)."""
         d = np.asarray(u_diff, dtype=float)
-        return (
-            float(np.sum(np.abs(d))) <= self.eps_u1 + slack
-            and float(np.dot(d, d)) <= self.eps_u2 + slack
+        return (np.sum(np.abs(d), axis=-1) <= self.eps_u1 + slack) & (
+            np.sum(d * d, axis=-1) <= self.eps_u2 + slack
         )
 
 
@@ -117,52 +121,33 @@ class MultiplierSet:
             raise ValueError("multipliers must be nonnegative")
 
 
-@dataclass
-class IncrementalVector:
-    """The stacked difference vector p for one evaluated input pair."""
-
-    g_pm: np.ndarray
-    u_pm: np.ndarray
-    z_tilde: np.ndarray
-    u_tilde: np.ndarray
-    one: float = 1.0
-
-    @property
-    def flat(self) -> np.ndarray:
-        return np.concatenate(
-            [self.g_pm, self.u_pm, self.z_tilde, self.u_tilde, [self.one]]
-        )
-
-    @property
-    def g_tilde(self) -> np.ndarray:
-        n_g = self.g_pm.size // 2
-        return self.g_pm[:n_g] - self.g_pm[n_g:]
-
-
 def assemble_p(
     net: ImplicitNetwork,
-    u1: np.ndarray,
-    u2: np.ndarray,
+    U1: np.ndarray,
+    U2: np.ndarray,
     config: FixedPointConfig | None = None,
-) -> IncrementalVector:
-    """Evaluate the network at u1 and u2 and stack the incremental vector.
+) -> np.ndarray:
+    """Evaluate the network at each input pair (a row of U1 and the same row
+    of U2) and return one row of p per pair; 1-D inputs give one 1-D p.
 
     g~ is formed from the weight matrices acting on the state and input
     differences (the biases cancel), which coincides with g(u2) - g(u1).
     """
-    r1 = evaluate(net, u1, config)
-    r2 = evaluate(net, u2, config)
-    z_tilde = r2.x - r1.x
-    u_tilde = np.asarray(u2, dtype=float).reshape(net.n_u) - np.asarray(
-        u1, dtype=float
-    ).reshape(net.n_u)
-    g_tilde = net.W_fx @ z_tilde + net.W_fu @ u_tilde
-    return IncrementalVector(
-        g_pm=np.concatenate([relu(g_tilde), relu(-g_tilde)]),
-        u_pm=np.concatenate([relu(u_tilde), relu(-u_tilde)]),
-        z_tilde=z_tilde,
-        u_tilde=u_tilde,
-    )
+    d = Dims.of(net)
+    U1 = np.asarray(U1, dtype=float)
+    shape = U1.shape[:-1]
+    U1 = U1.reshape(-1, d.n_u)
+    U2 = np.asarray(U2, dtype=float).reshape(U1.shape)
+    Z = (evaluate_batch(net, U2.T, config)[1] - evaluate_batch(net, U1.T, config)[1]).T
+    U = U2 - U1
+    G = Z @ net.W_fx.T + U @ net.W_fu.T
+    P = np.empty((len(U), d.N_p))
+    P[:, d.sl_g_pm] = np.concatenate([relu(G), relu(-G)], axis=1)
+    P[:, d.sl_u_pm] = np.concatenate([relu(U), relu(-U)], axis=1)
+    P[:, d.sl_z] = Z
+    P[:, d.sl_u] = U
+    P[:, d.idx_one] = 1.0
+    return P.reshape(shape + (d.N_p,))
 
 
 def _check_diag(name: str, arr: np.ndarray, length: int) -> np.ndarray:

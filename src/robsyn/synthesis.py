@@ -565,13 +565,15 @@ class RobustnessCertificate:
     lmi_margin: float
     objective_value: float
 
-    def bound(self, u_diff: np.ndarray) -> float:
-        """Certified value of gamma + gamma_u1 ||u~||_1 + gamma_u2 ||u~||_2^2."""
-        u_diff = np.asarray(u_diff, dtype=float).reshape(-1)
+    def bound(self, u_diff: np.ndarray) -> float | np.ndarray:
+        """Certified value of gamma + gamma_u1 ||u~||_1 + gamma_u2 ||u~||_2^2;
+        for a stack of differences, one value per row (the norms reduce the
+        last axis)."""
+        d = np.asarray(u_diff, dtype=float)
         return (
             self.gamma
-            + self.gamma_u1 * float(np.sum(np.abs(u_diff)))
-            + self.gamma_u2 * float(u_diff @ u_diff)
+            + self.gamma_u1 * np.sum(np.abs(d), axis=-1)
+            + self.gamma_u2 * np.sum(d * d, axis=-1)
         )
 
 

@@ -5,9 +5,12 @@ be falsifiable by sampling: input pairs are drawn from the certified pair
 set with a bias toward its boundary (where violations would show first), the
 certified bound is compared against the actual output gap, and the multiplier
 nonnegativity lemma backing the relaxation is stress-tested on random
-networks.  The sweep runs synthesis across a list of weight tolerances and
-records how the certified bound trades off against similarity, one row per
-tolerance, never aborting on a failed row.
+networks.  Each check reads the package's own definitions, on stacks of
+pairs: the pair set (InputPairSet.contains), the bound
+(RobustnessCertificate.bound) and p (multipliers.assemble_p).  The sweep
+runs synthesis across a list of weight tolerances and records how the
+certified bound trades off against similarity, one row per tolerance, never
+aborting on a failed row.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import Infeasible, NumericalFailure, RobsynError
-from .multipliers import Dims, InputPairSet, MultiplierSet
+from .multipliers import Dims, InputPairSet, MultiplierSet, assemble_p
 from .multipliers import build_omega_g_check, build_omega_u, build_omega_z_check
 from .network import Activation, FixedPointConfig, ImplicitNetwork, evaluate_batch
 from .synthesis import (
@@ -85,9 +88,7 @@ def sample_input_pairs(
     t[n_boundary:] = rng.beta(5.0, 1.0, size=N - n_boundary)
     diff = dirs * (scale * t)[:, None]
     # exact membership despite rounding
-    over1 = np.sum(np.abs(diff), axis=1) > input_set.eps_u1
-    over2 = np.sum(diff * diff, axis=1) > input_set.eps_u2
-    diff[over1 | over2] *= 1.0 - 1e-12
+    diff[~input_set.contains(diff)] *= 1.0 - 1e-12
     lo, hi = spec.base_box
     U1 = rng.uniform(lo, hi, size=(N, n_u))
     return U1, U1 + diff
@@ -126,13 +127,8 @@ def empirical_bound_check(
     U1, U2 = sample_input_pairs(certificate.input_set, network.n_u, spec, seed)
     G1 = evaluate_batch(network, U1.T, config)[0]
     G2 = evaluate_batch(network, U2.T, config)[0]
-    diff = U2 - U1
     lhs = np.sum(np.abs(G2 - G1), axis=0)
-    rhs = (
-        certificate.gamma
-        + certificate.gamma_u1 * np.sum(np.abs(diff), axis=1)
-        + certificate.gamma_u2 * np.sum(diff * diff, axis=1)
-    )
+    rhs = certificate.bound(U2 - U1)
     margin = rhs - lhs
     gamma_lb = lhs - (rhs - certificate.gamma)
     return EmpiricalCheck(
@@ -215,23 +211,7 @@ def lemma_property_suite(
             SampleSpec(num_pairs=pairs_per_network, base_box=(-3.0, 3.0)),
             rng,
         )
-        X1 = evaluate_batch(net, U1.T, solve)[1]
-        X2 = evaluate_batch(net, U2.T, solve)[1]
-        Zt = (X2 - X1).T
-        Ut = U2 - U1
-        Gt = Zt @ net.W_fx.T + Ut @ net.W_fu.T
-        P = np.concatenate(
-            [
-                np.maximum(Gt, 0.0),
-                np.maximum(-Gt, 0.0),
-                np.maximum(Ut, 0.0),
-                np.maximum(-Ut, 0.0),
-                Zt,
-                Ut,
-                np.ones((pairs_per_network, 1)),
-            ],
-            axis=1,
-        )
+        P = assemble_p(net, U1, U2, solve)
         norm2 = np.sum(P * P, axis=1)
         for omega in (Oz, Og, Ou):
             s = np.einsum("ki,ij,kj->k", P, omega, P)

@@ -87,6 +87,24 @@ class TestConfigHandling:
             ("analyze", {"timestamp": "no"}, None, "config key 'timestamp' must be a boolean"),
             ("sweep", {"fix_gains": "false"}, None, "config key 'fix_gains' must be a boolean"),
             ("sweep", {"fix_gains": 1}, None, "config key 'fix_gains' must be a boolean"),
+            # of the right type but out of range: each command checks every
+            # value, by building the object the command that reads it builds
+            ("verify", {"samples": 0}, None, "config key 'samples': num_pairs must be at least 1"),
+            ("mpc-build", {"base_box": [5, -5]}, None,
+             "config key 'base_box': base_box must be ordered (lo, hi)"),
+            ("simulate", {"steps": -1}, None, "config key 'steps' must be a nonnegative integer"),
+            ("sweep", {"sweep_grid": [1e-3, -1.0]}, None,
+             "config key 'sweep_grid': tolerance w_x must be nonnegative"),
+            ("verify", {"pairset": {"eps_u1": -1}}, None,
+             "config key 'pairset': input pair set radii must be nonnegative"),
+            ("synthesize", {"tolerances": {"uniform": -1}}, None,
+             "config key 'tolerances': tolerance w_x must be nonnegative"),
+            ("sweep", {"solver": {"max_iters": 0}}, None,
+             "config key 'solver': max_iters must be at least 1"),
+            ("mpc-build", {"weights": {"gamma": -1}}, None,
+             "config key 'weights': objective weights must be nonnegative"),
+            ("analyze", {"mpc": {"horizon": 0}}, None, "config key 'mpc': horizon must be at least 1"),
+            ("sweep", {"jobs": 0}, None, "config key 'jobs' must be a positive integer"),
         ],
     )
     def test_value_of_wrong_type_exits_2(

@@ -16,7 +16,6 @@ from helpers import random_well_posed_network
 from robsyn.network import Activation, FixedPointConfig, relu
 from robsyn.multipliers import (
     Dims,
-    IncrementalVector,
     InputPairSet,
     MultiplierSet,
     assemble_p,
@@ -287,20 +286,31 @@ def test_certificate_matrix_is_the_sum_of_the_four_terms():
 def test_assemble_p_matches_direct_evaluation():
     net = random_well_posed_network(5, n=4, n_u=2, n_g=3)
     rng = np.random.default_rng(9)
-    u1, u2 = rng.standard_normal(2), rng.standard_normal(2)
-    p = assemble_p(net, u1, u2)
+    U1, U2 = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+    P = assemble_p(net, U1, U2)
     d = Dims.of(net)
-    assert p.flat.size == d.N_p
-    assert p.one == 1.0
+    assert P.shape == (6, d.N_p)
+    # each row is the single-pair call: bit for bit where p is elementwise in
+    # the inputs, to rounding where it comes through evaluate_batch, whose
+    # BLAS products do not round a column alone as they do in a batch
+    for k in range(6):
+        p = assemble_p(net, U1[k], U2[k])
+        assert p.shape == (d.N_p,)
+        assert np.array_equal(P[k, d.sl_u_pm], p[d.sl_u_pm])
+        assert np.array_equal(P[k, d.sl_u], p[d.sl_u])
+        np.testing.assert_allclose(P[k], p, rtol=0, atol=1e-14)
+    assert np.all(P[:, d.idx_one] == 1.0)
     # the pm splits are complementary relu halves
-    assert np.all(p.g_pm >= 0) and np.all(p.u_pm >= 0)
-    assert np.allclose(p.g_pm[: d.n_g] * p.g_pm[d.n_g :], 0.0)
+    g_pm, u_pm = P[:, d.sl_g_pm], P[:, d.sl_u_pm]
+    assert np.all(g_pm >= 0) and np.all(u_pm >= 0)
+    assert np.allclose(g_pm[:, : d.n_g] * g_pm[:, d.n_g :], 0.0)
     # and g~ really is the output difference
-    from robsyn.network import evaluate
+    from robsyn.network import evaluate_batch
 
-    g1, g2 = evaluate(net, u1).g, evaluate(net, u2).g
-    assert np.allclose(p.g_tilde, g2 - g1, atol=1e-8)
-    assert np.allclose(p.u_tilde, u2 - u1)
+    G1, G2 = evaluate_batch(net, U1.T)[0], evaluate_batch(net, U2.T)[0]
+    assert np.allclose(g_pm[:, : d.n_g] - g_pm[:, d.n_g :], (G2 - G1).T, atol=1e-8)
+    assert np.array_equal(P[:, d.sl_u], U2 - U1)
+    assert np.array_equal(u_pm[:, : d.n_u] - u_pm[:, d.n_u :], U2 - U1)
 
 
 def test_input_pair_set_membership():
@@ -309,6 +319,13 @@ def test_input_pair_set_membership():
     assert not ps.contains(np.array([0.9, -0.2]))      # 1-norm 1.1
     assert not ps.contains(np.array([0.7, 0.2]))       # squared 2-norm 0.53
     assert ps.contains(np.array([0.9, -0.2]), slack=0.4)
+    # a stack of differences gets one answer per row, each the single call's
+    D = np.array([[0.5, -0.25], [0.9, -0.2], [0.7, 0.2], [0.0, 0.0]])
+    for slack in (0.0, 0.4):
+        inside = ps.contains(D, slack)
+        assert inside.shape == (4,)
+        assert inside.tolist() == [bool(ps.contains(row, slack)) for row in D]
+    assert ps.contains(D).tolist() == [True, False, False, True]
     with pytest.raises(ValueError):
         InputPairSet(-1.0, 1.0)
 
@@ -356,7 +373,7 @@ def test_certificate_terms_nonnegative_on_realizable_vectors(
     u1 = rng.uniform(-3, 3, n_u)
     u2 = u1 + scaled_into(ps, rng.standard_normal(n_u))
     cfg = FixedPointConfig(tol=1e-12)
-    p = assemble_p(net, u1, u2, cfg).flat
+    p = assemble_p(net, u1, u2, cfg)
     d = Dims.of(net)
     slack = TOL * (1.0 + p @ p)
     T_z = rng.uniform(0.0, 2.0, n)

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Robustness/similarity trade-off sweep on the bundled saturated-MPC network.
 
-Synthesizes across a grid of weight-deviation tolerances with the
+Builds one SynthesisProblem over the pair set (1, 1) with the
 input-dependent bound coefficients pinned to zero, so the certified constant
-gamma alone tracks the trade-off.  Writes sweep.csv (full columns) and
-sweep.dat (two-column, gnuplot-ready) into --out and prints the table.
+gamma alone tracks the trade-off, and sweeps it across a grid of uniform
+weight-deviation tolerances under the default solver options.  Writes
+sweep.csv (full columns) and sweep.dat (two-column, gnuplot-ready) into
+--out and prints the table.
 """
 
 import argparse
@@ -13,6 +15,7 @@ import sys
 
 from robsyn.mpc import condense_qp, qp_to_implicit_network, reference_mpc_problem
 from robsyn.multipliers import InputPairSet
+from robsyn.synthesis import SimilarityTolerances, SynthesisProblem
 from robsyn.verification import SampleSpec, sweep_tolerance
 
 # The MPC inputs saturate at |v| = 10; over the default box (-5, 5) no draw
@@ -38,9 +41,12 @@ def main() -> int:
 
     grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
     net = qp_to_implicit_network(condense_qp(reference_mpc_problem()), attach_hint=False)
+    # each row sets every tolerance to its grid value
+    problem = SynthesisProblem(
+        net, InputPairSet(1.0, 1.0), SimilarityTolerances(), fixed_gamma_u1=0.0, fixed_gamma_u2=0.0
+    )
     result = sweep_tolerance(
-        net,
-        InputPairSet(1.0, 1.0),
+        problem,
         grid,
         spec=SampleSpec(num_pairs=args.samples, base_box=SAMPLE_BOX),
         seed=args.seed,

@@ -474,12 +474,15 @@ def cmd_verify(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     net = load_network(_artifact(cfg, "network", "network.json"))
+    # each row sets every tolerance to its sweep_grid value; fix_gains pins
+    # both gains to zero over the config's fixed_gamma_u1/u2
+    problem = _synthesis_problem(cfg, net, SimilarityTolerances())
+    if cfg["fix_gains"]:
+        problem = dataclasses.replace(problem, fixed_gamma_u1=0.0, fixed_gamma_u2=0.0)
     result = sweep_tolerance(
-        net,
-        _pairset(cfg),
+        problem,
         cfg["sweep_grid"],
-        fix_gains=cfg["fix_gains"],
-        weights=_weights(cfg),
+        _solver_options(cfg),
         spec=_sample_spec(cfg),
         seed=cfg["seed"],
         jobs=cfg["jobs"],

@@ -171,9 +171,9 @@ class SolverOptions:
     max_iters: int = 200
 
     def __post_init__(self):
-        if self.feas_tol <= 0 or self.gap_tol <= 0:
+        if not (self.feas_tol > 0 and self.gap_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be at least 1")
 
 

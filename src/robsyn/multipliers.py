@@ -89,7 +89,7 @@ class InputPairSet:
     eps_u2: float
 
     def __post_init__(self):
-        if self.eps_u1 < 0 or self.eps_u2 < 0:
+        if not (self.eps_u1 >= 0 and self.eps_u2 >= 0):
             raise ValueError("input pair set radii must be nonnegative")
 
     def contains(self, u_diff: np.ndarray, slack: float = 0.0) -> bool | np.ndarray:

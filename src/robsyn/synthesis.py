@@ -102,7 +102,7 @@ class ObjectiveWeights:
 
     def __post_init__(self):
         vals = (self.gamma, self.gamma_u1, self.gamma_u2)
-        if any(v < 0 for v in vals):
+        if not all(v >= 0 for v in vals):
             raise ValueError("objective weights must be nonnegative")
         if all(v == 0 for v in vals):
             raise ValueError("at least one objective weight must be positive")
@@ -127,7 +127,7 @@ class SimilarityTolerances:
 
     def __post_init__(self):
         for name in ("w_x", "w_u", "w_fx", "w_fu"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"tolerance {name} must be nonnegative")
 
     @classmethod
@@ -162,13 +162,13 @@ class SynthesisProblem:
                 "certificate requires activation slopes restricted to [0, 1], "
                 f"got [{act.slope_lo}, {act.slope_hi}]"
             )
-        if self.strictness_shift <= 0:
+        if not self.strictness_shift > 0:
             raise ValueError("strictness_shift must be positive")
-        if self.t_floor <= 0:
+        if not self.t_floor > 0:
             raise ValueError("t_floor must be positive")
         for name in ("fixed_gamma_u1", "fixed_gamma_u2"):
             v = getattr(self, name)
-            if v is not None and v < 0:
+            if v is not None and not v >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
 

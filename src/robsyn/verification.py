@@ -8,9 +8,10 @@ nonnegativity lemma backing the relaxation is stress-tested on random
 networks.  Each check reads the package's own definitions, on stacks of
 pairs: the pair set (InputPairSet.contains), the bound
 (RobustnessCertificate.bound) and p (multipliers.assemble_p).  The sweep
-runs synthesis across a list of weight tolerances and records how the
-certified bound trades off against similarity, one row per tolerance, never
-aborting on a failed row.
+solves the caller's SynthesisProblem, under the caller's SolverOptions,
+across a list of uniform weight tolerances and records how the certified
+bound trades off against similarity, one row per tolerance, never aborting
+on a failed row.
 """
 
 from __future__ import annotations
@@ -18,22 +19,18 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
-from .errors import Infeasible, NumericalFailure, RobsynError
+from .conic import SolverOptions
+from .errors import Infeasible, RobsynError
 from .multipliers import Dims, InputPairSet, MultiplierSet, assemble_p
 from .multipliers import build_omega_g_check, build_omega_u, build_omega_z_check
 from .network import Activation, FixedPointConfig, ImplicitNetwork, evaluate_batch
-from .synthesis import (
-    ObjectiveWeights,
-    RobustnessCertificate,
-    SimilarityTolerances,
-    SynthesisProblem,
-    synthesize,
-)
+from .synthesis import RobustnessCertificate, SimilarityTolerances, SynthesisProblem, synthesize
 
 
 @dataclass(frozen=True)
@@ -285,22 +282,13 @@ def max_weight_deviation(net: ImplicitNetwork, ref: ImplicitNetwork) -> float:
     )
 
 
-def _sweep_one(args) -> SweepRow:
-    (network, input_set, eps, fix_gains, weights, spec, seed) = args
-    problem = SynthesisProblem(
-        network=network,
-        input_set=input_set,
-        tolerances=SimilarityTolerances.uniform(eps),
-        weights=weights,
-        fixed_gamma_u1=0.0 if fix_gains else None,
-        fixed_gamma_u2=0.0 if fix_gains else None,
-    )
+def _sweep_one(problem: SynthesisProblem, options, spec, seed, eps: float) -> SweepRow:
     nan = math.nan
     try:
-        sol = synthesize(problem)
+        sol = synthesize(replace(problem, tolerances=SimilarityTolerances.uniform(eps)), options)
     except Infeasible:
         return SweepRow(eps, nan, nan, nan, nan, "infeasible", nan, nan)
-    except (NumericalFailure, RobsynError) as exc:
+    except RobsynError as exc:
         return SweepRow(eps, nan, nan, nan, nan, f"failed: {exc}", nan, nan)
     cert = sol.certificate
     check = empirical_bound_check(sol.network, cert, spec, seed)
@@ -312,38 +300,35 @@ def _sweep_one(args) -> SweepRow:
         objective=cert.objective_value,
         status=sol.status_label,
         empirical_max_lhs=check.max_lhs,
-        max_weight_deviation=max_weight_deviation(sol.network, network),
+        max_weight_deviation=max_weight_deviation(sol.network, problem.network),
     )
 
 
 def sweep_tolerance(
-    network: ImplicitNetwork,
-    input_set: InputPairSet,
+    problem: SynthesisProblem,
     eps_values,
-    fix_gains: bool = True,
-    weights: ObjectiveWeights | None = None,
+    options: SolverOptions | None = None,
     spec: SampleSpec | None = None,
     seed: int = 0,
     jobs: int = 1,
 ) -> SweepResult:
     """Synthesize across tolerances and record the bound/similarity tradeoff.
 
-    With fix_gains (the default) the input-dependent bound coefficients are
-    pinned to zero so gamma alone tracks the tradeoff.  Rows that fail keep
-    their error in the status column instead of aborting the sweep.  jobs > 1
-    distributes rows over processes (the network's fixed-point hint, if any,
-    is dropped for the workers since closures do not cross processes).
+    Each row solves the given problem, with every tolerance set to the row's
+    eps, under the given solver options; everything else (pair set,
+    weights, pinned gains, strictness_shift, t_floor) is the problem's.  To
+    let gamma alone track the tradeoff, pin both gains to zero in the
+    problem.  Rows that fail keep their error in the status column instead
+    of aborting the sweep.  jobs > 1 distributes rows over processes (the
+    network's fixed-point hint, if any, is dropped for every row since
+    closures do not cross processes).
     """
-    weights = weights or ObjectiveWeights()
-    spec = spec or SampleSpec()
+    problem = replace(problem, network=problem.network.with_hint(None))
+    solve_row = partial(_sweep_one, problem, options, spec or SampleSpec(), seed)
     eps_values = [float(e) for e in eps_values]
-    args = [
-        (network.with_hint(None), input_set, eps, fix_gains, weights, spec, seed)
-        for eps in eps_values
-    ]
-    if jobs > 1 and len(args) > 1:
+    if jobs > 1 and len(eps_values) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_one, args))
+            rows = list(pool.map(solve_row, eps_values))
     else:
-        rows = [_sweep_one(a) for a in args]
+        rows = [solve_row(eps) for eps in eps_values]
     return SweepResult(rows=rows)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end (in-process main calls)."""
 
+import csv
 import json
 
 import numpy as np
@@ -322,6 +323,40 @@ class TestSweepAndSimulate:
         assert (tmp_path / "sweep.csv").read_bytes() == csv1
         assert (tmp_path / "sweep.dat").read_bytes() == dat1
         assert b"\r" not in csv1
+
+    @pytest.mark.parametrize(
+        "config, code, column, expected",
+        [
+            (
+                {"solver": {"max_iters": 1}},
+                0,
+                "status",
+                "failed: solver failed: iteration limit reached",
+            ),
+            ({"strictness_shift": -1}, 2, None, None),
+            ({"fix_gains": False, "fixed_gamma_u1": 0.5}, 0, "gamma_u1", "0.5"),
+        ],
+        ids=["solver", "strictness_shift", "fixed_gamma_u1"],
+    )
+    def test_sweep_reads_the_keys_synthesize_reads(
+        self, tmp_path, small_net, config, code, column, expected
+    ):
+        _, path = small_net
+        # the sweep reads solver, strictness_shift and fixed_gamma_u1 as synthesize does
+        cfg = write_config(
+            tmp_path / "c.json",
+            network=path,
+            out=str(tmp_path),
+            sweep_grid=[0.1],
+            samples=100,
+            **config,
+        )
+        assert main(["sweep", "--config", cfg, "--no-timestamp"]) == code
+        if column is not None:
+            with open(tmp_path / "sweep.csv", newline="") as fh:
+                (row,) = csv.DictReader(fh)
+            # the status's solver residuals, in parentheses, are not compared
+            assert row[column].partition(" (")[0] == expected
 
     def test_simulate_reference_network_tracks_oracle(self, tmp_path, capsys):
         assert main(["mpc-build", "--out", str(tmp_path)]) == 0

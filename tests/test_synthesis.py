@@ -56,6 +56,7 @@ from robsyn.synthesis import (
 from robsyn.verification import SampleSpec, empirical_bound_check
 
 Z = np.zeros
+NAN = float("nan")
 
 UNIFORM = SimilarityTolerances.uniform(0.1)
 ZERO = SimilarityTolerances.uniform(0.0)
@@ -264,6 +265,43 @@ class TestAssembly:
         )
         with pytest.raises(ValueError):
             small_problem(steep, 0.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda net: SimilarityTolerances.uniform(NAN),
+            lambda net: SimilarityTolerances(w_fu=NAN),
+            lambda net: InputPairSet(NAN, 1.0),
+            lambda net: InputPairSet(1.0, NAN),
+            lambda net: ObjectiveWeights(gamma_u2=NAN),
+            lambda net: SolverOptions(feas_tol=NAN),
+            lambda net: SolverOptions(gap_tol=NAN),
+            lambda net: SolverOptions(max_iters=NAN),
+            lambda net: small_problem(net, 0.0, strictness_shift=NAN),
+            lambda net: small_problem(net, 0.0, t_floor=NAN),
+            lambda net: small_problem(net, 0.0, fixed_gamma_u1=NAN),
+            lambda net: small_problem(net, 0.0, fixed_gamma_u2=NAN),
+        ],
+        ids=[
+            "tolerances.uniform",
+            "tolerances.w_fu",
+            "pairset.eps_u1",
+            "pairset.eps_u2",
+            "weights.gamma_u2",
+            "solver.feas_tol",
+            "solver.gap_tol",
+            "solver.max_iters",
+            "strictness_shift",
+            "t_floor",
+            "fixed_gamma_u1",
+            "fixed_gamma_u2",
+        ],
+    )
+    def test_validation_rejects_nan(self, build):
+        # a comparison with NaN is false, so each check must fail unless the
+        # value passes, not pass unless it fails
+        with pytest.raises(ValueError):
+            build(random_well_posed_network(0, n=2, n_u=1, n_g=1))
 
 
 class TestAnalysis:

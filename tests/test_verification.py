@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 from helpers import random_well_posed_network
 from robsyn.multipliers import InputPairSet
 from robsyn.network import Activation, ImplicitNetwork
-from robsyn.synthesis import RobustnessCertificate, analyze_network
+from robsyn.conic import SolverOptions
+from robsyn.synthesis import (
+    RobustnessCertificate,
+    SimilarityTolerances,
+    SynthesisProblem,
+    analyze_network,
+    synthesize,
+)
 from robsyn.verification import (
     SampleSpec,
     SweepResult,
@@ -154,12 +162,21 @@ class TestLemmaSuite:
         assert a.min_normalized_slack != b.min_normalized_slack
 
 
+def sweep_problem(net, U, fix_gains=True, **kw):
+    """The problem a sweep solves: each row sets the tolerances, and
+    fix_gains pins both gains to zero."""
+    gain = 0.0 if fix_gains else None
+    return SynthesisProblem(
+        net, U, SimilarityTolerances(), fixed_gamma_u1=gain, fixed_gamma_u2=gain, **kw
+    )
+
+
 @pytest.fixture(scope="module")
 def seed42_sweep():
     net = random_well_posed_network(42, n=3, n_u=2, n_g=2)
     U = InputPairSet(1.0, 1.0)
     result = sweep_tolerance(
-        net, U, [0.0, 0.05, 0.2], spec=SampleSpec(num_pairs=200), seed=5
+        sweep_problem(net, U), [0.0, 0.05, 0.2], spec=SampleSpec(num_pairs=200), seed=5
     )
     return net, U, result
 
@@ -199,10 +216,8 @@ class TestSweep:
     def test_free_gains_mode_reproduces_frozen_objective(self):
         net = random_well_posed_network(42, n=3, n_u=2, n_g=2)
         result = sweep_tolerance(
-            net,
-            InputPairSet(1.0, 1.0),
+            sweep_problem(net, InputPairSet(1.0, 1.0), fix_gains=False),
             [0.0],
-            fix_gains=False,
             spec=SampleSpec(num_pairs=50),
         )
         r = result.rows[0]
@@ -220,7 +235,7 @@ class TestSweep:
             activation=Activation.relu(),
         )
         result = sweep_tolerance(
-            net, InputPairSet(1.0, 1.0), [1e-6, 3.0], spec=SampleSpec(num_pairs=50)
+            sweep_problem(net, InputPairSet(1.0, 1.0)), [1e-6, 3.0], spec=SampleSpec(num_pairs=50)
         )
         assert result.rows[0].status == "infeasible"
         assert math.isnan(result.rows[0].gamma)
@@ -228,15 +243,22 @@ class TestSweep:
         assert math.isfinite(result.rows[1].gamma)
 
     def test_parallel_rows_match_serial(self):
+        # a problem and options off their defaults, which every worker must
+        # solve as given: each row is the direct synthesis at its tolerance
         net = random_well_posed_network(3, n=2, n_u=1, n_g=1)
-        U = InputPairSet(1.0, 1.0)
+        problem = sweep_problem(net, InputPairSet(1.0, 1.0), strictness_shift=1e-4)
+        options = SolverOptions(feas_tol=1e-8, gap_tol=1e-8)
         spec = SampleSpec(num_pairs=40)
-        serial = sweep_tolerance(net, U, [0.0, 0.1], spec=spec, seed=1, jobs=1)
-        parallel = sweep_tolerance(net, U, [0.0, 0.1], spec=spec, seed=1, jobs=2)
+        serial = sweep_tolerance(problem, [0.0, 0.1], options, spec=spec, seed=1, jobs=1)
+        parallel = sweep_tolerance(problem, [0.0, 0.1], options, spec=spec, seed=1, jobs=2)
         for a, b in zip(serial.rows, parallel.rows):
             assert a.status == b.status
             assert a.gamma == pytest.approx(b.gamma, abs=1e-9)
             assert a.empirical_max_lhs == pytest.approx(b.empirical_max_lhs, abs=1e-9)
+            direct = synthesize(
+                replace(problem, tolerances=SimilarityTolerances.uniform(b.eps)), options
+            )
+            assert b.gamma == direct.certificate.gamma
 
     def test_csv_roundtrip(self, tmp_path, seed42_sweep):
         _, _, result = seed42_sweep

@@ -32,6 +32,7 @@ factors of two.  The convention is pinned by the scalar-form tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,12 @@ class InputPairSet:
     eps_u2: float
 
     def __post_init__(self):
-        if not (self.eps_u1 >= 0 and self.eps_u2 >= 0):
-            raise ValueError("input pair set radii must be nonnegative")
+        for name in ("eps_u1", "eps_u2"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"input pair set radii must be nonnegative and finite, got {value!r} for {name}"
+                )
 
     def contains(self, u_diff: np.ndarray, slack: float = 0.0) -> bool | np.ndarray:
         """Whether u~ lies in the set, each norm to within slack; for a stack
@@ -267,7 +272,8 @@ def certificate_matrix(
     condition; with Y = T*W it reduces to the analysis condition.  The
     multipliers, bound coefficients and Y blocks may carry the same leading
     batch axes, giving one matrix per batch index; the synthesis program
-    derives its PSD block from one such batched evaluation.
+    derives its PSD block from such batched evaluations, one per chunk of
+    its variables' directions (see synthesis._psd_blocks).
     """
     M = build_omega_z_check(dims, mults.T_z, Y_z, Y_u)
     M += build_omega_g_check(dims, mults.T_g, Y_gz, Y_gu)

@@ -24,7 +24,10 @@ case.
 The certificate itself is written down once, in
 multipliers.certificate_matrix.  The PSD block is derived from it: _unpack
 maps a decision vector to the certificate's arguments, and the affine map
-is evaluated at zero and at every basis direction in one batched call.
+is evaluated once at zero and then at the basis directions a fixed-size
+chunk at a time, keeping only each chunk's nonzero coefficients, so that
+assembly memory is bounded by the chunk and the nonzeros, not by the
+number of variables (see _psd_blocks).
 
 When the reference network is odd under a permutation pi of its states
 (W_x[pi][:, pi] == W_x, W_u[pi] == -W_u and W_fx[:, pi] == -W_fx, exactly;
@@ -50,6 +53,7 @@ program in theta itself, built on the same path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -91,6 +95,11 @@ _UNCAPPED_ITER_BUDGET = 80
 # instance's multipliers run away.
 _MULTIPLIER_CAP = 1e6
 
+# Size of one chunk of certificate matrices in _psd_blocks: the columns of
+# the orbit basis are evaluated this many bytes' worth at a time, so that
+# assembly memory does not grow with the number of variables.
+_CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ObjectiveWeights:
@@ -127,8 +136,9 @@ class SimilarityTolerances:
 
     def __post_init__(self):
         for name in ("w_x", "w_u", "w_fx", "w_fu"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"tolerance {name} must be nonnegative")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"tolerance {name} must be nonnegative and finite, got {value!r}")
 
     @classmethod
     def uniform(cls, eps: float) -> "SimilarityTolerances":
@@ -162,14 +172,14 @@ class SynthesisProblem:
                 "certificate requires activation slopes restricted to [0, 1], "
                 f"got [{act.slope_lo}, {act.slope_hi}]"
             )
-        if not self.strictness_shift > 0:
-            raise ValueError("strictness_shift must be positive")
-        if not self.t_floor > 0:
-            raise ValueError("t_floor must be positive")
+        for name in ("strictness_shift", "t_floor"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in ("fixed_gamma_u1", "fixed_gamma_u2"):
-            v = getattr(self, name)
-            if v is not None and not v >= 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -355,18 +365,25 @@ def _state_action(dims: Dims, pi: np.ndarray):
     return perm, sign
 
 
-def _orbit_basis(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
+def _orbit_basis(perm: np.ndarray, sign: np.ndarray) -> scipy.sparse.csr_array:
     """Basis of {x : x = sign * x[perm]} for a signed involution: a column
     e_k + sign[k] e_perm[k] per swapped pair k < perm[k] and e_k per fixed k
     with sign +1 (a fixed k with sign -1 is zero on the subspace).  Entries
-    are 0 and +-1; the columns are ordered by their first index."""
+    are 0 and +-1, at most one per row; the columns are ordered by their
+    first index."""
     k = np.arange(perm.size)
-    first = k[(k < perm) | ((k == perm) & (sign > 0))]
-    cols = np.arange(first.size)
-    U = np.zeros((perm.size, first.size))
-    U[first, cols] = 1.0
-    U[perm[first], cols] = sign[first]
-    return U
+    leads = (k < perm) | ((k == perm) & (sign > 0))
+    first = k[leads]
+    # each k's column: its own if it leads, its partner's if that leads
+    col = np.full(perm.size, -1)
+    col[perm[first]] = col[first] = np.arange(first.size)
+    member = col >= 0
+    indptr = np.zeros(perm.size + 1, dtype=np.intp)
+    np.cumsum(member, out=indptr[1:])
+    return scipy.sparse.csr_array(
+        (np.where(leads, 1.0, sign[perm])[member], col[member], indptr),
+        shape=(perm.size, first.size),
+    )
 
 
 def _psd_blocks(
@@ -377,50 +394,84 @@ def _psd_blocks(
     """S(theta) = -M(theta) - shift I >= 0 on the live coordinates, with
     shift the problem's strictness_shift, derived from the certificate.
 
-    M is affine in theta, so one batched evaluation of certificate_matrix at
-    0 and at every column u_r of the orbit basis gives A_0 = -M(0) and
-    A_r = -(M(u_r) - M(0)).  Each entry of eigenbases holds the
-    eigenvectors V (entries 0 and +-1) of one eigenspace of the symmetry on
-    p; on the orbits M commutes with that symmetry, so S is block diagonal
-    in the orthonormal eigenbasis and each V gives one block, V' S V with
-    its columns normalised.  With entries 0 and +-1 each product adds at
-    most two nonzero terms, so the entries zero by symmetry come out exactly
-    zero, and the trivial group's V = I gives the whole block unchanged.
+    M is affine in theta, so certificate_matrix evaluated at 0 and at each
+    column u_r of the orbit basis gives A_0 = -M(0) and A_r = -(M(u_r) -
+    M(0)).  The rows of [0; U'] are evaluated a chunk at a time,
+    _CHUNK_BYTES worth of matrices per chunk, each chunk's rows made dense
+    from U's entries alone, so memory is bounded by the chunk and the
+    blocks' nonzeros, not by the number of columns.  Each entry of
+    eigenbases holds the eigenvectors V (entries 0 and +-1) of one
+    eigenspace of the symmetry on p; on the orbits M commutes with that
+    symmetry, so S is block diagonal in the orthonormal eigenbasis and each
+    V gives one block, V' S V with its columns normalised.  With entries 0
+    and +-1 each product adds at most two nonzero terms, so the entries zero
+    by symmetry come out exactly zero, and the trivial group's V = I gives
+    the whole block unchanged.  Of each chunk's projection only the
+    nonzeros of the upper triangles are kept; they become one CSR matrix
+    per block at the end.
 
     A coordinate whose row is zero to rounding in A_0 and in every A_r
-    (see _NEUTRAL_ROW) spans a face on which M is zero whatever theta is,
-    so M <= -shift I cannot hold there (facial reduction; Borwein &
-    Wolkowicz 1981, Permenter & Parrilo 2018).  The block keeps the
-    principal sub-block of the other, live, coordinates, and the shift
-    applies to those; a block with every coordinate live is left as built.
+    (see _NEUTRAL_ROW; the row maxima run over the chunks) spans a face on
+    which M is zero whatever theta is, so M <= -shift I cannot hold there
+    (facial reduction; Borwein & Wolkowicz 1981, Permenter & Parrilo 2018).
+    The block keeps the principal sub-block of the other, live,
+    coordinates, and the shift applies to those; a block with every
+    coordinate live is left as built.
 
     Each block is handed over in the solver's format: the dense constant,
-    and row r of the coefficients the upper triangle of A_r, of which the
-    PsdBlockMap keeps the nonzeros.
+    and row r of the coefficients the nonzeros of the upper triangle of A_r.
     """
-    mults, gammas, products, _ = _unpack(
-        problem, layout, np.vstack([np.zeros(layout.num_vars), layout.basis.T.toarray()])
-    )
-    M = certificate_matrix(layout.dims, mults, problem.input_set, *gammas, *products)
-    A0 = -M[0]
-    A = M[1:]
-    A -= M[0]
-    np.negative(A, out=A)
+    dims = layout.dims
+    U = layout.basis
+    nv = U.shape[1]
+    # row j of the stack [0; U'] is theta = 0 for j = 0 and u_{j-1} after;
+    # a variable has at most one entry in U, in its orbit's column
+    var = np.repeat(np.arange(U.shape[0]), np.diff(U.indptr))
+    row = U.indices + 1
+    step = max(1, _CHUNK_BYTES // (8 * dims.N_p**2))
+    for start in range(0, nv + 1, step):
+        stop = min(start + step, nv + 1)
+        chunk = (row >= start) & (row < stop)
+        theta = np.zeros((stop - start, layout.num_vars))
+        theta[row[chunk] - start, var[chunk]] = U.data[chunk]
+        mults, gammas, products, _ = _unpack(problem, layout, theta)
+        A = certificate_matrix(dims, mults, problem.input_set, *gammas, *products)
+        if start == 0:
+            M0 = A[0].copy()
+            # per eigenspace: V, its column scale 1 / (|v_i| |v_j|) (exactly
+            # 1/2 between two swapped pairs), the upper triangle's indices,
+            # the constant, the running row maxima and the chunks' nonzeros
+            spaces = []
+            for V in eigenbases:
+                counts = np.count_nonzero(V, axis=0)
+                scale = 1.0 / np.sqrt(np.outer(counts, counts))
+                A0 = (V.T @ -M0 @ V) * scale
+                iu = svec_indices(V.shape[1])[0]
+                spaces.append((V, scale, iu, A0, np.abs(A0).max(axis=1), []))
+        # row 0 becomes exactly zero, so it adds no nonzero and no maximum
+        A -= M0
+        np.negative(A, out=A)
+        for V, scale, iu, _, rows, nonzeros in spaces:
+            A_blk = (V.T @ A @ V) * scale
+            np.maximum(rows, np.abs(A_blk).max(axis=(0, 2)), out=rows)
+            svecs = A_blk[:, iu[0], iu[1]]
+            r, c = np.nonzero(svecs)
+            nonzeros.append((start - 1 + r, c, svecs[r, c]))
     blocks = []
-    for V in eigenbases:
-        # 1 / (|v_i| |v_j|), exactly 1/2 between two swapped pairs
-        counts = np.count_nonzero(V, axis=0)
-        scale = 1.0 / np.sqrt(np.outer(counts, counts))
-        A0_blk = (V.T @ A0 @ V) * scale
-        A_blk = (V.T @ A @ V) * scale
-        rows = np.maximum(np.abs(A0_blk).max(axis=1), np.abs(A_blk).max(axis=(0, 2)))
+    for _, _, iu, A0, rows, nonzeros in spaces:
         live = rows > _NEUTRAL_ROW * rows.max()
-        if not live.all():
-            A0_blk = A0_blk[np.ix_(live, live)]
-            A_blk = A_blk[:, live][:, :, live]
-        shift = problem.strictness_shift * np.eye(A0_blk.shape[0])
-        iu, _ = svec_indices(A0_blk.shape[0])
-        blocks.append(PsdBlockMap(const=A0_blk - shift, coeffs=A_blk[:, iu[0], iu[1]]))
+        # each svec entry's position among the live coordinates' entries
+        kept = live[iu[0]] & live[iu[1]]
+        position = np.cumsum(kept) - 1
+        r, c, values = (np.concatenate(parts) for parts in zip(*nonzeros))
+        keep = kept[c]
+        coeffs = scipy.sparse.csr_array(
+            (values[keep], position[c[keep]], np.searchsorted(r[keep], np.arange(nv + 1))),
+            shape=(nv, np.count_nonzero(kept)),
+        )
+        A0 = A0[np.ix_(live, live)]
+        shift = problem.strictness_shift * np.eye(A0.shape[0])
+        blocks.append(PsdBlockMap(const=A0 - shift, coeffs=coeffs))
     return blocks
 
 
@@ -475,11 +526,12 @@ def assemble_synthesis_sdp(problem: SynthesisProblem) -> tuple[ConicProgram, Var
     perm, sign = np.arange(dims.N_p), np.ones(dims.N_p)
     pi = odd_symmetry(problem.network)
     if pi is not None:
-        basis = _orbit_basis(*_variable_action(layout, pi))
-        layout = replace(layout, basis=scipy.sparse.csr_array(basis))
+        layout = replace(layout, basis=_orbit_basis(*_variable_action(layout, pi)))
         perm, sign = _state_action(dims, pi)
     # one block per nonempty eigenspace; the trivial group has only the first
-    eigenbases = [V for V in (_orbit_basis(perm, sign), _orbit_basis(perm, -sign)) if V.size]
+    eigenbases = [
+        V.toarray() for V in (_orbit_basis(perm, sign), _orbit_basis(perm, -sign)) if V.shape[1]
+    ]
 
     objective = np.zeros(layout.num_vars)
     objective[layout.idx_gamma] = problem.weights.gamma

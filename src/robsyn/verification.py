@@ -54,6 +54,10 @@ class SampleSpec:
             raise ValueError("num_pairs must be at least 1")
         if not 0.0 <= self.boundary_fraction <= 1.0:
             raise ValueError("boundary_fraction must lie in [0, 1]")
+        if not math.isfinite(self.violation_tol):
+            raise ValueError(f"violation_tol must be finite, got {self.violation_tol!r}")
+        if not all(math.isfinite(end) for end in self.base_box):
+            raise ValueError(f"base_box ends must be finite, got {self.base_box!r}")
         if self.base_box[0] > self.base_box[1]:
             raise ValueError("base_box must be ordered (lo, hi)")
 

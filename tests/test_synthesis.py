@@ -12,6 +12,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -57,10 +58,24 @@ from robsyn.verification import SampleSpec, empirical_bound_check
 
 Z = np.zeros
 NAN = float("nan")
+INF = float("inf")
 
 UNIFORM = SimilarityTolerances.uniform(0.1)
 ZERO = SimilarityTolerances.uniform(0.0)
 MIXED = SimilarityTolerances(w_x=0.0, w_u=0.1, w_fx=0.05, w_fu=0.2)
+
+
+# each parameter checked for infinity, and a build that passes it inf
+BUILT_WITH_INF = {
+    "w_x": lambda net: SimilarityTolerances.uniform(INF),
+    "w_fu": lambda net: SimilarityTolerances(w_fu=INF),
+    "eps_u1": lambda net: InputPairSet(INF, 1.0),
+    "eps_u2": lambda net: InputPairSet(1.0, INF),
+    "strictness_shift": lambda net: small_problem(net, 0.0, strictness_shift=INF),
+    "t_floor": lambda net: small_problem(net, 0.0, t_floor=INF),
+    "fixed_gamma_u1": lambda net: small_problem(net, 0.0, fixed_gamma_u1=INF),
+    "fixed_gamma_u2": lambda net: small_problem(net, 0.0, fixed_gamma_u2=INF),
+}
 
 
 def count_solves(monkeypatch):
@@ -302,6 +317,14 @@ class TestAssembly:
         # value passes, not pass unless it fails
         with pytest.raises(ValueError):
             build(random_well_posed_network(0, n=2, n_u=1, n_g=1))
+
+    @pytest.mark.parametrize("name", list(BUILT_WITH_INF))
+    def test_validation_rejects_inf_naming_the_value(self, name):
+        # an infinite parameter fails its own check, naming the value, not
+        # later in the solver or in the PSD block's shape
+        with pytest.raises(ValueError, match="finite") as raised:
+            BUILT_WITH_INF[name](random_well_posed_network(0, n=2, n_u=1, n_g=1))
+        assert name in str(raised.value) and "got inf" in str(raised.value)
 
 
 class TestAnalysis:
@@ -772,6 +795,77 @@ def corpus_programs():
     finally:
         sys.path.remove(bench)
     return [assemble_synthesis_sdp(prob)[0] for prob in corpus_problems()]
+
+
+def mpc_net_at(horizon):
+    """The paper-MPC plant's network at another horizon."""
+    qp = condense_qp(replace(reference_mpc_problem(), horizon=horizon))
+    return qp_to_implicit_network(qp, attach_hint=False)
+
+
+class TestSamePrograms:
+    """Programs pinned by digest, taken when the PSD blocks came from one
+    batched evaluation of every orbit direction: the chunked assembly gives
+    the same bytes, neutral-face drops included."""
+
+    @pytest.mark.parametrize(
+        "horizon, eps, digest",
+        [
+            (1, 0.0, "55f78168275647c8"),
+            (1, 1e-5, "a63b4f84d744dac6"),
+            (1, 1e-1, "ae0be5e2168d4865"),
+            (2, 0.0, "155e891140035fd2"),
+            (2, 1e-5, "05ab896ae366a73f"),
+            (2, 1e-1, "48fe5c7b7052d801"),
+            (3, 0.0, "b85e3849d822cb52"),
+            (3, 1e-5, "bd160356a4d4d04e"),
+            (3, 1e-1, "e1926ce017466b93"),
+            (10, 0.0, "d5f1374887938109"),
+            (10, 1e-5, "8cc12a349b55c778"),
+            (10, 1e-1, "8fdf8b2d8f8e17f5"),
+            (20, 0.0, "3a7ba3bbf6cf0740"),
+            (20, 1e-5, "7c93590db730e887"),
+            (20, 1e-1, "5c013f123881d233"),
+        ],
+    )
+    def test_paper_mpc(self, horizon, eps, digest):
+        program, _ = assemble_synthesis_sdp(mpc_problem(mpc_net_at(horizon), eps))
+        assert program_digest(program) == digest
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 2**30])
+    @pytest.mark.parametrize(
+        "eps, digest", [(0.0, "d5f1374887938109"), (1e-5, "8cc12a349b55c778")]
+    )
+    def test_chunk_size_does_not_change_the_program(
+        self, mpc_net, monkeypatch, chunk_bytes, eps, digest
+    ):
+        # one direction per chunk, and every direction in one chunk
+        monkeypatch.setattr(robsyn.synthesis, "_CHUNK_BYTES", chunk_bytes)
+        program, _ = assemble_synthesis_sdp(mpc_problem(mpc_net, eps))
+        assert program_digest(program) == digest
+
+    def test_corpus(self, corpus_programs):
+        assert [program_digest(p) for p in corpus_programs] == [
+            "1eb5f76caa12bd9d", "f597eb3c1ddfdb3b", "d366641e59cf7e4d", "15cfe5afec07b26d",
+            "5d713fa57b85d411", "c752146abf1b6cf0", "7a771853003c1778", "aec9298b0fea95fe",
+            "29c8aff62e49c2d9", "1034b7c230d63915", "564761aecf50bd9a", "b332cd26d7729729",
+            "986f7623fc147c9e", "5a478a2b53edb0a8", "bbf0ce10a53c10b7", "f15dd48aa1d706a6",
+            "d7fe168077b3047e", "61987adb76829cb7", "34ea763d5ca17b9b", "063e5768fd6d91be",
+            "970b33a29a0c535c", "daeab5f6d7b8baf2", "fe8879a73a4add22", "fb5da6e6e1e2fbed",
+        ]
+
+
+def test_assembly_memory_is_bounded_by_the_chunk():
+    # horizon 20 has 945 orbit directions and 87x87 certificate matrices:
+    # evaluated in one batch they took 172 MB, in chunks under 20 MB
+    prob = mpc_problem(mpc_net_at(20), 1e-5)
+    tracemalloc.start()
+    try:
+        assemble_synthesis_sdp(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
 
 
 def grams_by_both_formulas(program, seed):

@@ -88,6 +88,24 @@ class TestSampler:
         with pytest.raises(ValueError):
             SampleSpec(base_box=(1.0, -1.0))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("violation_tol", math.nan),
+            ("violation_tol", math.inf),
+            ("base_box", (math.nan, 1.0)),
+            ("base_box", (-1.0, math.nan)),
+            ("base_box", (-math.inf, 1.0)),
+            ("base_box", (-1.0, math.inf)),
+        ],
+        ids=str,
+    )
+    def test_spec_rejects_non_finite_values(self, field, value):
+        # a NaN tolerance compares false against every margin, so a broken
+        # certificate would report no violations
+        with pytest.raises(ValueError, match=rf"{field}.*finite"):
+            SampleSpec(**{field: value})
+
     @settings(max_examples=25, deadline=None)
     @given(
         eps1=st.floats(1e-3, 10.0),

@@ -112,10 +112,9 @@ def main() -> int:
         report[f"gamma_{label}"] = cert.gamma
 
         w0 = np.array([1.0, -1.0])
-        W_ref, _ = simulate_closed_loop(problem, w0, args.steps, qp=qp)
+        W_ref, _ = simulate_closed_loop(problem, w0, args.steps)
         W_net, _ = simulate_closed_loop(
-            problem, w0, args.steps,
-            controller=lambda w: evaluate(sol.network, w).g, qp=qp,
+            problem, w0, args.steps, controller=lambda w: evaluate(sol.network, w).g
         )
         dev_traj = float(np.max(np.abs(W_ref - W_net)))
         print(f"  closed-loop deviation from the exact law over {args.steps} steps: {dev_traj:.3e}")

@@ -67,6 +67,9 @@ from .verification import (
     write_csv,
 )
 
+# SynthesisProblem's field defaults, for the config keys that set its fields
+_PROBLEM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SynthesisProblem)}
+
 _DEFAULTS = {
     "preset": None,
     "network": None,
@@ -78,19 +81,19 @@ _DEFAULTS = {
     "timestamp": True,
     "mpc": None,
     "pairset": {"eps_u1": 1.0, "eps_u2": 1.0},
-    "weights": {"gamma": 1.0, "gamma_u1": 1.0, "gamma_u2": 1.0},
+    "weights": dataclasses.asdict(ObjectiveWeights()),
     "tolerances": {"uniform": 1e-5},
     "fixed_gamma_u1": None,
     "fixed_gamma_u2": None,
     "fix_gains": True,
     "sweep_grid": [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0],
     "samples": 10000,
-    "base_box": [-5.0, 5.0],
+    "base_box": list(SampleSpec().base_box),
     "steps": 30,
     "w0": [1.0, -1.0],
     "solver": None,
-    "strictness_shift": 1e-8,
-    "t_floor": 1e-6,
+    "strictness_shift": _PROBLEM_DEFAULTS["strictness_shift"],
+    "t_floor": _PROBLEM_DEFAULTS["t_floor"],
 }
 
 # The kind of every config key: "string", "boolean", "number", "integer",
@@ -506,13 +509,12 @@ def cmd_simulate(cfg: dict) -> int:
         raise SchemaError(
             f"config key 'w0' must be a list of {problem.n_x} numbers, one per plant state"
         )
-    qp = condense_qp(problem)
     net = load_network(_artifact(cfg, "network", "synthesized_network.json"))
     w0 = np.asarray(cfg["w0"], dtype=float)
     steps = cfg["steps"]
-    W_ref, V_ref = simulate_closed_loop(problem, w0, steps, qp=qp)
+    W_ref, V_ref = simulate_closed_loop(problem, w0, steps)
     W_net, V_net = simulate_closed_loop(
-        problem, w0, steps, controller=lambda w: evaluate(net, w).g, qp=qp
+        problem, w0, steps, controller=lambda w: evaluate(net, w).g
     )
     dev = float(np.max(np.abs(W_ref - W_net)))
     columns = (

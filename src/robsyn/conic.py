@@ -48,6 +48,7 @@ import enum
 import functools
 import logging
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 
@@ -171,10 +172,14 @@ class SolverOptions:
     max_iters: int = 200
 
     def __post_init__(self):
-        if not (self.feas_tol > 0 and self.gap_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if not self.max_iters >= 1:
-            raise ValueError("max_iters must be at least 1")
+        for name in ("feas_tol", "gap_tol"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
 
 
 class SolverStatus(enum.Enum):

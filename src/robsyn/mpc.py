@@ -9,8 +9,9 @@ is condensed to a box-constrained QP in the stacked input vector and then
 rewritten, through its KKT conditions, as an implicit network whose state is
 half the constraint multiplier vector and whose output is the exact optimal
 input sequence.  The bridge network therefore reproduces the MPC law, not an
-approximation of it; the exact-QP solver is attached as a fixed-point hint so
-downstream evaluation does not have to iterate.
+approximation of it.  Every shipped flow builds the bridge with
+attach_hint=False, so the network's own fixed-point solver evaluates it and
+solve_qp_oracle stays an independent check of that solver.
 """
 
 from __future__ import annotations
@@ -188,12 +189,12 @@ def _check_positive_definite(H: np.ndarray) -> np.ndarray:
     return eigs
 
 
-def solve_qp_oracle(
-    qp: CondensedQP,
-    w: np.ndarray,
-    tol: float = 1e-12,
-    max_iters: int = 20_000,
-) -> QpSolution:
+# solve_qp_oracle's splitting stops at residuals of 10 _ORACLE_TOL
+_ORACLE_TOL = 1e-12
+_ORACLE_MAX_ITERS = 20_000
+
+
+def solve_qp_oracle(qp: CondensedQP, w: np.ndarray) -> QpSolution:
     """Exact solution of the box QP by operator splitting plus an active-set
     polish.
 
@@ -215,7 +216,7 @@ def solve_qp_oracle(
     z = np.zeros(n)
     u = np.zeros(n)
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, _ORACLE_MAX_ITERS + 1):
         v = scipy.linalg.cho_solve(factor, rho * (z - u) - 2.0 * q)
         v_rel = relax * v + (1.0 - relax) * z
         z_new = np.clip(v_rel + u, -vb, vb)
@@ -223,10 +224,10 @@ def solve_qp_oracle(
         primal = float(np.max(np.abs(v - z_new))) if n else 0.0
         dual = rho * float(np.max(np.abs(z_new - z))) if n else 0.0
         z = z_new
-        if primal <= tol * 10 and dual <= tol * 10:
+        if primal <= _ORACLE_TOL * 10 and dual <= _ORACLE_TOL * 10:
             break
     else:
-        raise MaxIterations(f"splitting did not converge in {max_iters} iterations")
+        raise MaxIterations(f"splitting did not converge in {_ORACLE_MAX_ITERS} iterations")
 
     # active-set polish: fix saturated coordinates at the bound, re-solve for
     # the free ones, and repair the set until the KKT conditions hold
@@ -310,7 +311,6 @@ def simulate_closed_loop(
     w0: np.ndarray,
     steps: int,
     controller=None,
-    qp: CondensedQP | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roll the closed loop w+ = A w + B v_0(w) forward.
 
@@ -319,7 +319,7 @@ def simulate_closed_loop(
     Returns (W, V) with W of shape (steps + 1, n_x) and V of shape
     (steps, n_v).
     """
-    qp = qp or condense_qp(problem)
+    qp = condense_qp(problem)
     if controller is None:
         controller = lambda w: solve_qp_oracle(qp, w).v
     w = np.asarray(w0, dtype=float).reshape(problem.n_x)

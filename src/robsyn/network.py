@@ -9,13 +9,16 @@ where phi acts elementwise and every component has secant slopes in
 points of all inputs at once: semismooth Newton for ReLU networks, and
 damped Picard iteration with Anderson mixing for every other activation
 and for the inputs where Newton stalls.  evaluate is evaluate_batch on a
-single input.  Networks produced from a QP (see the mpc module) may carry
-an exact fixed-point hint that bypasses iteration.
+single input.  A network may carry an exact fixed-point hint that bypasses
+iteration; mpc.qp_to_implicit_network attaches one unless given
+attach_hint=False, as every shipped flow builds the bridge.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -101,10 +104,12 @@ class FixedPointConfig:
     acceleration: str = "newton"
 
     def __post_init__(self):
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be nonnegative and finite, got {self.tol!r}")
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
         if self.acceleration not in ("newton", "anderson"):
             raise ValueError(f"unknown acceleration {self.acceleration!r}")
 

@@ -110,10 +110,13 @@ class ObjectiveWeights:
     gamma_u2: float = 1.0
 
     def __post_init__(self):
-        vals = (self.gamma, self.gamma_u1, self.gamma_u2)
-        if not all(v >= 0 for v in vals):
-            raise ValueError("objective weights must be nonnegative")
-        if all(v == 0 for v in vals):
+        for name in ("gamma", "gamma_u1", "gamma_u2"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"objective weights must be nonnegative and finite, got {value!r} for {name}"
+                )
+        if self.gamma == self.gamma_u1 == self.gamma_u2 == 0:
             raise ValueError("at least one objective weight must be positive")
 
 
@@ -780,15 +783,14 @@ def analyze_network(
     weights: ObjectiveWeights | None = None,
     fixed_gamma_u1: float | None = None,
     fixed_gamma_u2: float | None = None,
-    strictness_shift: float = 1e-8,
-    t_floor: float = 1e-6,
     options: SolverOptions | None = None,
 ) -> SynthesisSolution:
     """Certify the given network as-is (no weight freedom).
 
     This is synthesis with all tolerances zero: no weight block has
     variables, so the program holds only the multipliers and the bound
-    coefficients.  The returned network has the input network's weights.
+    coefficients.  The returned network has the input network's weights;
+    strictness_shift and t_floor are SynthesisProblem's defaults.
     """
     problem = SynthesisProblem(
         network=network,
@@ -797,7 +799,5 @@ def analyze_network(
         weights=weights or ObjectiveWeights(),
         fixed_gamma_u1=fixed_gamma_u1,
         fixed_gamma_u2=fixed_gamma_u2,
-        strictness_shift=strictness_shift,
-        t_floor=t_floor,
     )
     return synthesize(problem, options)

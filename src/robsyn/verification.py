@@ -19,6 +19,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import math
+import numbers
 from dataclasses import astuple, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -33,29 +34,31 @@ from .network import Activation, FixedPointConfig, ImplicitNetwork, evaluate_bat
 from .synthesis import RobustnessCertificate, SimilarityTolerances, SynthesisProblem, synthesize
 
 
+_BOUNDARY_FRACTION = 0.5    # of the sampled pairs, see SampleSpec
+_VIOLATION_TOL = 1e-6       # see empirical_bound_check
+_LEMMA_MAX_STATES = 8       # states of the lemma suite's random networks
+_LEMMA_SLACK_TOL = 1e-8     # see lemma_property_suite
+
+
 @dataclass(frozen=True)
 class SampleSpec:
     """How to draw input pairs for an empirical check.
 
     u1 is uniform over base_box in every coordinate; the difference vector
     points uniformly on the sphere and is scaled to the pair set boundary,
-    with boundary_fraction of the draws placed just inside it (radius factor
+    with _BOUNDARY_FRACTION of the draws placed just inside it (radius factor
     uniform in [0.95, 1]) and the rest pulled inward by a Beta(5, 1) factor
     so the interior still gets coverage.
     """
 
     num_pairs: int = 1000
     base_box: tuple[float, float] = (-5.0, 5.0)
-    boundary_fraction: float = 0.5
-    violation_tol: float = 1e-6
 
     def __post_init__(self):
+        if not isinstance(self.num_pairs, numbers.Integral):
+            raise ValueError(f"num_pairs must be an integer, got {self.num_pairs!r}")
         if self.num_pairs < 1:
-            raise ValueError("num_pairs must be at least 1")
-        if not 0.0 <= self.boundary_fraction <= 1.0:
-            raise ValueError("boundary_fraction must lie in [0, 1]")
-        if not math.isfinite(self.violation_tol):
-            raise ValueError(f"violation_tol must be finite, got {self.violation_tol!r}")
+            raise ValueError(f"num_pairs must be at least 1, got {self.num_pairs!r}")
         if not all(math.isfinite(end) for end in self.base_box):
             raise ValueError(f"base_box ends must be finite, got {self.base_box!r}")
         if self.base_box[0] > self.base_box[1]:
@@ -83,7 +86,7 @@ def sample_input_pairs(
         np.divide(math.sqrt(input_set.eps_u2), l2, out=np.full(N, np.inf), where=l2 > 0),
     )
     scale[~np.isfinite(scale)] = 0.0
-    n_boundary = int(round(spec.boundary_fraction * N))
+    n_boundary = int(round(_BOUNDARY_FRACTION * N))
     t = np.empty(N)
     t[:n_boundary] = rng.uniform(0.95, 1.0, size=n_boundary)
     t[n_boundary:] = rng.beta(5.0, 1.0, size=N - n_boundary)
@@ -115,26 +118,26 @@ def empirical_bound_check(
     certificate: RobustnessCertificate,
     spec: SampleSpec | None = None,
     seed: int | np.random.Generator = 0,
-    config: FixedPointConfig | None = None,
 ) -> EmpiricalCheck:
     """Sample pairs from the certificate's own input set and compare the
     1-norm output gap against the certified bound.
 
-    worst_margin is min(bound - gap) over the sample (negative means a
-    violation beyond rounding); empirical_gamma_lb is the largest constant
-    term that the sample proves necessary given the certified gain terms.
+    worst_margin is min(bound - gap) over the sample (below -_VIOLATION_TOL
+    means a violation beyond rounding); empirical_gamma_lb is the largest
+    constant term that the sample proves necessary given the certified gain
+    terms.
     """
     spec = spec or SampleSpec()
     U1, U2 = sample_input_pairs(certificate.input_set, network.n_u, spec, seed)
-    G1 = evaluate_batch(network, U1.T, config)[0]
-    G2 = evaluate_batch(network, U2.T, config)[0]
+    G1 = evaluate_batch(network, U1.T)[0]
+    G2 = evaluate_batch(network, U2.T)[0]
     lhs = np.sum(np.abs(G2 - G1), axis=0)
     rhs = certificate.bound(U2 - U1)
     margin = rhs - lhs
     gamma_lb = lhs - (rhs - certificate.gamma)
     return EmpiricalCheck(
         num_pairs=spec.num_pairs,
-        violations=int(np.sum(margin < -spec.violation_tol)),
+        violations=int(np.sum(margin < -_VIOLATION_TOL)),
         worst_margin=float(np.min(margin)),
         max_lhs=float(np.max(lhs)),
         empirical_gamma_lb=float(np.max(gamma_lb)),
@@ -156,25 +159,23 @@ class LemmaSuiteResult:
 def lemma_property_suite(
     num_networks: int = 200,
     pairs_per_network: int = 1000,
-    max_state_dim: int = 8,
     seed: int = 0,
-    slack_tol: float = 1e-8,
 ) -> LemmaSuiteResult:
     """Stress-test the nonnegativity lemma behind the relaxation.
 
     For random well-posed networks, random nonnegative multipliers and
     random input pairs from a random pair set, each of the three multiplier
     forms (state slope, output split, input set) evaluated on the realized
-    incremental vector must be nonnegative up to slack_tol * (1 + |p|^2).
+    incremental vector must be nonnegative up to _LEMMA_SLACK_TOL (1 + |p|^2).
     """
     rng = np.random.default_rng(seed)
     activations = [Activation.relu(), Activation.tanh(), Activation.sigmoid_shifted()]
-    # the realized vectors must be exact well below slack_tol
+    # the realized vectors must be exact well below _LEMMA_SLACK_TOL
     solve = FixedPointConfig(tol=1e-12)
     worst = math.inf
     failures = 0
     for _ in range(num_networks):
-        n = int(rng.integers(1, max_state_dim + 1))
+        n = int(rng.integers(1, _LEMMA_MAX_STATES + 1))
         n_u = int(rng.integers(1, 4))
         n_g = int(rng.integers(1, 4))
         W_x = rng.standard_normal((n, n))
@@ -218,7 +219,7 @@ def lemma_property_suite(
             s = np.einsum("ki,ij,kj->k", P, omega, P)
             normalized = s / (1.0 + norm2)
             worst = min(worst, float(np.min(normalized)))
-            failures += int(np.sum(normalized < -slack_tol))
+            failures += int(np.sum(normalized < -_LEMMA_SLACK_TOL))
     return LemmaSuiteResult(
         num_networks=num_networks,
         pairs_per_network=pairs_per_network,

@@ -335,14 +335,14 @@ def test_criterion_7_tradeoff_sweep(mpc_fixture, mpc_sweep):
 
 
 def test_criterion_8_closed_loop_fidelity(mpc_fixture, mpc_synth_fine, mpc_synth_coarse):
-    problem, qp, _ = mpc_fixture
+    problem = mpc_fixture[0]
     w0 = np.array([1.0, -1.0])
-    W_ref, _ = simulate_closed_loop(problem, w0, 30, qp=qp)
+    W_ref, _ = simulate_closed_loop(problem, w0, 30)
     devs = {}
     for label, sol in (("fine", mpc_synth_fine[0]), ("coarse", mpc_synth_coarse)):
         net = sol.network
         W_net, _ = simulate_closed_loop(
-            problem, w0, 30, controller=lambda w: evaluate(net, w).g, qp=qp
+            problem, w0, 30, controller=lambda w: evaluate(net, w).g
         )
         devs[label] = float(np.max(np.abs(W_ref - W_net)))
     print(

@@ -2,6 +2,7 @@
 its Nesterov-Todd scaling, and the independent solution checker."""
 
 import logging
+import math
 import sys
 import threading
 
@@ -313,6 +314,16 @@ def test_program_validation():
         SolverOptions(feas_tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iters=0)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("feas_tol", math.inf), ("gap_tol", math.inf), ("max_iters", 2.5)], ids=str
+)
+def test_solver_options_reject_non_finite_and_non_integer_values(field, value):
+    # infinite tolerances accept the starting point as optimal, and a
+    # fractional iteration limit fails later in range()
+    with pytest.raises(ValueError, match=rf"{field} must be .*, got {value!r}"):
+        SolverOptions(**{field: value})
 
 
 def test_svec_round_trip_preserves_inner_products():

@@ -216,7 +216,7 @@ class TestBridgeNetwork:
     def test_cost_identity_through_the_network(self):
         prob = reference_mpc_problem()
         qp = condense_qp(prob)
-        net = qp_to_implicit_network(qp)
+        net = qp_to_implicit_network(qp, attach_hint=False)
         rng = np.random.default_rng(11)
         for _ in range(10):
             w = rng.uniform(-5, 5, size=2)
@@ -257,15 +257,13 @@ class TestClosedLoop:
 
     def test_network_controller_reproduces_oracle_loop(self):
         prob = reference_mpc_problem()
-        qp = condense_qp(prob)
-        net = qp_to_implicit_network(qp)
-        W_ref, V_ref = simulate_closed_loop(prob, np.array([2.0, 1.0]), steps=15, qp=qp)
+        net = qp_to_implicit_network(condense_qp(prob), attach_hint=False)
+        W_ref, V_ref = simulate_closed_loop(prob, np.array([2.0, 1.0]), steps=15)
         W_net, V_net = simulate_closed_loop(
             prob,
             np.array([2.0, 1.0]),
             steps=15,
             controller=lambda w: evaluate(net, w).g,
-            qp=qp,
         )
         np.testing.assert_allclose(W_net, W_ref, atol=1e-7)
         np.testing.assert_allclose(V_net, V_ref, atol=1e-7)

@@ -2,6 +2,7 @@
 the JSON serialization format."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -192,6 +193,16 @@ def test_fixed_point_config_validation():
         FixedPointConfig(tol=-1.0)
     with pytest.raises(ValueError):
         FixedPointConfig(max_iters=0)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("tol", math.inf), ("tol", math.nan), ("max_iters", 2.5)], ids=str
+)
+def test_fixed_point_config_rejects_non_finite_and_non_integer_values(field, value):
+    # an infinite tol returns the first iterate, a NaN tol never converges,
+    # and a fractional max_iters fails later in range()
+    with pytest.raises(ValueError, match=rf"{field} must be .*, got {value!r}"):
+        FixedPointConfig(**{field: value})
 
 
 def test_residual_reports_infinity_norm():

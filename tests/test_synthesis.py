@@ -75,6 +75,7 @@ BUILT_WITH_INF = {
     "t_floor": lambda net: small_problem(net, 0.0, t_floor=INF),
     "fixed_gamma_u1": lambda net: small_problem(net, 0.0, fixed_gamma_u1=INF),
     "fixed_gamma_u2": lambda net: small_problem(net, 0.0, fixed_gamma_u2=INF),
+    "gamma": lambda net: ObjectiveWeights(gamma=INF),
 }
 
 

@@ -49,7 +49,7 @@ class TestSampler:
 
     def test_boundary_half_sits_near_the_boundary(self):
         U = InputPairSet(2.0, 3.0)
-        spec = SampleSpec(num_pairs=400, boundary_fraction=0.5)
+        spec = SampleSpec(num_pairs=400)
         U1, U2 = sample_input_pairs(U, 4, spec, seed=2)
         frac = binding_fraction(U2 - U1, U)
         assert np.all(frac[:200] >= 0.95 - 1e-9)
@@ -57,7 +57,7 @@ class TestSampler:
 
     def test_interior_half_reaches_inward(self):
         U = InputPairSet(2.0, 3.0)
-        spec = SampleSpec(num_pairs=400, boundary_fraction=0.5)
+        spec = SampleSpec(num_pairs=400)
         U1, U2 = sample_input_pairs(U, 4, spec, seed=2)
         frac = binding_fraction(U2 - U1, U)
         assert np.min(frac[200:]) < 0.7
@@ -84,15 +84,11 @@ class TestSampler:
         with pytest.raises(ValueError):
             SampleSpec(num_pairs=0)
         with pytest.raises(ValueError):
-            SampleSpec(boundary_fraction=1.5)
-        with pytest.raises(ValueError):
             SampleSpec(base_box=(1.0, -1.0))
 
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("violation_tol", math.nan),
-            ("violation_tol", math.inf),
             ("base_box", (math.nan, 1.0)),
             ("base_box", (-1.0, math.nan)),
             ("base_box", (-math.inf, 1.0)),
@@ -101,10 +97,14 @@ class TestSampler:
         ids=str,
     )
     def test_spec_rejects_non_finite_values(self, field, value):
-        # a NaN tolerance compares false against every margin, so a broken
-        # certificate would report no violations
+        # uniform draws over a box with a NaN or infinite end are not finite
         with pytest.raises(ValueError, match=rf"{field}.*finite"):
             SampleSpec(**{field: value})
+
+    def test_spec_rejects_a_non_integer_count(self):
+        # not later, in numpy's shapes
+        with pytest.raises(ValueError, match="num_pairs must be an integer, got 2.5"):
+            SampleSpec(num_pairs=2.5)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -163,6 +163,25 @@ class TestEmpiricalCheck:
         )
         out = empirical_bound_check(self.net, cert, SampleSpec(num_pairs=100), seed=0)
         assert out.ok and out.worst_margin > 0
+
+    @pytest.mark.parametrize("shortfall, violated", [(5e-7, False), (2e-6, True)])
+    def test_shortfalls_below_the_threshold_are_rounding(self, shortfall, violated):
+        # a certificate below the largest sampled gap by less than 1e-6
+        # counts no violation; below it by more, at least one
+        spec = SampleSpec(num_pairs=300)
+        cert = RobustnessCertificate(
+            gamma=0.0,
+            gamma_u1=0.0,
+            gamma_u2=0.0,
+            input_set=self.U,
+            lmi_margin=0.0,
+            objective_value=0.0,
+        )
+        gap = empirical_bound_check(self.net, cert, spec, seed=3).max_lhs
+        cert = replace(cert, gamma=gap - shortfall, objective_value=gap - shortfall)
+        out = empirical_bound_check(self.net, cert, spec, seed=3)
+        assert out.worst_margin == pytest.approx(-shortfall, rel=1e-6)
+        assert (out.violations > 0) is violated
 
 
 class TestLemmaSuite:

@@ -1,10 +1,17 @@
 #!/usr/bin/env python3
 """End-to-end robustification study on the bundled saturated-MPC example.
 
-Builds the exact MPC network, certifies it, synthesizes robustified variants
-at a fine and a coarse weight tolerance, validates every certificate by
-sampling, and compares closed-loop trajectories against the exact QP law.
-Artifacts (networks, certificates, trajectory CSV) land in --out.
+Runs the CLI (robsyn.cli) with both input-dependent bound coefficients
+pinned to zero, writing each command's config next to its artifacts as
+<command>.json.  Into --out, `mpc-build` builds the exact MPC network
+(network.json, qp.json) and `analyze` certifies it (certificate.json,
+analysis.csv).  Into --out/fine/ and --out/coarse/, at weight tolerances
+1e-5 and 1e-1, `synthesize` robustifies network.json
+(synthesized_network.json, certificate.json), `verify` tests that
+certificate on sampled pairs (verify.csv) and `simulate` runs the closed
+loop against the exact QP law (trajectory.csv).  report.json collects the
+certified gammas, the closed-loop deviations and the share of sampled
+pairs at which the exact law saturates, which no command computes.
 
 The sampled pairs draw their first input from (-50, 50)^2, where most of
 them saturate the MPC input (the share is printed); over the library's
@@ -13,43 +20,51 @@ piece of the law.
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
-from robsyn.conic import SolverOptions
-from robsyn.mpc import (
-    condense_qp,
-    qp_to_implicit_network,
-    reference_mpc_problem,
-    simulate_closed_loop,
-)
+from robsyn import cli
 from robsyn.multipliers import InputPairSet
-from robsyn.network import evaluate, evaluate_batch, save_network
-from robsyn.synthesis import (
-    SimilarityTolerances,
-    SynthesisProblem,
-    analyze_network,
-    synthesize,
-)
-from robsyn.verification import (
-    SampleSpec,
-    empirical_bound_check,
-    max_weight_deviation,
-    sample_input_pairs,
-)
+from robsyn.network import evaluate_batch, load_network
+from robsyn.verification import SampleSpec, sample_input_pairs
 
 SAMPLE_BOX = (-50.0, 50.0)
+TOLERANCES = {"fine": 1e-5, "coarse": 1e-1}
 
 
-def saturated_share(net, qp, input_set, spec, seed):
-    """Share of the sampled pairs at which the exact MPC law saturates some
-    input, at either end of the pair."""
-    U1, U2 = sample_input_pairs(input_set, net.n_u, spec, seed)
-    limit = qp.v_bound * (1.0 - 1e-9)
+def run(command: str, cfg: dict) -> None:
+    """`robsyn <command>` on cfg, written first to <out>/<command>.json.  Any
+    nonzero exit ends the study but verify's 1, which reports violations."""
+    os.makedirs(cfg["out"], exist_ok=True)
+    path = os.path.join(cfg["out"], f"{command}.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh, indent=1)
+    code = cli.main([command, "--config", path])
+    if command == "verify" and code == 1:
+        print(f"sampled violations of {cfg['out']}/certificate.json, see verify.csv")
+    elif code:
+        sys.exit(code)
+
+
+def read(path: str):
+    """A JSON artifact, or the rows of a CSV artifact past its timestamp comment."""
+    with open(path) as fh:
+        if path.endswith(".json"):
+            return json.load(fh)
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
+def saturated_share(out: str, spec: SampleSpec, seed: int) -> float:
+    """Share of the pairs verify samples at which the exact MPC law saturates
+    some input, at either end of the pair."""
+    net = load_network(os.path.join(out, "network.json"))
+    cert = read(os.path.join(out, "certificate.json"))
+    U1, U2 = sample_input_pairs(InputPairSet(cert["eps_u1"], cert["eps_u2"]), net.n_u, spec, seed)
+    limit = read(os.path.join(out, "qp.json"))["v_bound"] * (1.0 - 1e-9)
     saturated = np.zeros(spec.num_pairs, dtype=bool)
     for U in (U1, U2):
         G = evaluate_batch(net, U.T)[0]
@@ -57,73 +72,51 @@ def saturated_share(net, qp, input_set, spec, seed):
     return float(np.mean(saturated))
 
 
-def robustify(net, input_set, eps, options):
-    problem = SynthesisProblem(
-        network=net,
-        input_set=input_set,
-        tolerances=SimilarityTolerances.uniform(eps),
-        fixed_gamma_u1=0.0,
-        fixed_gamma_u2=0.0,
-    )
-    t0 = time.perf_counter()
-    sol = synthesize(problem, options=options)
-    return sol, time.perf_counter() - t0
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results/mpc-study")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--fine-eps", type=float, default=1e-5)
-    ap.add_argument("--coarse-eps", type=float, default=1e-1)
     ap.add_argument("--steps", type=int, default=30)
     ap.add_argument("--samples", type=int, default=2000)
     args = ap.parse_args()
-    os.makedirs(args.out, exist_ok=True)
 
-    problem = reference_mpc_problem()
-    qp = condense_qp(problem)
-    net = qp_to_implicit_network(qp, attach_hint=False)
-    save_network(net, os.path.join(args.out, "network.json"))
-    print(f"MPC network: n={net.n} n_u={net.n_u} n_g={net.n_g}")
-
-    U = InputPairSet(1.0, 1.0)
-    spec = SampleSpec(num_pairs=args.samples, base_box=SAMPLE_BOX)
-    opts = SolverOptions()
-    share = saturated_share(net, qp, U, spec, args.seed)
+    out = args.out
+    base = {
+        "seed": args.seed,
+        "samples": args.samples,
+        "base_box": list(SAMPLE_BOX),
+        "steps": args.steps,
+        "fixed_gamma_u1": 0.0,
+        "fixed_gamma_u2": 0.0,
+    }
+    for command in ("mpc-build", "analyze"):
+        run(command, {**base, "out": out})
+    share = saturated_share(out, SampleSpec(num_pairs=args.samples, base_box=SAMPLE_BOX), args.seed)
     print(f"sampled pairs that saturate the MPC input: {share:.1%}")
 
-    base = analyze_network(net, U, fixed_gamma_u1=0.0, fixed_gamma_u2=0.0, options=opts)
-    print(f"certified bound of the exact MPC network: gamma = {base.certificate.gamma:.4f}")
-
-    report = {"gamma_analysis": base.certificate.gamma, "saturated_share": share}
-    for label, eps in (("fine", args.fine_eps), ("coarse", args.coarse_eps)):
-        sol, dt = robustify(net, U, eps, opts)
-        cert = sol.certificate
-        dev = max_weight_deviation(sol.network, net)
-        check = empirical_bound_check(sol.network, cert, spec, seed=args.seed)
-        save_network(sol.network, os.path.join(args.out, f"network_{label}.json"))
-        print(
-            f"eps={eps:g}: gamma = {cert.gamma:.4f} ({dt:.1f}s), "
-            f"max weight deviation {dev:.2e}, "
-            f"sampled violations {check.violations}/{check.num_pairs}, "
-            f"empirical lower bound {check.empirical_gamma_lb:.4f}"
+    analysis = read(os.path.join(out, "analysis.csv"))[0]
+    report = {"gamma_analysis": float(analysis["gamma"]), "saturated_share": share}
+    for label, eps in TOLERANCES.items():
+        sub = os.path.join(out, label)
+        run("synthesize", {**base, "out": sub, "network": os.path.join(out, "network.json"),
+                           "tolerances": {"uniform": eps}})
+        # verify and simulate read the synthesized network
+        checked = {**base, "out": sub, "network": os.path.join(sub, "synthesized_network.json"),
+                   "qp": os.path.join(out, "qp.json")}
+        for command in ("verify", "simulate"):
+            run(command, checked)
+        report[f"gamma_{label}"] = read(os.path.join(sub, "certificate.json"))["gamma"]
+        report[f"trajectory_deviation_{label}"] = max(
+            abs(float(row[key]) - float(row[key.replace("ref", "net")]))
+            for row in read(os.path.join(sub, "trajectory.csv"))
+            for key in row
+            if key.startswith("w_ref_")
         )
-        report[f"gamma_{label}"] = cert.gamma
 
-        w0 = np.array([1.0, -1.0])
-        W_ref, _ = simulate_closed_loop(problem, w0, args.steps)
-        W_net, _ = simulate_closed_loop(
-            problem, w0, args.steps, controller=lambda w: evaluate(sol.network, w).g
-        )
-        dev_traj = float(np.max(np.abs(W_ref - W_net)))
-        print(f"  closed-loop deviation from the exact law over {args.steps} steps: {dev_traj:.3e}")
-        report[f"trajectory_deviation_{label}"] = dev_traj
-
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
+    with open(os.path.join(out, "report.json"), "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
-    print(f"wrote {args.out}/report.json")
+    print(f"wrote {out}/report.json")
     return 0
 
 

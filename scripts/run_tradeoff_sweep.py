@@ -1,22 +1,22 @@
 #!/usr/bin/env python3
 """Robustness/similarity trade-off sweep on the bundled saturated-MPC network.
 
-Builds one SynthesisProblem over the pair set (1, 1) with the
+Runs `robsyn mpc-build` and `robsyn sweep` (robsyn.cli) into --out, on the
+config written there as config.json: the pair set (1, 1) with the
 input-dependent bound coefficients pinned to zero, so the certified constant
-gamma alone tracks the trade-off, and sweeps it across a grid of uniform
-weight-deviation tolerances under the default solver options.  Writes
-sweep.csv (full columns) and sweep.dat (two-column, gnuplot-ready) into
---out and prints the table.
+gamma alone tracks the trade-off, swept across a grid of uniform
+weight-deviation tolerances under the default solver options.  The sweep
+writes sweep.csv (full columns) and sweep.dat (two-column, gnuplot-ready);
+the table printed at the end is read from sweep.csv.
 """
 
 import argparse
+import csv
+import json
 import os
 import sys
 
-from robsyn.mpc import condense_qp, qp_to_implicit_network, reference_mpc_problem
-from robsyn.multipliers import InputPairSet
-from robsyn.synthesis import SimilarityTolerances, SynthesisProblem
-from robsyn.verification import SampleSpec, sweep_tolerance
+from robsyn import cli
 
 # The MPC inputs saturate at |v| = 10; over the default box (-5, 5) no draw
 # saturates, and the sweep's empirical check would see only the linear piece
@@ -39,29 +39,33 @@ def main() -> int:
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
-    net = qp_to_implicit_network(condense_qp(reference_mpc_problem()), attach_hint=False)
-    # each row sets every tolerance to its grid value
-    problem = SynthesisProblem(
-        net, InputPairSet(1.0, 1.0), SimilarityTolerances(), fixed_gamma_u1=0.0, fixed_gamma_u2=0.0
-    )
-    result = sweep_tolerance(
-        problem,
-        grid,
-        spec=SampleSpec(num_pairs=args.samples, base_box=SAMPLE_BOX),
-        seed=args.seed,
-        jobs=args.jobs,
-    )
-    result.write_csv(os.path.join(args.out, "sweep.csv"), timestamp=not args.no_timestamp)
-    result.write_gnuplot(os.path.join(args.out, "sweep.dat"), timestamp=not args.no_timestamp)
+    cfg = {
+        "out": args.out,
+        "sweep_grid": [float(tok) for tok in args.grid.split(",") if tok.strip()],
+        "samples": args.samples,
+        "base_box": list(SAMPLE_BOX),
+        "seed": args.seed,
+        "jobs": args.jobs,
+        "timestamp": not args.no_timestamp,
+        "fixed_gamma_u1": 0.0,
+        "fixed_gamma_u2": 0.0,
+    }
+    config = os.path.join(args.out, "config.json")
+    with open(config, "w") as fh:
+        json.dump(cfg, fh, indent=1)
+    for command in ("mpc-build", "sweep"):
+        code = cli.main([command, "--config", config])
+        if code:
+            return code
 
+    with open(os.path.join(args.out, "sweep.csv")) as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     print(f"{'eps':>10} {'gamma':>12} {'max |g1-g2|_1':>14} {'weight dev':>12}  status")
-    for r in result.rows:
-        print(
-            f"{r.eps:>10g} {r.gamma:>12.5f} {r.empirical_max_lhs:>14.5f} "
-            f"{r.max_weight_deviation:>12.3e}  {r.status}"
+    for r in rows:
+        eps, gamma, lhs, dev = (
+            float(r[k]) for k in ("eps", "gamma", "empirical_max_lhs", "max_weight_deviation")
         )
-    print(f"wrote {args.out}/sweep.csv and {args.out}/sweep.dat")
+        print(f"{eps:>10g} {gamma:>12.5f} {lhs:>14.5f} {dev:>12.3e}  {r['status']}")
     return 0
 
 

@@ -5,6 +5,9 @@ the dynamics (independent oracle), the QP oracle against its own KKT
 conditions, and the bridge network against the QP oracle on a state grid.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,21 @@ class TestCondense:
                 A=np.eye(2), B=np.zeros((2, 1)), Q=np.eye(2), R=np.eye(1),
                 P=np.eye(2), horizon=0, v_bound=1.0,
             )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("horizon", 2.5, "horizon must be an integer"),
+            ("v_bound", math.nan, "v_bound must be positive"),
+            ("v_bound", math.inf, "v_bound must be positive"),
+        ],
+        ids=str,
+    )
+    def test_validation_names_a_bad_scalar(self, field, value, message):
+        # unchecked, a fractional horizon fails later in condense_qp with a
+        # TypeError and a NaN bound in scipy; an infinite bound never saturates
+        with pytest.raises(ValueError, match=rf"^{message}.*, got {value!r}$"):
+            dataclasses.replace(reference_mpc_problem(), **{field: value})
 
 
 class TestQpOracle:

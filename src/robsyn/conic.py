@@ -26,6 +26,17 @@ the raw, nearly singular (s, z) pair, and search directions get iterative
 refinement against the full embedding residuals, because the
 tau-superposition cancels badly near convergence.
 
+Every product an iteration repeats reads data fixed once per solve or per
+scaling update.  The sparse products with G, G' and N, and the linear rows'
+part of the KKT Gram, are each one gather and one np.bincount over a
+pattern _ConeData fixes (rows too dense for the Gram's pattern keep the
+sparse product; see _LinearGram); the Cholesky solves call LAPACK's potrs
+directly.  Each forms the same floating-point operations in the same order
+as scipy's sparse @, (Glw.T @ Glw).toarray() with Glw = diag(w)^-1 G_lp,
+and cho_solve, so the iterates are bit for bit those of the scipy calls,
+without their per-call argument checks and dispatch, which on small
+programs cost more than the arithmetic.
+
 Each iteration's cost is the Gram matrix of the scaled constraints (the
 Schur complement).  A PSD block adds its part by one of two formulas,
 picked once per block from the sparsity of its coefficients (Fujisawa,
@@ -51,6 +62,7 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -176,7 +188,7 @@ class SolverOptions:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not isinstance(self.max_iters, numbers.Integral):
+        if not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
@@ -281,6 +293,89 @@ def smat(v: np.ndarray, m: int, mult) -> np.ndarray:
 # --- homogeneous self-dual interior-point solver --- #
 
 
+class _Block(NamedTuple):
+    """One PSD block of the cone: its order m, its rows sl of a cone
+    vector, and svec_indices' weights and _svec_gathers' arrays for m."""
+
+    m: int
+    sl: slice
+    mult: np.ndarray
+    upper: np.ndarray
+    full: np.ndarray
+
+    def smat(self, v: np.ndarray) -> np.ndarray:
+        """smat of this block's rows of the cone vector v."""
+        return (v[self.sl] / self.mult).take(self.full).reshape(self.m, self.m)
+
+    def svec(self, A: np.ndarray) -> np.ndarray:
+        return A.take(self.upper) * self.mult
+
+
+def _as_float(counts: np.ndarray) -> np.ndarray:
+    # np.bincount of no entries is int64 even with weights
+    return counts.astype(float, copy=False)
+
+
+class _FixedProduct:
+    """v -> A v for a CSR matrix fixed for the whole solve: one gather and
+    one np.bincount over the row of each stored entry.  bincount adds each
+    row's products to a zero in stored order, which is the sum scipy's
+    csr_matvec forms, so the result is A @ v bit for bit without the
+    dispatch of a sparse product."""
+
+    def __init__(self, A: scipy.sparse.csr_array):
+        self.rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        self.cols = A.indices.astype(np.intp)
+        self.data = A.data
+        self.size = A.shape[0]
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        return _as_float(
+            np.bincount(self.rows, self.data * v.take(self.cols), minlength=self.size)
+        )
+
+
+class _LinearGram:
+    """w -> G_lp' diag(w)^-2 G_lp as a dense matrix, for the linear rows
+    G_lp (CSR) of a solve, by one np.bincount over the ordered pairs of
+    stored entries within each row.  The pairs are sorted by output entry
+    and, within one, by row, so each entry sums the products of the
+    row-scaled values row by row from zero: the sum scipy forms for
+    (Glw.T @ Glw).toarray() with Glw = diag(w)^-1 G_lp, bit for bit.
+
+    A row of k entries has k^2 pairs, so the pairs are kept only while
+    they are no more than the nv^2 entries of the Gram they sum into;
+    denser rows (a general LP's, say) keep that scipy product, whose
+    memory is the Gram's."""
+
+    def __init__(self, G_lp: scipy.sparse.csr_array):
+        self.G_lp = G_lp
+        self.nv = G_lp.shape[1]
+        lengths = np.diff(G_lp.indptr)
+        self.rows = np.repeat(np.arange(G_lp.shape[0]), lengths)
+        reps = lengths[self.rows]       # the entries each entry pairs with
+        self.p = None
+        if reps.sum() > self.nv * self.nv:
+            return
+        # pair (p, q) for every two stored entries p, q of one row, row by row
+        p = np.repeat(np.arange(self.rows.size), reps)
+        starts = np.cumsum(reps) - reps
+        q = G_lp.indptr[self.rows][p] + np.arange(p.size) - starts[p]
+        entry = G_lp.indices[p].astype(np.intp) * self.nv + G_lp.indices[q]
+        order = np.argsort(entry, kind="stable")
+        self.p, self.q, self.entry = p[order], q[order], entry[order]
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        G_lp = self.G_lp
+        vals = G_lp.data * (1.0 / w).take(self.rows)
+        if self.p is None:
+            Glw = scipy.sparse.csr_array((vals, G_lp.indices, G_lp.indptr), shape=G_lp.shape)
+            return (Glw.T @ Glw).toarray()
+        K = np.bincount(self.entry, vals.take(self.p) * vals.take(self.q),
+                        minlength=self.nv * self.nv)
+        return _as_float(K).reshape(self.nv, self.nv)
+
+
 class _ConeData:
     """Standard-form data min c'x, Gx + s = h with s in R+^l x PSD(m_1) x ...
     derived from a ConicProgram by eliminating its equalities once:
@@ -306,9 +401,12 @@ class _ConeData:
     its coefficient matrices.  One DEBUG record per solve gives each
     block's sizes and formula.
 
-    G is held sparse, with its transpose GT: the inequality rows have one
-    or two terms and each A_k a handful of entries, so a product with G
-    costs its few thousand nonzeros rather than rows x nv."""
+    G is held sparse: the inequality rows have one or two terms and each
+    A_k a handful of entries, so a product with G costs its few thousand
+    nonzeros rather than rows x nv.  The products the iteration repeats
+    with G, G' and N, and the linear rows' Gram, run on patterns fixed here
+    once (G_times, GT_times, N_times, lp_gram; see _FixedProduct and
+    _LinearGram)."""
 
     def __init__(self, program: ConicProgram):
         nv = program.num_vars
@@ -336,17 +434,13 @@ class _ConeData:
         self.l = len(program.inequalities)
         G_parts = [program.inequalities.coeffs]
         h = [program.inequalities.rhs]
-        self.block_dims = []
-        self.block_slices = []
-        self.block_mult = []
+        self.blocks = []
         offset = self.l
         for blk in program.psd_blocks:
             m = blk.dim
             _, mult = svec_indices(m)
             msv = m * (m + 1) // 2
-            self.block_dims.append(m)
-            self.block_slices.append(slice(offset, offset + msv))
-            self.block_mult.append(mult)
+            self.blocks.append(_Block(m, slice(offset, offset + msv), mult, *_svec_gathers(m)))
             # rows of G for this block, -svec(A_k) in column k: coeffs with
             # its columns scaled to svec and its CSR arrays read as the CSC
             # arrays of the transpose
@@ -364,14 +458,16 @@ class _ConeData:
         else:
             self.G = (G_theta @ self.N).tocsr()
             self.h = h - G_theta @ self.x0
-        self.GT = self.G.T.tocsr()
-        self.degree = self.l + sum(self.block_dims)
+        self.G_times = _FixedProduct(self.G)
+        self.GT_times = _FixedProduct(self.G.T.tocsr())
+        self.N_times = None if self.N is None else _FixedProduct(self.N)
+        self.degree = self.l + sum(blk.m for blk in self.blocks)
         # the LP rows enter the per-iteration KKT matrix only through
         # G_lp' diag(w)^-2 G_lp
-        self.G_lp = self.G[: self.l]
+        self.lp_gram = _LinearGram(self.G[: self.l])
         self.grams = []
         notes = []
-        for m, sl, mult in self.iter_blocks():
+        for m, sl, mult, _, _ in self.blocks:
             G_block = self.G[sl]
             rows = np.flatnonzero(np.diff(G_block.indptr))
             cols = np.unique(G_block.indices)
@@ -389,38 +485,39 @@ class _ConeData:
 
     def theta(self, x: np.ndarray) -> np.ndarray:
         """The program's variables at the point x."""
-        return self.x0 + (x if self.N is None else self.N @ x)
-
-    def iter_blocks(self):
-        return zip(self.block_dims, self.block_slices, self.block_mult)
+        return self.x0 + (x if self.N is None else self.N_times(x))
 
     def cone_identity(self) -> np.ndarray:
         e = np.zeros(self.rows)
         e[: self.l] = 1.0
-        for m, sl, mult in self.iter_blocks():
-            e[sl] = svec(np.eye(m), mult)
+        for blk in self.blocks:
+            e[blk.sl] = blk.svec(np.eye(blk.m))
         return e
 
     def min_cone_eig(self, v: np.ndarray) -> float:
         """Smallest 'eigenvalue' of a cone point (LP entries and PSD spectra)."""
         worst = float(np.min(v[: self.l], initial=math.inf))
-        for m, sl, mult in self.iter_blocks():
-            M = smat(v[sl], m, mult)
-            worst = min(worst, float(np.linalg.eigvalsh(M)[0]))
+        for blk in self.blocks:
+            worst = min(worst, float(np.linalg.eigvalsh(blk.smat(v))[0]))
         return worst
 
 
 class _Scaling:
     """Nesterov-Todd scaling, kept current across iterations by multiplicative
-    updates from scaled step data (update), never refactored from raw s, z."""
+    updates from scaled step data (update), never refactored from raw s, z.
+
+    Each update also fixes what the products of the iteration read: per
+    block, the factor pairs (L, R) of the four congruences L M R, and the
+    sig_i + sig_j and sqrt(sig_i sig_j) that jordan_div_lam and max_step
+    divide by."""
 
     def __init__(self, data: _ConeData, s: np.ndarray, z: np.ndarray):
         self.data = data
         self.w = np.ones(data.l)
         self.lam_lp = np.zeros(data.l)
-        self.R = [np.eye(m) for m in data.block_dims]
-        self.Rti = [np.eye(m) for m in data.block_dims]      # R^{-T}
-        self.lam_psd = [np.zeros(m) for m in data.block_dims]
+        self.R = [np.eye(blk.m) for blk in data.blocks]
+        self.Rti = [np.eye(blk.m) for blk in data.blocks]      # R^{-T}
+        self.lam_psd = [np.zeros(blk.m) for blk in data.blocks]
         # the scaling at s = z = e is the identity, so this update from it
         # is the scaling of (s, z)
         self.update(s, z)
@@ -433,61 +530,57 @@ class _Scaling:
         b = lz[: d.l]
         self.w *= np.sqrt(a / b)
         self.lam_lp = np.sqrt(a * b)
-        for idx, (m, sl, mult) in enumerate(d.iter_blocks()):
-            Sm = smat(ls[sl], m, mult)
-            Zm = smat(lz[sl], m, mult)
-            Ls = np.linalg.cholesky(Sm)
-            Lz = np.linalg.cholesky(Zm)
+        for idx, blk in enumerate(d.blocks):
+            Ls = np.linalg.cholesky(blk.smat(ls))
+            Lz = np.linalg.cholesky(blk.smat(lz))
             U, sig, Vt = np.linalg.svd(Lz.T @ Ls)
             isq = 1.0 / np.sqrt(sig)
             self.R[idx] = self.R[idx] @ (Ls @ Vt.T * isq)
             self.Rti[idx] = self.Rti[idx] @ (Lz @ U * isq)
             self.lam_psd[idx] = sig
+        self._W = [(R.T, R) for R in self.R]
+        self._WT = [(R, R.T) for R in self.R]
+        self._WinvT = [(Rti.T, Rti) for Rti in self.Rti]
+        self._Winv = [(Rti, Rti.T) for Rti in self.Rti]
+        self._sig_mean = [(sig[:, None] + sig[None, :]) / 2.0 for sig in self.lam_psd]
+        self._sig_root = [np.sqrt(sig[:, None] * sig[None, :]) for sig in self.lam_psd]
 
     def lam_vec(self) -> np.ndarray:
         out = np.zeros(self.data.rows)
         out[: self.data.l] = self.lam_lp
-        for (m, sl, mult), sig in zip(self.data.iter_blocks(), self.lam_psd):
-            out[sl] = svec(np.diag(sig), mult)
+        for blk, sig in zip(self.data.blocks, self.lam_psd):
+            out[blk.sl] = blk.svec(np.diag(sig))
         return out
 
-    def _congruence(self, v, which):
+    def _congruence(self, v, lp_op, factors):
+        """lp_op(v, w) on the LP rows, L M R on each block."""
         d = self.data
         out = np.empty_like(v)
-        out[: d.l] = v[: d.l] * self.w if which in ("W", "WT") else v[: d.l] / self.w
-        for idx, (m, sl, mult) in enumerate(d.iter_blocks()):
-            M = smat(v[sl], m, mult)
-            R, Rti = self.R[idx], self.Rti[idx]
-            if which == "W":          # R' M R
-                out[sl] = svec(R.T @ M @ R, mult)
-            elif which == "WT":       # R M R'
-                out[sl] = svec(R @ M @ R.T, mult)
-            elif which == "WinvT":    # R^{-1} M R^{-T} = Rti' M Rti
-                out[sl] = svec(Rti.T @ M @ Rti, mult)
-            else:                     # Winv: R^{-T} M R^{-1} = Rti M Rti'
-                out[sl] = svec(Rti @ M @ Rti.T, mult)
+        lp_op(v[: d.l], self.w, out=out[: d.l])
+        for blk, (L, R) in zip(d.blocks, factors):
+            out[blk.sl] = blk.svec(L @ blk.smat(v) @ R)
         return out
 
-    def W(self, v):
-        return self._congruence(v, "W")
+    def W(self, v):          # R' M R
+        return self._congruence(v, np.multiply, self._W)
 
-    def WT(self, v):
-        return self._congruence(v, "WT")
+    def WT(self, v):         # R M R'
+        return self._congruence(v, np.multiply, self._WT)
 
-    def WinvT(self, v):
-        return self._congruence(v, "WinvT")
+    def WinvT(self, v):      # R^{-1} M R^{-T} = Rti' M Rti
+        return self._congruence(v, np.divide, self._WinvT)
 
-    def Winv(self, v):
-        return self._congruence(v, "Winv")
+    def Winv(self, v):       # R^{-T} M R^{-1} = Rti M Rti'
+        return self._congruence(v, np.divide, self._Winv)
 
     def jordan_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d = self.data
         out = np.empty_like(a)
         out[: d.l] = a[: d.l] * b[: d.l]
-        for m, sl, mult in d.iter_blocks():
-            A = smat(a[sl], m, mult)
-            B = smat(b[sl], m, mult)
-            out[sl] = svec((A @ B + B @ A) / 2.0, mult)
+        for blk in d.blocks:
+            A = blk.smat(a)
+            B = blk.smat(b)
+            out[blk.sl] = blk.svec((A @ B + B @ A) / 2.0)
         return out
 
     def jordan_div_lam(self, v: np.ndarray) -> np.ndarray:
@@ -495,11 +588,8 @@ class _Scaling:
         d = self.data
         out = np.empty_like(v)
         out[: d.l] = v[: d.l] / self.lam_lp
-        for idx, (m, sl, mult) in enumerate(d.iter_blocks()):
-            sig = self.lam_psd[idx]
-            M = smat(v[sl], m, mult)
-            denom = (sig[:, None] + sig[None, :]) / 2.0
-            out[sl] = svec(M / denom, mult)
+        for blk, denom in zip(d.blocks, self._sig_mean):
+            out[blk.sl] = blk.svec(blk.smat(v) / denom)
         return out
 
     def max_step(self, v: np.ndarray) -> float:
@@ -507,11 +597,8 @@ class _Scaling:
         d = self.data
         neg = v[: d.l] < 0
         t = float(np.min(self.lam_lp[neg] / -v[: d.l][neg], initial=math.inf))
-        for idx, (m, sl, mult) in enumerate(d.iter_blocks()):
-            sig = self.lam_psd[idx]
-            M = smat(v[sl], m, mult)
-            scaled = M / np.sqrt(sig[:, None] * sig[None, :])
-            emin = float(np.linalg.eigvalsh(scaled)[0])
+        for blk, root in zip(d.blocks, self._sig_root):
+            emin = float(np.linalg.eigvalsh(blk.smat(v) / root)[0])
             if emin < 0:
                 t = min(t, 1.0 / -emin)
         return t
@@ -594,40 +681,46 @@ class _KktSolver:
     the condition number of Gs, which a QR of Gs would avoid, but a QR of
     the dense scaled constraint matrix costs several times the product; the
     refinement passes in f4, taken against the full embedding residuals,
-    recover the accuracy the squaring gives away.  The LP rows enter as a
-    sparse product; each PSD block adds its part by the formula _ConeData
-    picked for it (_SparseGram or _DenseGram).  A solve applies the
-    scaling as the two congruences Winv(WinvT(.)) through smat and svec:
-    applying a block's H there instead, or fusing the two congruences into
-    one without the svec between them, made the step length collapse on
-    the paper-MPC fine synthesis.  It is the solver's only KKT solver: the
+    recover the accuracy the squaring gives away.  The LP rows enter
+    through their Gram on its fixed pattern (_LinearGram); each PSD block
+    adds its part by the formula _ConeData picked for it (_SparseGram or
+    _DenseGram).  The solves with R call the LAPACK potrs that
+    scipy.linalg.cho_solve wraps, fetched once per factorisation, and the
+    products with G and G' are _ConeData's fixed-pattern ones.  A solve
+    applies the scaling as the two congruences Winv(WinvT(.)) through smat
+    and svec: applying a block's H there instead, or fusing the two
+    congruences into one without the svec between them, made the step
+    length collapse on the paper-MPC fine synthesis.  It is the solver's only KKT solver: the
     initial point uses it at the identity scaling."""
 
     def __init__(self, data: _ConeData, scaling: _Scaling):
         self.data = data
         self.sc = scaling
-        # diag(w)^-1 G_lp, scaling a copy of the CSR data row by row
-        G_lp = data.G_lp
-        row_scale = np.repeat(1.0 / scaling.w, np.diff(G_lp.indptr))
-        Glw = scipy.sparse.csr_array(
-            (G_lp.data * row_scale, G_lp.indices, G_lp.indptr), shape=G_lp.shape
-        )
-        K = (Glw.T @ Glw).toarray()
+        K = data.lp_gram(scaling.w)
         for gram, Rti in zip(data.grams, scaling.Rti):
             gram.add_to(K, Rti)
         # raises LinAlgError if a variable drops out of the scaled constraints
         self.R = scipy.linalg.cholesky(
             K + np.diag(_KKT_REGULARIZATION * np.diag(K)), check_finite=False
         )
+        (self._potrs,) = scipy.linalg.get_lapack_funcs(("potrs",), (self.R,))
+
+    def _cho_solve(self, b: np.ndarray) -> np.ndarray:
+        """R'R u = b for a fresh b, which it overwrites: cho_solve's potrs
+        call and info check, without its argument handling."""
+        if not b.size:      # potrs rejects the empty system cho_solve allows
+            return b
+        u, info = self._potrs(self.R, b, lower=False, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        return u
 
     def solve(self, bx: np.ndarray, bz: np.ndarray):
         """Solve  G'uz = bx;  G ux - W'W uz = bz."""
         d, sc = self.data, self.sc
-        ux = scipy.linalg.cho_solve(
-            (self.R, False), bx + d.GT @ sc.Winv(sc.WinvT(bz)), check_finite=False
-        )
-        uz = sc.Winv(sc.WinvT(d.G @ ux - bz))
-        if not (np.all(np.isfinite(ux)) and np.all(np.isfinite(uz))):
+        ux = self._cho_solve(bx + d.GT_times(sc.Winv(sc.WinvT(bz))))
+        uz = sc.Winv(sc.WinvT(d.G_times(ux) - bz))
+        if not (np.isfinite(ux).all() and np.isfinite(uz).all()):
             raise np.linalg.LinAlgError("non-finite KKT solution")
         return ux, uz
 
@@ -670,7 +763,8 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
     data = _ConeData(program)
     if data.rows == 0:
         raise ValueError("program has no inequalities and no PSD blocks")
-    c, G, GT, h = data.c, data.G, data.GT, data.h
+    c, h = data.c, data.h
+    G, GT = data.G_times, data.GT_times
     e = data.cone_identity()
 
     try:
@@ -706,8 +800,10 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
         # raw cone points reconstructed from the scaling so s'z == |lam|^2
         s = sc.WT(lam)
         z = sc.Winv(lam)
-        rx = GT @ z + c * tau
-        rz = G @ x + s - h * tau
+        GTz = GT(z)
+        Gx = G(x)
+        rx = GTz + c * tau
+        rz = Gx + s - h * tau
         rtau = kappa + float(c @ x) + float(h @ z)
         gap = float(lam @ lam)
         mu = (gap + tau * kappa) / (data.degree + 1)
@@ -731,13 +827,13 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
             return _result(program, SolverStatus.OPTIMAL, data.theta(x / tau), it)
         # infeasibility certificates
         ct = float(h @ z)
-        if ct < 0 and float(np.linalg.norm(GT @ z)) / norm_c / (-ct) <= options.feas_tol:
+        if ct < 0 and float(np.linalg.norm(GTz)) / norm_c / (-ct) <= options.feas_tol:
             return _result(
                 program, SolverStatus.INFEASIBLE, None, it,
                 "primal infeasibility certificate found",
             )
         if float(c @ x) < 0:
-            resid = float(np.linalg.norm(G @ x + s))
+            resid = float(np.linalg.norm(Gx + s))
             if resid / norm_h / (-float(c @ x)) <= options.feas_tol:
                 return _result(
                     program, SolverStatus.NUMERICAL_FAILURE, None, it,
@@ -771,8 +867,8 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
         def f4(bx, bz, btau, bs, bkap, refine=2):
             dx, dz, ds, dtau, dkap = f4_once(bx, bz, btau, bs, bkap)
             for _ in range(refine):
-                r1 = bx - (GT @ dz + c * dtau)
-                r2 = bz - (G @ dx + ds - h * dtau)
+                r1 = bx - (GT(dz) + c * dtau)
+                r2 = bz - (G(dx) + ds - h * dtau)
                 r3 = btau - (dkap + float(c @ dx) + float(h @ dz))
                 r4 = bs - (sc.WinvT(ds) + sc.W(dz))
                 r5 = bkap - (tau * dkap + kappa * dtau)

@@ -68,7 +68,7 @@ class MpcProblem:
         if not np.allclose(Rm, Rm.T, atol=1e-12):
             raise DimensionMismatch("R must be symmetric")
         self.R = (Rm + Rm.T) / 2.0
-        if not isinstance(self.horizon, numbers.Integral):
+        if not isinstance(self.horizon, numbers.Integral) or isinstance(self.horizon, bool):
             raise ValueError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {self.horizon!r}")

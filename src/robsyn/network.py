@@ -106,7 +106,7 @@ class FixedPointConfig:
     def __post_init__(self):
         if not 0 <= self.tol < math.inf:
             raise ValueError(f"tol must be nonnegative and finite, got {self.tol!r}")
-        if not isinstance(self.max_iters, numbers.Integral):
+        if not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")

@@ -55,7 +55,7 @@ class SampleSpec:
     base_box: tuple[float, float] = (-5.0, 5.0)
 
     def __post_init__(self):
-        if not isinstance(self.num_pairs, numbers.Integral):
+        if not isinstance(self.num_pairs, numbers.Integral) or isinstance(self.num_pairs, bool):
             raise ValueError(f"num_pairs must be an integer, got {self.num_pairs!r}")
         if self.num_pairs < 1:
             raise ValueError(f"num_pairs must be at least 1, got {self.num_pairs!r}")

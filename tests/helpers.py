@@ -1,7 +1,10 @@
 """Shared factories and oracles for the test suite."""
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
 
+import robsyn.conic
 from robsyn.mpc import MpcProblem
 from robsyn.network import Activation, ImplicitNetwork
 
@@ -36,3 +39,64 @@ def random_well_posed_network(seed, n, n_u, n_g, activation=None, contraction=0.
         b_f=rng.standard_normal(n_g),
         activation=activation or Activation.relu(),
     )
+
+
+def lp_gram_by_scipy(G_lp, w):
+    """G_lp' diag(w)^-2 G_lp through scipy.sparse: diag(w)^-1 G_lp from a
+    row-scaled copy of the CSR data, then (Glw.T @ Glw).toarray()."""
+    row_scale = np.repeat(1.0 / w, np.diff(G_lp.indptr))
+    Glw = scipy.sparse.csr_array(
+        (G_lp.data * row_scale, G_lp.indices, G_lp.indptr), shape=G_lp.shape
+    )
+    return (Glw.T @ Glw).toarray()
+
+
+class _ScipyProduct:
+    def __init__(self, A):
+        self.A = A
+
+    def __call__(self, v):
+        return self.A @ v
+
+
+class _ScipyLinearGram:
+    def __init__(self, G_lp):
+        self.G_lp = G_lp
+
+    def __call__(self, w):
+        return lp_gram_by_scipy(self.G_lp, w)
+
+
+def use_scipy_route(monkeypatch):
+    """Run the interior-point iteration on the scipy calls its fixed-pattern
+    products reproduce: sparse @ for G, G' and N, the sparse linear-row Gram
+    and cho_solve."""
+    monkeypatch.setattr(robsyn.conic, "_FixedProduct", _ScipyProduct)
+    monkeypatch.setattr(robsyn.conic, "_LinearGram", _ScipyLinearGram)
+    monkeypatch.setattr(
+        robsyn.conic._KktSolver, "_cho_solve",
+        lambda self, b: scipy.linalg.cho_solve((self.R, False), b, check_finite=False),
+    )
+
+
+def assert_bit_identical(a, b):
+    """Equal dtype, shape and values, and equal bytes, so -0.0 is not 0.0."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_fixed_pattern_products_match_scipy(data, seed):
+    """The products _ConeData fixes once (G, G', N and the linear-row Gram)
+    against scipy's, bit for bit, at random vectors and row weights."""
+    rng = np.random.default_rng(seed)
+    GT = data.G.T.tocsr()
+    for _ in range(3):
+        x = rng.standard_normal(data.nv)
+        z = rng.standard_normal(data.rows)
+        assert_bit_identical(data.G_times(x), data.G @ x)
+        assert_bit_identical(data.GT_times(z), GT @ z)
+        if data.N is not None:
+            assert_bit_identical(data.N_times(x), data.N @ x)
+        w = np.exp(rng.uniform(-5.0, 5.0, data.l))
+        assert_bit_identical(data.lp_gram(w), lp_gram_by_scipy(data.G[: data.l], w))

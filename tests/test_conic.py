@@ -8,7 +8,9 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
+from helpers import assert_bit_identical, assert_fixed_pattern_products_match_scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from robsyn.conic import (
     SolverOptions,
     SolverStatus,
     _ConeData,
+    _KktSolver,
     _Scaling,
     _openblas_thread_controls,
     smat,
@@ -117,10 +120,10 @@ def test_equality_rows_must_be_linearly_independent(equalities):
         solve_conic(prog)
 
 
-def test_all_variables_pinned_solves_at_the_pinned_point():
+def pinned_program():
     # the null space of the equalities is empty: the only candidate is the
     # pinned point, which satisfies the inequalities and the PSD block
-    prog = ConicProgram(
+    return ConicProgram(
         num_vars=2,
         objective=[1.0, 1.0],
         equalities=LinearRows(np.eye(2), [1.0, 2.0]),
@@ -129,7 +132,10 @@ def test_all_variables_pinned_solves_at_the_pinned_point():
             PsdBlockMap(const=[[0.0, 1.0], [1.0, 0.0]], coeffs=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         ],
     )
-    res = solve_conic(prog)
+
+
+def test_all_variables_pinned_solves_at_the_pinned_point():
+    res = solve_conic(pinned_program())
     assert res.status == SolverStatus.OPTIMAL
     np.testing.assert_allclose(res.theta, [1.0, 2.0], atol=1e-9)
     assert res.objective_value == pytest.approx(3.0, abs=1e-9)
@@ -317,11 +323,14 @@ def test_program_validation():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("feas_tol", math.inf), ("gap_tol", math.inf), ("max_iters", 2.5)], ids=str
+    "field, value",
+    [("feas_tol", math.inf), ("gap_tol", math.inf), ("max_iters", 2.5), ("max_iters", True)],
+    ids=str,
 )
 def test_solver_options_reject_non_finite_and_non_integer_values(field, value):
-    # infinite tolerances accept the starting point as optimal, and a
-    # fractional iteration limit fails later in range()
+    # infinite tolerances accept the starting point as optimal, a
+    # fractional iteration limit fails later in range(), and True, an
+    # Integral to Python, would run one iteration
     with pytest.raises(ValueError, match=rf"{field} must be .*, got {value!r}"):
         SolverOptions(**{field: value})
 
@@ -368,6 +377,73 @@ def test_svec_and_smat_gathers_are_bit_identical_to_fancy_indexing(m):
         assert M.flags.writeable and not np.shares_memory(M, v)
         M[...] = np.nan
         assert smat(v, m, mult).tobytes() == smat_by_fancy_index(v, m, iu, mult).tobytes()
+
+
+def program_with_empty_rows():
+    # the arrow program's block with a zero inequality row; no coefficient
+    # touches the block's off-diagonal entry, so its row of G is empty too
+    return ConicProgram(
+        num_vars=3,
+        objective=[1.0, 1.0, 1.0],
+        inequalities=LinearRows(
+            [[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, -1.0]],
+            [0.0, 1.0, 20.0, 0.0],
+        ),
+        psd_blocks=[
+            PsdBlockMap(
+                const=[[0.0, 1.0], [1.0, -3.0]],
+                coeffs=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+            )
+        ],
+    )
+
+
+def program_with_an_equality():
+    # min x0 + 2 x1 + 3 x2 over the simplex, solved as theta = x0 + N x
+    return ConicProgram(
+        num_vars=3,
+        objective=[1.0, 2.0, 3.0],
+        equalities=LinearRows([[1.0, 1.0, 1.0]], [1.0]),
+        inequalities=LinearRows([[-1.0, 0.0, 0.0]], [0.0]),
+        psd_blocks=[PsdBlockMap(const=np.zeros((3, 3)), coeffs=np.eye(6)[[0, 3, 5]])],
+    )
+
+
+def dense_row_program():
+    # a dense N makes every linear row dense: more pairs than Gram entries
+    return lagrange_dual(random_box_sdp(3))
+
+
+# each program, and whether _LinearGram keeps the pairs of its rows
+FIXED_PATTERN_PROGRAMS = [
+    (program_with_empty_rows, True),
+    (program_with_an_equality, True),
+    (pinned_program, True),          # nv = 0
+    (arrow_program, True),           # no linear rows
+    (dense_row_program, False),
+]
+FIXED_PATTERN_IDS = [make.__name__ for make, _ in FIXED_PATTERN_PROGRAMS]
+
+
+@pytest.mark.parametrize("make, paired", FIXED_PATTERN_PROGRAMS, ids=FIXED_PATTERN_IDS)
+def test_fixed_pattern_products_are_bit_identical_to_scipy(make, paired):
+    data = _ConeData(make())
+    assert (data.lp_gram.p is not None) == paired
+    assert_fixed_pattern_products_match_scipy(data, seed=0)
+
+
+@pytest.mark.parametrize("make", [m for m, _ in FIXED_PATTERN_PROGRAMS], ids=FIXED_PATTERN_IDS)
+def test_kkt_potrs_is_bit_identical_to_cho_solve(make):
+    data = _ConeData(make())
+    # interior points: each block's off-diagonal entries stay below
+    # 0.2 / sqrt(2), so blocks up to 4 x 4 are diagonally dominant
+    rng = np.random.default_rng(1)
+    s = data.cone_identity() + rng.uniform(0.0, 0.2, data.rows)
+    z = data.cone_identity() + rng.uniform(0.0, 0.2, data.rows)
+    kkt = _KktSolver(data, _Scaling(data, s, z))
+    b = rng.standard_normal(data.nv)
+    expected = scipy.linalg.cho_solve((kkt.R, False), b, check_finite=False)
+    assert_bit_identical(kkt._cho_solve(b.copy()), expected)
 
 
 def random_box_sdp(seed):
@@ -439,7 +515,7 @@ def random_pd(rng, m):
 
 
 def random_cone_point(rng, data):
-    ((m, sl, mult),) = data.iter_blocks()
+    ((m, sl, mult, _, _),) = data.blocks
     v = np.empty(data.rows)
     v[: data.l] = rng.uniform(0.5, 2.0, data.l)
     v[sl] = svec(random_pd(rng, m), mult)

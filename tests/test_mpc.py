@@ -106,6 +106,7 @@ class TestCondense:
         "field, value, message",
         [
             ("horizon", 2.5, "horizon must be an integer"),
+            ("horizon", True, "horizon must be an integer"),
             ("v_bound", math.nan, "v_bound must be positive"),
             ("v_bound", math.inf, "v_bound must be positive"),
         ],
@@ -113,7 +114,8 @@ class TestCondense:
     )
     def test_validation_names_a_bad_scalar(self, field, value, message):
         # unchecked, a fractional horizon fails later in condense_qp with a
-        # TypeError and a NaN bound in scipy; an infinite bound never saturates
+        # TypeError and a NaN bound in scipy; an infinite bound never
+        # saturates; True, an Integral to Python, would build horizon 1
         with pytest.raises(ValueError, match=rf"^{message}.*, got {value!r}$"):
             dataclasses.replace(reference_mpc_problem(), **{field: value})
 

@@ -196,11 +196,14 @@ def test_fixed_point_config_validation():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("tol", math.inf), ("tol", math.nan), ("max_iters", 2.5)], ids=str
+    "field, value",
+    [("tol", math.inf), ("tol", math.nan), ("max_iters", 2.5), ("max_iters", True)],
+    ids=str,
 )
 def test_fixed_point_config_rejects_non_finite_and_non_integer_values(field, value):
     # an infinite tol returns the first iterate, a NaN tol never converges,
-    # and a fractional max_iters fails later in range()
+    # a fractional max_iters fails later in range(), and True, an Integral
+    # to Python, would allow one iteration
     with pytest.raises(ValueError, match=rf"{field} must be .*, got {value!r}"):
         FixedPointConfig(**{field: value})
 

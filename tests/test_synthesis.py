@@ -19,7 +19,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from helpers import random_well_posed_network
+from helpers import (
+    assert_fixed_pattern_products_match_scipy,
+    random_well_posed_network,
+    use_scipy_route,
+)
 
 from robsyn import evaluate
 import robsyn.synthesis
@@ -786,16 +790,21 @@ class TestOddSymmetry:
 
 
 @pytest.fixture(scope="module")
-def corpus_programs():
-    """The programs of the benchmark's corpus workload: small random ReLU
+def corpus_problems():
+    """The problems of the benchmark's corpus workload: small random ReLU
     and tanh networks, half of them with pinned gains."""
     bench = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, bench)
     try:
-        from workloads import corpus_problems
+        import workloads
     finally:
         sys.path.remove(bench)
-    return [assemble_synthesis_sdp(prob)[0] for prob in corpus_problems()]
+    return workloads.corpus_problems()
+
+
+@pytest.fixture(scope="module")
+def corpus_programs(corpus_problems):
+    return [assemble_synthesis_sdp(prob)[0] for prob in corpus_problems]
 
 
 def mpc_net_at(horizon):
@@ -876,7 +885,7 @@ def grams_by_both_formulas(program, seed):
     data = _ConeData(program)
     rng = np.random.default_rng(seed)
     out = []
-    for gram, (m, sl, mult) in zip(data.grams, data.iter_blocks()):
+    for gram, (m, sl, mult, _, _) in zip(data.grams, data.blocks):
         G_block = data.G[sl]
         rows = np.flatnonzero(np.diff(G_block.indptr))
         cols = np.unique(G_block.indices)
@@ -922,6 +931,70 @@ class TestKktGram:
         assert corpus_programs
         for seed, program in enumerate(corpus_programs):
             assert_formulas_agree(grams_by_both_formulas(program, seed))
+
+
+def solves_of(monkeypatch, run):
+    """(status, iterations, theta bytes) of each solve that run() makes."""
+    seen = []
+    solve = robsyn.synthesis.solve_conic
+
+    def recorded(program, options=None):
+        res = solve(program, options)
+        theta = None if res.theta is None else res.theta.tobytes()
+        seen.append((res.status, res.iterations, theta))
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(robsyn.synthesis, "solve_conic", recorded)
+        run()
+    return seen
+
+
+TIGHT = SolverOptions(feas_tol=1e-8, gap_tol=1e-8)
+
+
+class TestFixedPatternProducts:
+    """The iteration's products from data fixed once per solve
+    (_FixedProduct, _LinearGram and the direct potrs) give scipy's bits,
+    so every iterate is the one the scipy calls give.  No digest is pinned:
+    the bits depend on the BLAS."""
+
+    def test_paper_mpc_fine_program(self, mpc_net):
+        program, _ = assemble_synthesis_sdp(mpc_problem(mpc_net, 1e-5))
+        assert_fixed_pattern_products_match_scipy(_ConeData(program), seed=0)
+
+    def test_corpus_programs(self, corpus_programs):
+        for seed, program in enumerate(corpus_programs):
+            assert_fixed_pattern_products_match_scipy(_ConeData(program), seed)
+
+    @pytest.mark.parametrize(
+        "run, solves",
+        [
+            (lambda net: synthesize(mpc_problem(net, 1e-5), TIGHT), 1),
+            # the uncapped rung runs out of budget, then the capped one
+            (lambda net: synthesize(mpc_problem(net, 1e-1)), 2),
+            (lambda net: analyze_network(
+                net, InputPairSet(1.0, 1.0), fixed_gamma_u1=0.0, fixed_gamma_u2=0.0
+            ), 1),
+        ],
+        ids=["fine", "coarse", "analysis"],
+    )
+    def test_paper_mpc_solves_match_the_scipy_route(self, mpc_net, monkeypatch, run, solves):
+        shipped = solves_of(monkeypatch, lambda: run(mpc_net))
+        use_scipy_route(monkeypatch)
+        assert solves_of(monkeypatch, lambda: run(mpc_net)) == shipped
+        assert len(shipped) == solves
+
+    def test_corpus_solves_match_the_scipy_route(self, corpus_problems, monkeypatch):
+        # ReLU and tanh, with free and with pinned gains
+        def run():
+            for problem in corpus_problems[:4]:
+                synthesize(problem)
+
+        shipped = solves_of(monkeypatch, run)
+        use_scipy_route(monkeypatch)
+        assert solves_of(monkeypatch, run) == shipped
+        assert len(shipped) == 4
 
 
 # the paper-MPC fine synthesis, printing a digest of theta and the iterations

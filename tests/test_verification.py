@@ -105,6 +105,9 @@ class TestSampler:
         # not later, in numpy's shapes
         with pytest.raises(ValueError, match="num_pairs must be an integer, got 2.5"):
             SampleSpec(num_pairs=2.5)
+        # bool is an Integral, but True is no count
+        with pytest.raises(ValueError, match="num_pairs must be an integer, got True"):
+            SampleSpec(num_pairs=True)
 
     @settings(max_examples=25, deadline=None)
     @given(

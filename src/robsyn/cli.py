@@ -11,7 +11,7 @@ record of an experiment.  Subcommands:
     sweep        synthesis across a tolerance grid, CSV + plot data out
     simulate     closed-loop rollout of a network against the exact QP law
 
-Every config value is type-checked against its key's kind in _KINDS
+Every config value is type-checked against its key's kind in _KEYS
 (string, boolean, number, integer, number list, matrix, or a section of
 sub-keys) before anything runs, then range-checked, whichever command runs,
 by building the object the commands build from it (_BUILDERS).  Each
@@ -70,72 +70,54 @@ from .verification import (
 # SynthesisProblem's field defaults, for the config keys that set its fields
 _PROBLEM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SynthesisProblem)}
 
-_DEFAULTS = {
-    "preset": None,
-    "network": None,
-    "qp": None,
-    "certificate": None,
-    "out": ".",
-    "seed": 0,
-    "jobs": 1,
-    "timestamp": True,
-    "mpc": None,
-    "pairset": {"eps_u1": 1.0, "eps_u2": 1.0},
-    "weights": dataclasses.asdict(ObjectiveWeights()),
-    "tolerances": {"uniform": 1e-5},
-    "fixed_gamma_u1": None,
-    "fixed_gamma_u2": None,
-    "fix_gains": True,
-    "sweep_grid": [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0],
-    "samples": 10000,
-    "base_box": list(SampleSpec().base_box),
-    "steps": 30,
-    "w0": [1.0, -1.0],
-    "solver": None,
-    "strictness_shift": _PROBLEM_DEFAULTS["strictness_shift"],
-    "t_floor": _PROBLEM_DEFAULTS["t_floor"],
+# Every config key, its kind and its default.  A kind is "string",
+# "boolean", "number", "integer", "number list", "number pair" (a list of two
+# numbers), "matrix" (a list of equal-length lists of numbers), or a section
+# mapping each sub-key to its kind.  The mpc section's kinds also check the
+# problem fields of qp.json.
+_KEYS = {
+    "preset": ("string", None),
+    "network": ("string", None),
+    "qp": ("string", None),
+    "certificate": ("string", None),
+    "out": ("string", "."),
+    "seed": ("integer", 0),
+    "jobs": ("integer", 1),
+    "timestamp": ("boolean", True),
+    "mpc": (
+        {**dict.fromkeys(("A", "B", "Q", "R", "P"), "matrix"),
+         "horizon": "integer", "v_bound": "number"},
+        None,
+    ),
+    "pairset": ({"eps_u1": "number", "eps_u2": "number"}, {"eps_u1": 1.0, "eps_u2": 1.0}),
+    "weights": (
+        {"gamma": "number", "gamma_u1": "number", "gamma_u2": "number"},
+        dataclasses.asdict(ObjectiveWeights()),
+    ),
+    "tolerances": (
+        dict.fromkeys(("uniform", "w_x", "w_u", "w_fx", "w_fu"), "number"),
+        {"uniform": 1e-5},
+    ),
+    "fixed_gamma_u1": ("number", None),
+    "fixed_gamma_u2": ("number", None),
+    "fix_gains": ("boolean", True),
+    "sweep_grid": ("number list", [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]),
+    "samples": ("integer", 10000),
+    "base_box": ("number pair", list(SampleSpec().base_box)),
+    "steps": ("integer", 30),
+    "w0": ("number list", [1.0, -1.0]),
+    "solver": (
+        {
+            f.name: "integer" if f.type in (int, "int") else "number"
+            for f in dataclasses.fields(SolverOptions)
+        },
+        None,
+    ),
+    "strictness_shift": ("number", _PROBLEM_DEFAULTS["strictness_shift"]),
+    "t_floor": ("number", _PROBLEM_DEFAULTS["t_floor"]),
 }
-
-# The kind of every config key: "string", "boolean", "number", "integer",
-# "number list", "number pair" (a list of two numbers), "matrix" (a list of
-# equal-length lists of numbers), or a section mapping each sub-key to its
-# kind.  The mpc section's kinds also check the problem fields of qp.json.
-_KINDS = {
-    "preset": "string",
-    "network": "string",
-    "qp": "string",
-    "certificate": "string",
-    "out": "string",
-    "seed": "integer",
-    "jobs": "integer",
-    "timestamp": "boolean",
-    "mpc": {
-        "A": "matrix",
-        "B": "matrix",
-        "Q": "matrix",
-        "R": "matrix",
-        "P": "matrix",
-        "horizon": "integer",
-        "v_bound": "number",
-    },
-    "pairset": {"eps_u1": "number", "eps_u2": "number"},
-    "weights": {"gamma": "number", "gamma_u1": "number", "gamma_u2": "number"},
-    "tolerances": dict.fromkeys(("uniform", "w_x", "w_u", "w_fx", "w_fu"), "number"),
-    "fixed_gamma_u1": "number",
-    "fixed_gamma_u2": "number",
-    "fix_gains": "boolean",
-    "sweep_grid": "number list",
-    "samples": "integer",
-    "base_box": "number pair",
-    "steps": "integer",
-    "w0": "number list",
-    "solver": {
-        f.name: "integer" if f.type in (int, "int") else "number"
-        for f in dataclasses.fields(SolverOptions)
-    },
-    "strictness_shift": "number",
-    "t_floor": "number",
-}
+_KINDS = {key: kind for key, (kind, _) in _KEYS.items()}
+_DEFAULTS = {key: default for key, (_, default) in _KEYS.items()}
 
 ORACLE_AGREEMENT_TOL = 1e-5
 

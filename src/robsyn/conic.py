@@ -22,9 +22,13 @@ row-wise, off-diagonals times sqrt(2)), so dot products of svec vectors
 are trace inner products; svec and smat are one gather each.  Two
 implementation points carry the numerics: the scaling is updated
 multiplicatively from scaled step data instead of being refactored from
-the raw, nearly singular (s, z) pair, and search directions get iterative
-refinement against the full embedding residuals, because the
-tau-superposition cancels badly near convergence.
+the raw, nearly singular (s, z) pair, and search directions get
+_REFINEMENT_PASSES passes of iterative refinement against the full
+embedding residuals, because the tau-superposition cancels badly near
+convergence.  The predictor and the corrector are one routine (direction
+in _solve_bundled), which returns the step, its scaled ds and dz, and the
+step to the cone's boundary; each refinement pass reuses the W dz formed
+before it for the same dz.
 
 Every product an iteration repeats reads data fixed once per solve or per
 scaling update.  The sparse products with G, G' and N, and the linear rows'
@@ -59,7 +63,6 @@ import enum
 import functools
 import logging
 import math
-import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -67,6 +70,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+
+from .errors import check_count
 
 # DEBUG records: one per solve for the cone (_ConeData), one per
 # interior-point iteration
@@ -188,10 +193,7 @@ class SolverOptions:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
+        check_count(self.max_iters, "max_iters")
 
 
 class SolverStatus(enum.Enum):
@@ -608,10 +610,11 @@ class _Scaling:
 # factorisation.  Near the optimum of a nearly degenerate program the scaled
 # constraints approach rank loss along the optimal face, and the unshifted
 # factorisation returns directions that no refinement recovers; the shift
-# keeps it stable, and the refinement passes in f4 correct each direction
-# against the unshifted embedding.  A larger shift leaves more for those two
-# passes to correct than they can.
+# keeps it stable, and the _REFINEMENT_PASSES passes in f4 correct each
+# direction against the unshifted embedding.  A larger shift leaves more for
+# those two passes to correct than they can.
 _KKT_REGULARIZATION = 1e-12
+_REFINEMENT_PASSES = 2
 
 
 class _SparseGram:
@@ -748,15 +751,15 @@ def _result(program: ConicProgram, status, theta, iterations, detail="") -> Solv
 def _initial_point(data: _ConeData, e: np.ndarray):
     """Least-norm heuristic: the two KKT solves at the identity scaling
     (s = z = e, so W = I), with s and z shifted into the cone interior."""
+
+    def interior(v):
+        shift = data.min_cone_eig(v)
+        return v + (1.0 - shift) * e if shift <= 0 else v
+
     kkt = _KktSolver(data, _Scaling(data, e, e))
     x, zhat = kkt.solve(np.zeros(data.nv), data.h)
-    s = -zhat
-    shift = data.min_cone_eig(s)
-    s = s + (1.0 - shift) * e if shift <= 0 else s
     _, z = kkt.solve(-data.c, np.zeros_like(data.h))
-    shift = data.min_cone_eig(z)
-    z = z + (1.0 - shift) * e if shift <= 0 else z
-    return x, s, z
+    return x, interior(-zhat), interior(z)
 
 
 def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResult:
@@ -795,7 +798,6 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
             )
         return _result(program, SolverStatus.NUMERICAL_FAILURE, None, it, detail)
 
-    last = ""
     for it in range(options.max_iters):
         # raw cone points reconstructed from the scaling so s'z == |lam|^2
         s = sc.WT(lam)
@@ -812,13 +814,14 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
         pres = float(np.linalg.norm(rz)) / norm_h / tau
         dres = float(np.linalg.norm(rx)) / norm_c / tau
         rel_gap = gap / tau**2 / max(1.0, abs(pcost))
+        note = f"pres {pres:.1e}, dres {dres:.1e}, relgap {rel_gap:.1e}"
         score = max(
             pres / options.feas_tol, dres / options.feas_tol, rel_gap / options.gap_tol
         )
         if math.isfinite(score) and score < best_score:
             best_score = score
             best_theta = data.theta(x / tau)
-            best_note = f"pres {pres:.1e}, dres {dres:.1e}, relgap {rel_gap:.1e}"
+            best_note = note
         logger.debug(
             "iter %3d  pcost %+.6e  pres %.2e  dres %.2e  relgap %.2e  tau %.2e  kappa %.2e",
             it, pcost, pres, dres, rel_gap, tau, kappa,
@@ -844,92 +847,84 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
             kkt = _KktSolver(data, sc)
             x1, z1 = kkt.solve(-c, h)
         except np.linalg.LinAlgError:
-            return finish(
-                it,
-                f"factorization failed (pres {pres:.1e}, dres {dres:.1e}, relgap {rel_gap:.1e})",
-            )
+            return finish(it, f"factorization failed ({note})")
         denom = float(c @ x1) + float(h @ z1) - kappa / tau
 
         def f4_once(bx, bz, btau, bs, bkap):
             """One pass of the full linearized embedding:
             G'dz + c dtau = bx;  G dx + ds - h dtau = bz;
             dkap + c'dx + h'dz = btau;  W^{-T} ds + W dz = bs;
-            tau dkap + kappa dtau = bkap."""
+            tau dkap + kappa dtau = bkap.  Also returns the W dz it forms."""
             u0x, u0z = kkt.solve(bx, bz - sc.WT(bs))
             num = btau - bkap / tau - (float(c @ u0x) + float(h @ u0z))
             dtau = num / denom
             dx = u0x + dtau * x1
             dz = u0z + dtau * z1
-            ds = sc.WT(bs - sc.W(dz))
+            Wdz = sc.W(dz)
+            ds = sc.WT(bs - Wdz)
             dkap = (bkap - kappa * dtau) / tau
-            return dx, dz, ds, dtau, dkap
+            return dx, dz, ds, dtau, dkap, Wdz
 
-        def f4(bx, bz, btau, bs, bkap, refine=2):
-            dx, dz, ds, dtau, dkap = f4_once(bx, bz, btau, bs, bkap)
-            for _ in range(refine):
+        def f4(bx, bz, btau, bs, bkap):
+            """f4_once refined _REFINEMENT_PASSES times against the full
+            residuals; returns dx, ds, dtau, dkap and the final W dz."""
+            dx, dz, ds, dtau, dkap, Wdz = f4_once(bx, bz, btau, bs, bkap)
+            for _ in range(_REFINEMENT_PASSES):
                 r1 = bx - (GT(dz) + c * dtau)
                 r2 = bz - (G(dx) + ds - h * dtau)
                 r3 = btau - (dkap + float(c @ dx) + float(h @ dz))
-                r4 = bs - (sc.WinvT(ds) + sc.W(dz))
+                r4 = bs - (sc.WinvT(ds) + Wdz)
                 r5 = bkap - (tau * dkap + kappa * dtau)
-                cx, cz, cs, ctau, ckap = f4_once(r1, r2, r3, r4, r5)
+                cx, cz, cs, ctau, ckap, _ = f4_once(r1, r2, r3, r4, r5)
                 dx = dx + cx
                 dz = dz + cz
                 ds = ds + cs
                 dtau += ctau
                 dkap += ckap
-            return dx, dz, ds, dtau, dkap
+                Wdz = sc.W(dz)      # the next pass's residual, or the result
+            return dx, ds, dtau, dkap, Wdz
+
+        lam_sq = sc.jordan_mul(lam, lam)
 
         def direction(sigma, comp_corr, kap_corr):
+            """The search direction dx, dtau, dkap for centering sigma and the
+            given second-order corrections, its scaled W^{-T} ds and W dz, and
+            the largest step that keeps every iterate in the cone."""
             eta = 1.0 - sigma
-            d_s = sigma * mu * e - sc.jordan_mul(lam, lam) - comp_corr
-            rho = sc.jordan_div_lam(d_s)
+            rho = sc.jordan_div_lam(sigma * mu * e - lam_sq - comp_corr)
             dk_rhs = sigma * mu - tau * kappa - kap_corr
-            return f4(-eta * rx, -eta * rz, -eta * rtau, rho, dk_rhs)
+            dx, ds, dtau, dkap, dz_scaled = f4(
+                -eta * rx, -eta * rz, -eta * rtau, rho, dk_rhs
+            )
+            ds_scaled = sc.WinvT(ds)
+            alpha = min(
+                sc.max_step(ds_scaled),
+                sc.max_step(dz_scaled),
+                tau / -dtau if dtau < 0 else math.inf,
+                kappa / -dkap if dkap < 0 else math.inf,
+            )
+            return dx, dtau, dkap, ds_scaled, dz_scaled, alpha
 
-        zero = np.zeros_like(e)
-        dxa, dza, dsa, dtaua, dkapa = direction(0.0, zero, 0.0)
-        dsa_scaled = sc.WinvT(dsa)
-        dza_scaled = sc.W(dza)
-        alpha = min(
-            sc.max_step(dsa_scaled),
-            sc.max_step(dza_scaled),
-            tau / -dtaua if dtaua < 0 else math.inf,
-            kappa / -dkapa if dkapa < 0 else math.inf,
-        )
-        alpha_aff = min(1.0, alpha)
-        sigma = min(1.0, max(0.0, (1.0 - alpha_aff) ** 3))
+        # predictor (sigma = 0), then the Mehrotra corrector
+        _, dtaua, dkapa, dsa_scaled, dza_scaled, alpha = direction(0.0, 0.0, 0.0)
+        sigma = min(1.0, max(0.0, (1.0 - min(1.0, alpha)) ** 3))
         comp_corr = sc.jordan_mul(dsa_scaled, dza_scaled)
-        kap_corr = dtaua * dkapa
-        dx, dz, ds, dtau, dkap = direction(sigma, comp_corr, kap_corr)
-        ds_scaled = sc.WinvT(ds)
-        dz_scaled = sc.W(dz)
-        alpha = min(
-            sc.max_step(ds_scaled),
-            sc.max_step(dz_scaled),
-            tau / -dtau if dtau < 0 else math.inf,
-            kappa / -dkap if dkap < 0 else math.inf,
+        dx, dtau, dkap, ds_scaled, dz_scaled, alpha = direction(
+            sigma, comp_corr, dtaua * dkapa
         )
         step = min(1.0, 0.99 * alpha)
         if step <= 1e-10 or not math.isfinite(step):
-            return finish(
-                it,
-                f"step length collapsed (pres {pres:.1e}, dres {dres:.1e}, relgap {rel_gap:.1e})",
-            )
+            return finish(it, f"step length collapsed ({note})")
         x = x + step * dx
         tau = tau + step * dtau
         kappa = kappa + step * dkap
         try:
             sc.update(lam + step * ds_scaled, lam + step * dz_scaled)
         except np.linalg.LinAlgError:
-            return finish(
-                it,
-                f"scaling update failed (pres {pres:.1e}, dres {dres:.1e}, relgap {rel_gap:.1e})",
-            )
+            return finish(it, f"scaling update failed ({note})")
         lam = sc.lam_vec()
-        last = f"pres {pres:.1e}, dres {dres:.1e}, relgap {rel_gap:.1e}"
 
-    return finish(options.max_iters, f"iteration limit reached ({last})")
+    return finish(options.max_iters, f"iteration limit reached ({note})")
 
 
 # (get, set) thread-count symbols of the OpenBLAS builds: numpy's bundled

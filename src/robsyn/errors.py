@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of an
+integer count."""
+
+import numbers
 
 
 class RobsynError(Exception):
@@ -43,3 +46,11 @@ class SingularH(RobsynError):
 
 class MaxIterations(RobsynError):
     """An iterative solver hit its iteration cap before reaching the requested accuracy."""
+
+
+def check_count(value, name: str) -> None:
+    """Raise ValueError unless value is an integer (not a bool) of at least 1."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")

@@ -17,7 +17,6 @@ solve_qp_oracle stays an independent check of that solver.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,7 @@ from .errors import (
     MaxIterations,
     NonPositiveDefinite,
     SingularH,
+    check_count,
 )
 from .network import Activation, ImplicitNetwork
 
@@ -68,10 +68,7 @@ class MpcProblem:
         if not np.allclose(Rm, Rm.T, atol=1e-12):
             raise DimensionMismatch("R must be symmetric")
         self.R = (Rm + Rm.T) / 2.0
-        if not isinstance(self.horizon, numbers.Integral) or isinstance(self.horizon, bool):
-            raise ValueError(f"horizon must be an integer, got {self.horizon!r}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be at least 1, got {self.horizon!r}")
+        check_count(self.horizon, "horizon")
         if not 0 < self.v_bound < math.inf:
             raise ValueError(f"v_bound must be positive and finite, got {self.v_bound!r}")
 

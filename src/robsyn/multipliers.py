@@ -18,11 +18,16 @@ term it encodes:
 
 The first three are nonnegative for realizable p (slope-restricted states,
 u1 - u2 inside the input set), so their sum dominating omega_gamma yields the
-robustness bound.  The omega_z and omega_g builders (the "check" builders)
-take the bilinear products Y = T*Psi as free matrices, which is what makes
-the synthesis program convex; a network (Psi_z, Psi_u, Psi_gz, Psi_gu) is
-certified by passing Y = T*Psi.  certificate_matrix is the one written-down
-certificate: the synthesis program derives its PSD block from it.
+robustness bound.  omega_z is the one place the activations' slope bound
+is written down: every secant of each shipped activation (network.Activation)
+lies in [0, 1], so each state difference is z~_i = s v~_i for some s in
+[0, 1], with v~ = Psi_z z~ + Psi_u u~ the pre-activation difference, and
+z~_i (v~_i - z~_i) = s (1 - s) v~_i^2 >= 0.  The omega_z and omega_g builders
+(the "check" builders) take the bilinear products Y = T*Psi as free
+matrices, which is what makes the synthesis program convex; a network
+(Psi_z, Psi_u, Psi_gz, Psi_gu) is certified by passing Y = T*Psi.
+certificate_matrix is the one written-down certificate: the synthesis
+program derives its PSD block from it.
 
 Storage convention: off-diagonal blocks appear halved on each side of the
 diagonal, and hermitian-sum blocks He(X) = X + X' are stored as their
@@ -97,12 +102,12 @@ class InputPairSet:
                     f"input pair set radii must be nonnegative and finite, got {value!r} for {name}"
                 )
 
-    def contains(self, u_diff: np.ndarray, slack: float = 0.0) -> bool | np.ndarray:
-        """Whether u~ lies in the set, each norm to within slack; for a stack
-        of differences, one answer per row (the norms reduce the last axis)."""
+    def contains(self, u_diff: np.ndarray) -> bool | np.ndarray:
+        """Whether u~ lies in the set; for a stack of differences, one answer
+        per row (the norms reduce the last axis)."""
         d = np.asarray(u_diff, dtype=float)
-        return (np.sum(np.abs(d), axis=-1) <= self.eps_u1 + slack) & (
-            np.sum(d * d, axis=-1) <= self.eps_u2 + slack
+        return (np.sum(np.abs(d), axis=-1) <= self.eps_u1) & (
+            np.sum(d * d, axis=-1) <= self.eps_u2
         )
 
 

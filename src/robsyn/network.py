@@ -4,8 +4,10 @@ A network here is the implicit model
 
     x = phi(W_x x + W_u u + b),        f(u) = W_fx x + W_fu u + b_f,
 
-where phi acts elementwise and every component has secant slopes in
-[slope_lo, slope_hi] = [0, 1].  One batched routine computes the fixed
+where phi is one of the shipped elementwise activations (relu, tanh and a
+shifted sigmoid), each with every secant slope in [0, 1].  That bound is
+not stored here: it is written once, in the certificate's slope term
+(multipliers.build_omega_z_check).  One batched routine computes the fixed
 points of all inputs at once: semismooth Newton for ReLU networks, and
 damped Picard iteration with Anderson mixing for every other activation
 and for the inputs where Newton stalls.  evaluate is evaluate_batch on a
@@ -18,13 +20,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, SchemaError
+from .errors import DimensionMismatch, NonConvergence, SchemaError, check_count
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -46,26 +47,21 @@ _SHIPPED_ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 @dataclass(frozen=True)
 class Activation:
-    """An elementwise activation with certified secant-slope bounds.
+    """One of the shipped elementwise activations, named by kind.
 
-    slope_lo/slope_hi bound every secant (phi(a) - phi(b)) / (a - b); all
-    shipped activations satisfy [0, 1].
+    Every secant (phi(a) - phi(b)) / (a - b) of each lies in [0, 1], the
+    slope restriction the certificate's slope term assumes
+    (multipliers.build_omega_z_check).
     """
 
     kind: str
-    slope_lo: float = 0.0
-    slope_hi: float = 1.0
-    fn: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False, repr=False
-    )
+
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in _SHIPPED_ACTIVATIONS:
+            raise SchemaError(f"unknown activation kind {self.kind!r}")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self.fn is not None:
-            return np.asarray(self.fn(x), dtype=float)
-        try:
-            return _SHIPPED_ACTIVATIONS[self.kind](np.asarray(x, dtype=float))
-        except KeyError:
-            raise SchemaError(f"unknown activation kind {self.kind!r}") from None
+        return _SHIPPED_ACTIVATIONS[self.kind](np.asarray(x, dtype=float))
 
     @staticmethod
     def relu() -> "Activation":
@@ -78,15 +74,6 @@ class Activation:
     @staticmethod
     def sigmoid_shifted() -> "Activation":
         return Activation("sigmoid_shifted")
-
-    @staticmethod
-    def custom(
-        fn: Callable[[np.ndarray], np.ndarray],
-        slope_lo: float = 0.0,
-        slope_hi: float = 1.0,
-    ) -> "Activation":
-        """Wrap a user-sampled elementwise function; not serializable."""
-        return Activation("custom", slope_lo, slope_hi, fn)
 
 
 @dataclass
@@ -106,10 +93,7 @@ class FixedPointConfig:
     def __post_init__(self):
         if not 0 <= self.tol < math.inf:
             raise ValueError(f"tol must be nonnegative and finite, got {self.tol!r}")
-        if not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
+        check_count(self.max_iters, "max_iters")
         if self.acceleration not in ("newton", "anderson"):
             raise ValueError(f"unknown acceleration {self.acceleration!r}")
 
@@ -350,15 +334,8 @@ _NETWORK_FIELDS = ("n", "n_u", "n_g", "activation", "W_x", "W_u", "W_fx", "W_fu"
 
 
 def save_network(net: ImplicitNetwork, path: str) -> None:
-    """Write the network as a structured-text (JSON) document.
-
-    Floats are written with full round-trip precision; custom activations
-    carry a callable and cannot be serialized.
-    """
-    if net.activation.kind not in _SHIPPED_ACTIVATIONS:
-        raise SchemaError(
-            f"activation kind {net.activation.kind!r} is not serializable"
-        )
+    """Write the network as a structured-text (JSON) document, floats with
+    full round-trip precision."""
     doc = {
         "n": net.n,
         "n_u": net.n_u,
@@ -397,17 +374,14 @@ def load_network(path: str) -> ImplicitNetwork:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise SchemaError(f"field {k!r} must be a nonnegative integer")
         dims[k] = v
-    kind = doc["activation"]
-    if kind not in _SHIPPED_ACTIVATIONS:
-        raise SchemaError(f"unknown activation kind {kind!r}")
+    activation = Activation(doc["activation"])
     n, n_u, n_g = dims["n"], dims["n_u"], dims["n_g"]
-    net = ImplicitNetwork(
+    return ImplicitNetwork(
         W_x=_as_matrix(doc["W_x"], n, n, "W_x"),
         W_u=_as_matrix(doc["W_u"], n, n_u, "W_u"),
         W_fx=_as_matrix(doc["W_fx"], n_g, n, "W_fx"),
         W_fu=_as_matrix(doc["W_fu"], n_g, n_u, "W_fu"),
         b=_as_vector(doc["b"], n, "b"),
         b_f=_as_vector(doc["b_f"], n_g, "b_f"),
-        activation=Activation(kind),
+        activation=activation,
     )
-    return net

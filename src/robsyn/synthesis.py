@@ -169,12 +169,6 @@ class SynthesisProblem:
     t_floor: float = 1e-6
 
     def __post_init__(self):
-        act = self.network.activation
-        if act.slope_lo < 0 or act.slope_hi > 1:
-            raise ValueError(
-                "certificate requires activation slopes restricted to [0, 1], "
-                f"got [{act.slope_lo}, {act.slope_hi}]"
-            )
         for name in ("strictness_shift", "t_floor"):
             value = getattr(self, name)
             if not 0 < value < math.inf:

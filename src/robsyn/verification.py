@@ -19,7 +19,6 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import math
-import numbers
 from dataclasses import astuple, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -27,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .conic import SolverOptions
-from .errors import Infeasible, RobsynError
+from .errors import Infeasible, RobsynError, check_count
 from .multipliers import Dims, InputPairSet, MultiplierSet, assemble_p
 from .multipliers import build_omega_g_check, build_omega_u, build_omega_z_check
 from .network import Activation, FixedPointConfig, ImplicitNetwork, evaluate_batch
@@ -55,10 +54,7 @@ class SampleSpec:
     base_box: tuple[float, float] = (-5.0, 5.0)
 
     def __post_init__(self):
-        if not isinstance(self.num_pairs, numbers.Integral) or isinstance(self.num_pairs, bool):
-            raise ValueError(f"num_pairs must be an integer, got {self.num_pairs!r}")
-        if self.num_pairs < 1:
-            raise ValueError(f"num_pairs must be at least 1, got {self.num_pairs!r}")
+        check_count(self.num_pairs, "num_pairs")
         if not all(math.isfinite(end) for end in self.base_box):
             raise ValueError(f"base_box ends must be finite, got {self.base_box!r}")
         if self.base_box[0] > self.base_box[1]:

@@ -11,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
+import robsyn.synthesis
 from helpers import random_well_posed_network, rollout_cost
-from robsyn.conic import SolverOptions
+from robsyn.conic import SolverOptions, SolverStatus
 from robsyn.mpc import (
     condense_qp,
     qp_to_implicit_network,
@@ -285,6 +286,97 @@ def test_paper_mpc_gammas_are_pinned(request, fixture, gamma):
     assert abs(sol.certificate.gamma - gamma) <= 1e-7 * gamma
 
 
+@pytest.mark.parametrize(
+    "fixture, iterations, capped",
+    [("mpc_analysis", 20, False), ("mpc_synth_fine", 33, False),
+     ("mpc_synth_coarse", 25, True)],
+)
+def test_paper_mpc_iteration_counts_are_pinned(request, fixture, iterations, capped):
+    """The interior-point iteration counts of the analysis, the fine
+    synthesis and the coarse synthesis's capped rung.  A change to the
+    solver's arithmetic that is meant to be bit for bit keeps them; they
+    were measured with numpy 2.4.6 and scipy 1.17.1, the versions CI
+    installs."""
+    sol = request.getfixturevalue(fixture)
+    sol = sol[0] if isinstance(sol, tuple) else sol
+    print(f"{fixture}: {sol.solver_result.iterations} iterations, {sol.status_label}")
+    assert sol.solver_result.iterations == iterations
+    assert sol.multiplier_capped is capped
+
+
+def _zeroable_rows(net, eps):
+    """The state and output rows that weights within eps of the network's
+    can zero, found by repeating until nothing changes: a state row when its
+    W_u row and its off-diagonal W_x row over the live states fit in the
+    box and W_x[i, i] - eps < 1, an output row when its W_fu row and its
+    W_fx row over the live states fit in the box."""
+    states, outputs = set(), set()
+    while True:
+        live = [j for j in range(net.n) if j not in states]
+        new_states = {
+            i for i in live
+            if np.all(np.abs(net.W_u[i]) <= eps)
+            and np.all(np.abs(net.W_x[i, [j for j in live if j != i]]) <= eps)
+            and net.W_x[i, i] - eps < 1
+        }
+        new_outputs = {
+            k for k in range(net.n_g)
+            if np.all(np.abs(net.W_fu[k]) <= eps) and np.all(np.abs(net.W_fx[k, live]) <= eps)
+        }
+        if new_states <= states and new_outputs <= outputs:
+            return sorted(states), sorted(outputs)
+        states |= new_states
+        outputs |= new_outputs
+
+
+@pytest.mark.parametrize(
+    "eps, states, outputs",
+    [(1e-2, [*range(5, 10), *range(15, 20)], [8, 9]), (1e-1, list(range(20)), [5, 6, 7, 8, 9])],
+)
+def test_runaway_multipliers_are_the_zeroable_rows(request, mpc_fixture, eps, states, outputs):
+    """Where the ladder takes the capped rung, the multipliers that run to
+    the cap are exactly those of the rows the tolerance box can zero: their
+    terms of the certificate can be made to vanish, so the uncapped
+    optimum is an infimum."""
+    _, _, net = mpc_fixture
+    if eps == 1e-1:
+        sol = request.getfixturevalue("mpc_synth_coarse")
+    else:
+        sol = synthesize(_pinned_gain_problem(net, eps))
+    level = robsyn.synthesis._MULTIPLIER_CAP / 10
+    big_states = np.flatnonzero(sol.multipliers.T_z > level).tolist()
+    big_outputs = np.flatnonzero(sol.multipliers.T_g > level).tolist()
+    print(f"eps {eps:g}: T_z above {level:g} at {big_states}, T_g at {big_outputs}")
+    assert sol.multiplier_capped
+    assert _zeroable_rows(net, eps) == (states, outputs)
+    assert (big_states, big_outputs) == (states, outputs)
+
+
+def test_reanalysis_of_the_coarse_network_needs_the_capped_rung(mpc_synth_coarse, monkeypatch):
+    """Certifying the coarse synthesized network as it is: the uncapped
+    solve collapses and the capped rung certifies the synthesis gamma to
+    the 1e-4 that perfbench's re-analysis check allows."""
+    results = []
+    solve = robsyn.synthesis.solve_conic
+
+    def record(program, options=None):
+        results.append(solve(program, options))
+        return results[-1]
+
+    monkeypatch.setattr(robsyn.synthesis, "solve_conic", record)
+    again = analyze_network(
+        mpc_synth_coarse.network, PAIR_SET, fixed_gamma_u1=0.0, fixed_gamma_u2=0.0
+    )
+    gamma, gamma_again = mpc_synth_coarse.certificate.gamma, again.certificate.gamma
+    print(f"re-analysis: {[(r.status.value, r.iterations) for r in results]}, gamma {gamma_again}")
+    assert [(r.status, r.iterations) for r in results] == [
+        (SolverStatus.NUMERICAL_FAILURE, 78), (SolverStatus.OPTIMAL, 23)
+    ]
+    assert results[0].detail.startswith("step length collapsed")
+    assert again.multiplier_capped
+    assert abs(gamma_again - gamma) <= 1e-4 * gamma
+
+
 def test_synthesized_mpc_networks_stay_exactly_odd(mpc_fixture, mpc_synth_fine, mpc_synth_coarse):
     """The reference MPC law is odd; the synthesized networks keep the three
     weight identities bit for bit."""
@@ -300,7 +392,8 @@ def test_synthesized_mpc_networks_stay_exactly_odd(mpc_fixture, mpc_synth_fine, 
 
 def test_synthesis_at_2e5_ends_clean(mpc_fixture):
     """At tolerance 2e-5 and solver tolerances 1e-8 the solve meets its
-    tolerances instead of returning a best iterate."""
+    tolerances instead of returning a best iterate, in the pinned 36
+    iterations (see test_paper_mpc_iteration_counts_are_pinned)."""
     _, _, net = mpc_fixture
     sol = synthesize(
         _pinned_gain_problem(net, 2e-5),
@@ -308,6 +401,7 @@ def test_synthesis_at_2e5_ends_clean(mpc_fixture):
     )
     print(f"eps 2e-5: {sol.status_label}, {sol.solver_result.iterations} iterations")
     assert sol.status_label == "optimal"
+    assert sol.solver_result.iterations == 36
 
 
 def test_criterion_7_tradeoff_sweep(mpc_fixture, mpc_sweep):

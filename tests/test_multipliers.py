@@ -318,14 +318,12 @@ def test_input_pair_set_membership():
     assert ps.contains(np.array([0.5, -0.25]))
     assert not ps.contains(np.array([0.9, -0.2]))      # 1-norm 1.1
     assert not ps.contains(np.array([0.7, 0.2]))       # squared 2-norm 0.53
-    assert ps.contains(np.array([0.9, -0.2]), slack=0.4)
     # a stack of differences gets one answer per row, each the single call's
     D = np.array([[0.5, -0.25], [0.9, -0.2], [0.7, 0.2], [0.0, 0.0]])
-    for slack in (0.0, 0.4):
-        inside = ps.contains(D, slack)
-        assert inside.shape == (4,)
-        assert inside.tolist() == [bool(ps.contains(row, slack)) for row in D]
-    assert ps.contains(D).tolist() == [True, False, False, True]
+    inside = ps.contains(D)
+    assert inside.shape == (4,)
+    assert inside.tolist() == [bool(ps.contains(row)) for row in D]
+    assert inside.tolist() == [True, False, False, True]
     with pytest.raises(ValueError):
         InputPairSet(-1.0, 1.0)
 

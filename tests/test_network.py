@@ -45,10 +45,22 @@ def test_relu_basics():
     assert np.array_equal(relu(x), [0.0, 0.0, 3.5])
 
 
-def test_activation_factories_report_slopes():
-    for act in (Activation.relu(), Activation.tanh(), Activation.sigmoid_shifted()):
-        assert act.slope_lo == 0.0
-        assert act.slope_hi == 1.0
+@pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid_shifted"])
+def test_shipped_activation_secants_lie_in_unit_interval(kind):
+    """Every secant (phi(a) - phi(b)) / (a - b) lies in [0, 1]: the slope
+    restriction the certificate's slope term assumes."""
+    phi = getattr(Activation, kind)()
+    rng = np.random.default_rng(0)
+    for scale in (1e-3, 1e-1, 1.0, 10.0, 30.0):
+        a, b = rng.standard_normal((2, 10_000)) * scale
+        a, b = a[a != b], b[a != b]
+        secants = (phi(a) - phi(b)) / (a - b)
+        assert secants.min() >= 0.0 and secants.max() <= 1.0
+
+
+def test_unknown_activation_kind_is_rejected():
+    with pytest.raises(SchemaError, match="^unknown activation kind 'nope'$"):
+        Activation("nope")
 
 
 def test_activation_application():
@@ -58,12 +70,6 @@ def test_activation_application():
     s = Activation.sigmoid_shifted()
     assert s(np.array([0.0]))[0] == 0.0
     assert np.isclose(s(np.array([3.0]))[0], -s(np.array([-3.0]))[0])
-
-
-def test_custom_activation_callable():
-    act = Activation.custom(lambda x: 0.5 * x, slope_lo=0.5, slope_hi=0.5)
-    assert act(np.array([2.0]))[0] == 1.0
-    assert act.kind == "custom"
 
 
 def test_network_dimension_properties():
@@ -240,14 +246,6 @@ def test_saved_file_has_exact_key_set(tmp_path):
     assert payload["n"] == 2
 
 
-def test_save_rejects_custom_activation(tmp_path):
-    net = random_well_posed_network(
-        2, n=2, n_u=1, n_g=1, activation=Activation.custom(lambda x: x, 1.0, 1.0)
-    )
-    with pytest.raises(SchemaError):
-        save_network(net, tmp_path / "net.json")
-
-
 def _write_payload(tmp_path, payload):
     path = tmp_path / "bad.json"
     with open(path, "w") as fh:
@@ -287,7 +285,11 @@ def test_load_rejects_extra_key(tmp_path):
 def test_load_rejects_unknown_activation(tmp_path):
     payload = _valid_payload()
     payload["activation"] = "gelu"
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="^unknown activation kind 'gelu'$"):
+        load_network(_write_payload(tmp_path, payload))
+    # a kind that is not a string is named the same way, not a TypeError
+    payload["activation"] = ["relu"]
+    with pytest.raises(SchemaError, match="^unknown activation kind"):
         load_network(_write_payload(tmp_path, payload))
 
 

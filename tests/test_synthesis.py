@@ -278,13 +278,6 @@ class TestAssembly:
             small_problem(net, 0.0, t_floor=-1.0)
         with pytest.raises(ValueError):
             small_problem(net, 0.0, fixed_gamma_u1=-0.5)
-        steep = ImplicitNetwork(
-            W_x=Z((1, 1)), W_u=Z((1, 1)), W_fx=Z((1, 1)), W_fu=Z((1, 1)),
-            b=Z(1), b_f=Z(1),
-            activation=Activation.custom(lambda s: 2 * s, slope_lo=0.0, slope_hi=2.0),
-        )
-        with pytest.raises(ValueError):
-            small_problem(steep, 0.0)
 
     @pytest.mark.parametrize(
         "build",

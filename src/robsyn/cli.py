@@ -16,8 +16,8 @@ Every config value is type-checked against its key's kind in _KEYS
 sub-keys) before anything runs, then range-checked, whichever command runs,
 by building the object the commands build from it (_BUILDERS).  Each
 document is written down once: the MPC problem's fields by the mpc section
-(for the preset, the config, mpc-build's qp.json and simulate, which checks
-qp.json by the same kinds), certificate.json's keys by _CERT_KEYS for its
+(for the config, mpc-build's qp.json and simulate, which checks qp.json by
+the same kinds), certificate.json's keys by _CERT_KEYS for its
 writer and its loader.
 
 Exit codes: 0 success, 1 runtime failure (including verify finding
@@ -76,7 +76,6 @@ _PROBLEM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SynthesisProb
 # mapping each sub-key to its kind.  The mpc section's kinds also check the
 # problem fields of qp.json.
 _KEYS = {
-    "preset": ("string", None),
     "network": ("string", None),
     "qp": ("string", None),
     "certificate": ("string", None),
@@ -208,12 +207,6 @@ def _mpc_problem(fields: dict, doc: str) -> MpcProblem:
     return MpcProblem(**values)
 
 
-def _preset_sections(name: str) -> dict:
-    if name == "paper-mpc":
-        return {"mpc": _mpc_fields(reference_mpc_problem())}
-    raise SchemaError(f"unknown preset {name!r}")
-
-
 def _merge(cfg: dict, updates: dict) -> None:
     for key, value in updates.items():
         if isinstance(value, dict) and isinstance(cfg.get(key), dict):
@@ -223,15 +216,12 @@ def _merge(cfg: dict, updates: dict) -> None:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults, then preset, then the config file, then flags."""
+    """Defaults, then the config file, then flags."""
     cfg = copy.deepcopy(_DEFAULTS)
     raw = {}
     if args.config:
         raw = _read_document(args.config, "config")
         _validate_config(raw)
-    preset = raw.get("preset")
-    if preset:
-        _merge(cfg, _preset_sections(preset))
     _merge(cfg, raw)
     for flag in ("out", "seed", "jobs"):
         value = getattr(args, flag)
@@ -330,9 +320,6 @@ def _write_json(doc: dict, path: str) -> None:
 # certificate.json's keys, in the order they are written: the certificate's
 # fields with its input set's two radii in place of input_set
 _CERT_KEYS = ("gamma", "gamma_u1", "gamma_u2", "eps_u1", "eps_u2", "lmi_margin", "objective_value")
-# written by earlier releases, which re-solved marginal instances at a
-# relaxed margin; accepted and ignored so that their certificates still load
-_LEGACY_CERT_KEY = "strictness_relaxed"
 
 
 def _write_certificate(sol, path: str) -> None:
@@ -344,7 +331,7 @@ def _write_certificate(sol, path: str) -> None:
 def _load_certificate(path: str) -> RobustnessCertificate:
     doc = _read_document(path, "certificate")
     for key in doc:
-        if key not in _CERT_KEYS and key != _LEGACY_CERT_KEY:
+        if key not in _CERT_KEYS:
             raise SchemaError(f"unknown certificate key: {key!r}")
     missing = [k for k in _CERT_KEYS if k not in doc]
     if missing:

@@ -30,16 +30,17 @@ in _solve_bundled), which returns the step, its scaled ds and dz, and the
 step to the cone's boundary; each refinement pass reuses the W dz formed
 before it for the same dz.
 
-Every product an iteration repeats reads data fixed once per solve or per
-scaling update.  The sparse products with G, G' and N, and the linear rows'
-part of the KKT Gram, are each one gather and one np.bincount over a
-pattern _ConeData fixes (rows too dense for the Gram's pattern keep the
-sparse product; see _LinearGram); the Cholesky solves call LAPACK's potrs
-directly.  Each forms the same floating-point operations in the same order
-as scipy's sparse @, (Glw.T @ Glw).toarray() with Glw = diag(w)^-1 G_lp,
-and cho_solve, so the iterates are bit for bit those of the scipy calls,
-without their per-call argument checks and dispatch, which on small
-programs cost more than the arithmetic.
+The products with G, G' and N are scipy's sparse @ on CSR matrices
+_ConeData forms once per solve.  Two pieces of the KKT solver read data
+fixed once instead of calling scipy each time: the linear rows' part of
+the KKT Gram is one gather and one np.bincount over a pattern _ConeData
+fixes (rows too dense for that pattern keep the sparse product; see
+_LinearGram), and the Cholesky solves call LAPACK's potrs directly.  Each
+forms the same floating-point operations in the same order as
+(Glw.T @ Glw).toarray() with Glw = diag(w)^-1 G_lp, and as cho_solve, so
+the iterates are bit for bit those of the scipy calls, without their
+per-call argument checks and dispatch, which on small programs cost more
+than the arithmetic.
 
 Each iteration's cost is the Gram matrix of the scaled constraints (the
 Schur complement).  A PSD block adds its part by one of two formulas,
@@ -207,9 +208,6 @@ class SolverResult:
     status: SolverStatus
     theta: np.ndarray | None
     objective_value: float
-    max_eig_violation: float
-    ineq_violation: float
-    eq_residual: float
     iterations: int
     detail: str = ""
 
@@ -313,30 +311,6 @@ class _Block(NamedTuple):
         return A.take(self.upper) * self.mult
 
 
-def _as_float(counts: np.ndarray) -> np.ndarray:
-    # np.bincount of no entries is int64 even with weights
-    return counts.astype(float, copy=False)
-
-
-class _FixedProduct:
-    """v -> A v for a CSR matrix fixed for the whole solve: one gather and
-    one np.bincount over the row of each stored entry.  bincount adds each
-    row's products to a zero in stored order, which is the sum scipy's
-    csr_matvec forms, so the result is A @ v bit for bit without the
-    dispatch of a sparse product."""
-
-    def __init__(self, A: scipy.sparse.csr_array):
-        self.rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        self.cols = A.indices.astype(np.intp)
-        self.data = A.data
-        self.size = A.shape[0]
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return _as_float(
-            np.bincount(self.rows, self.data * v.take(self.cols), minlength=self.size)
-        )
-
-
 class _LinearGram:
     """w -> G_lp' diag(w)^-2 G_lp as a dense matrix, for the linear rows
     G_lp (CSR) of a solve, by one np.bincount over the ordered pairs of
@@ -375,7 +349,8 @@ class _LinearGram:
             return (Glw.T @ Glw).toarray()
         K = np.bincount(self.entry, vals.take(self.p) * vals.take(self.q),
                         minlength=self.nv * self.nv)
-        return _as_float(K).reshape(self.nv, self.nv)
+        # np.bincount of no entries is int64 even with weights
+        return K.astype(float, copy=False).reshape(self.nv, self.nv)
 
 
 class _ConeData:
@@ -403,11 +378,10 @@ class _ConeData:
     its coefficient matrices.  One DEBUG record per solve gives each
     block's sizes and formula.
 
-    G is held sparse: the inequality rows have one or two terms and each
-    A_k a handful of entries, so a product with G costs its few thousand
-    nonzeros rather than rows x nv.  The products the iteration repeats
-    with G, G' and N, and the linear rows' Gram, run on patterns fixed here
-    once (G_times, GT_times, N_times, lp_gram; see _FixedProduct and
+    G is held sparse, and G' as its own CSR matrix GT: the inequality rows
+    have one or two terms and each A_k a handful of entries, so a product
+    with G or G' costs its few thousand nonzeros rather than rows x nv.
+    The linear rows' Gram runs on a pattern fixed here once (lp_gram; see
     _LinearGram)."""
 
     def __init__(self, program: ConicProgram):
@@ -460,9 +434,7 @@ class _ConeData:
         else:
             self.G = (G_theta @ self.N).tocsr()
             self.h = h - G_theta @ self.x0
-        self.G_times = _FixedProduct(self.G)
-        self.GT_times = _FixedProduct(self.G.T.tocsr())
-        self.N_times = None if self.N is None else _FixedProduct(self.N)
+        self.GT = self.G.T.tocsr()
         self.degree = self.l + sum(blk.m for blk in self.blocks)
         # the LP rows enter the per-iteration KKT matrix only through
         # G_lp' diag(w)^-2 G_lp
@@ -487,7 +459,7 @@ class _ConeData:
 
     def theta(self, x: np.ndarray) -> np.ndarray:
         """The program's variables at the point x."""
-        return self.x0 + (x if self.N is None else self.N_times(x))
+        return self.x0 + (x if self.N is None else self.N @ x)
 
     def cone_identity(self) -> np.ndarray:
         e = np.zeros(self.rows)
@@ -689,7 +661,7 @@ class _KktSolver:
     adds its part by the formula _ConeData picked for it (_SparseGram or
     _DenseGram).  The solves with R call the LAPACK potrs that
     scipy.linalg.cho_solve wraps, fetched once per factorisation, and the
-    products with G and G' are _ConeData's fixed-pattern ones.  A solve
+    products with G and G' are scipy's, on _ConeData's G and GT.  A solve
     applies the scaling as the two congruences Winv(WinvT(.)) through smat
     and svec: applying a block's H there instead, or fusing the two
     congruences into one without the svec between them, made the step
@@ -721,31 +693,17 @@ class _KktSolver:
     def solve(self, bx: np.ndarray, bz: np.ndarray):
         """Solve  G'uz = bx;  G ux - W'W uz = bz."""
         d, sc = self.data, self.sc
-        ux = self._cho_solve(bx + d.GT_times(sc.Winv(sc.WinvT(bz))))
-        uz = sc.Winv(sc.WinvT(d.G_times(ux) - bz))
+        ux = self._cho_solve(bx + d.GT @ sc.Winv(sc.WinvT(bz)))
+        uz = sc.Winv(sc.WinvT(d.G @ ux - bz))
         if not (np.isfinite(ux).all() and np.isfinite(uz).all()):
             raise np.linalg.LinAlgError("non-finite KKT solution")
         return ux, uz
 
 
 def _result(program: ConicProgram, status, theta, iterations, detail="") -> SolverResult:
-    """The solver's answer, with theta (if any) checked against the program
-    data by verify_solution."""
-    if theta is None:
-        return SolverResult(
-            status, None, math.nan, math.nan, math.nan, math.nan, iterations, detail
-        )
-    check = verify_solution(program, theta)
-    return SolverResult(
-        status=status,
-        theta=theta,
-        objective_value=float(program.objective @ theta),
-        max_eig_violation=check.max_eig_violation,
-        ineq_violation=check.ineq_violation,
-        eq_residual=check.eq_residual,
-        iterations=iterations,
-        detail=detail,
-    )
+    """The solver's answer, with the objective value at theta (if any)."""
+    value = math.nan if theta is None else float(program.objective @ theta)
+    return SolverResult(status, theta, value, iterations, detail)
 
 
 def _initial_point(data: _ConeData, e: np.ndarray):
@@ -767,7 +725,7 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
     if data.rows == 0:
         raise ValueError("program has no inequalities and no PSD blocks")
     c, h = data.c, data.h
-    G, GT = data.G_times, data.GT_times
+    G, GT = data.G, data.GT
     e = data.cone_identity()
 
     try:
@@ -802,8 +760,8 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
         # raw cone points reconstructed from the scaling so s'z == |lam|^2
         s = sc.WT(lam)
         z = sc.Winv(lam)
-        GTz = GT(z)
-        Gx = G(x)
+        GTz = GT @ z
+        Gx = G @ x
         rx = GTz + c * tau
         rz = Gx + s - h * tau
         rtau = kappa + float(c @ x) + float(h @ z)
@@ -870,8 +828,8 @@ def _solve_bundled(program: ConicProgram, options: SolverOptions) -> SolverResul
             residuals; returns dx, ds, dtau, dkap and the final W dz."""
             dx, dz, ds, dtau, dkap, Wdz = f4_once(bx, bz, btau, bs, bkap)
             for _ in range(_REFINEMENT_PASSES):
-                r1 = bx - (GT(dz) + c * dtau)
-                r2 = bz - (G(dx) + ds - h * dtau)
+                r1 = bx - (GT @ dz + c * dtau)
+                r2 = bz - (G @ dx + ds - h * dtau)
                 r3 = btau - (dkap + float(c @ dx) + float(h @ dz))
                 r4 = bs - (sc.WinvT(ds) + Wdz)
                 r5 = bkap - (tau * dkap + kappa * dtau)

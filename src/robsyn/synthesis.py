@@ -629,9 +629,11 @@ class RobustnessCertificate:
 @dataclass
 class SynthesisSolution:
     """A solved program: the synthesized network, its certificate, the
-    multipliers, and the solver's decision vector theta with its layout
-    (both in full deviation coordinates, see VariableLayout, also when the
-    program was solved over the orbits of a symmetry)."""
+    multipliers, and the decision vector theta with its layout (both in full
+    deviation coordinates, see VariableLayout, also when the program was
+    solved over the orbits of a symmetry).  solver_result is what
+    solve_conic returned, so its theta is in the program's own variables:
+    the orbit coordinates phi, with theta = layout.basis @ phi."""
 
     network: ImplicitNetwork
     certificate: RobustnessCertificate
@@ -661,10 +663,9 @@ class SynthesisSolution:
 def _extract_solution(
     problem: SynthesisProblem, layout: VariableLayout, result: SolverResult
 ) -> SynthesisSolution:
-    """The solution of a solve over the orbit coordinates, expanded back to
-    theta = U phi; the returned solver_result carries that theta."""
+    """The solution of a solve over the orbit coordinates phi, expanded back
+    to theta = U phi; the returned solver_result is the solver's, with phi."""
     theta = layout.basis @ result.theta
-    result = replace(result, theta=theta)
     # the sign-constrained scalars may come back a rounding error below zero
     scalars = [
         layout.idx_T_u1, layout.idx_T_u2,
@@ -774,24 +775,23 @@ def synthesize(
 def analyze_network(
     network: ImplicitNetwork,
     input_set: InputPairSet,
-    weights: ObjectiveWeights | None = None,
     fixed_gamma_u1: float | None = None,
     fixed_gamma_u2: float | None = None,
-    options: SolverOptions | None = None,
 ) -> SynthesisSolution:
     """Certify the given network as-is (no weight freedom).
 
     This is synthesis with all tolerances zero: no weight block has
     variables, so the program holds only the multipliers and the bound
     coefficients.  The returned network has the input network's weights;
-    strictness_shift and t_floor are SynthesisProblem's defaults.
+    the objective weights, strictness_shift and t_floor are
+    SynthesisProblem's defaults and the solver options SolverOptions()'s.
+    For others, call synthesize with SimilarityTolerances.uniform(0.0).
     """
     problem = SynthesisProblem(
         network=network,
         input_set=input_set,
         tolerances=SimilarityTolerances.uniform(0.0),
-        weights=weights or ObjectiveWeights(),
         fixed_gamma_u1=fixed_gamma_u1,
         fixed_gamma_u2=fixed_gamma_u2,
     )
-    return synthesize(problem, options)
+    return synthesize(problem)

@@ -55,6 +55,8 @@ class SampleSpec:
 
     def __post_init__(self):
         check_count(self.num_pairs, "num_pairs")
+        if len(self.base_box) != 2:
+            raise ValueError(f"base_box must be a pair (lo, hi), got {self.base_box!r}")
         if not all(math.isfinite(end) for end in self.base_box):
             raise ValueError(f"base_box ends must be finite, got {self.base_box!r}")
         if self.base_box[0] > self.base_box[1]:

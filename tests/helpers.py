@@ -51,14 +51,6 @@ def lp_gram_by_scipy(G_lp, w):
     return (Glw.T @ Glw).toarray()
 
 
-class _ScipyProduct:
-    def __init__(self, A):
-        self.A = A
-
-    def __call__(self, v):
-        return self.A @ v
-
-
 class _ScipyLinearGram:
     def __init__(self, G_lp):
         self.G_lp = G_lp
@@ -69,9 +61,7 @@ class _ScipyLinearGram:
 
 def use_scipy_route(monkeypatch):
     """Run the interior-point iteration on the scipy calls its fixed-pattern
-    products reproduce: sparse @ for G, G' and N, the sparse linear-row Gram
-    and cho_solve."""
-    monkeypatch.setattr(robsyn.conic, "_FixedProduct", _ScipyProduct)
+    pieces reproduce: the sparse linear-row Gram and cho_solve."""
     monkeypatch.setattr(robsyn.conic, "_LinearGram", _ScipyLinearGram)
     monkeypatch.setattr(
         robsyn.conic._KktSolver, "_cho_solve",
@@ -87,16 +77,9 @@ def assert_bit_identical(a, b):
 
 
 def assert_fixed_pattern_products_match_scipy(data, seed):
-    """The products _ConeData fixes once (G, G', N and the linear-row Gram)
-    against scipy's, bit for bit, at random vectors and row weights."""
+    """The linear-row Gram on the pattern _ConeData fixes once against
+    scipy's, bit for bit, at random row weights."""
     rng = np.random.default_rng(seed)
-    GT = data.G.T.tocsr()
     for _ in range(3):
-        x = rng.standard_normal(data.nv)
-        z = rng.standard_normal(data.rows)
-        assert_bit_identical(data.G_times(x), data.G @ x)
-        assert_bit_identical(data.GT_times(z), GT @ z)
-        if data.N is not None:
-            assert_bit_identical(data.N_times(x), data.N @ x)
         w = np.exp(rng.uniform(-5.0, 5.0, data.l))
         assert_bit_identical(data.lp_gram(w), lp_gram_by_scipy(data.G[: data.l], w))

@@ -46,9 +46,12 @@ class TestConfigHandling:
         cfg = write_config(tmp_path / "c.json", tolerances={"uniform": 0.1, "w_x": 0.2})
         assert main(["synthesize", "--config", cfg]) == 2
 
-    def test_unknown_preset_exits_2(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", preset="nope")
+    def test_unknown_preset_exits_2(self, tmp_path, capsys):
+        # the reference MPC problem is the mpc section's default, so there is
+        # no preset key to name it
+        cfg = write_config(tmp_path / "c.json", preset="paper-mpc")
         assert main(["mpc-build", "--config", cfg]) == 2
+        assert "unknown config key: 'preset'" in capsys.readouterr().err
 
     def test_seed_out_of_range_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", seed=2**64)
@@ -84,7 +87,8 @@ class TestConfigHandling:
             ("analyze", {"network": 5}, None, "config key 'network' must be a string"),
             ("verify", {"certificate": 3}, None, "config key 'certificate' must be a string"),
             ("simulate", {"qp": 5}, None, "config key 'qp' must be a string"),
-            ("mpc-build", {"preset": 7}, None, "config key 'preset' must be a string"),
+            ("mpc-build", {"base_box": [-5, 0, 5]}, None,
+             "config key 'base_box' must be a list of 2 numbers"),
             ("analyze", {"timestamp": "no"}, None, "config key 'timestamp' must be a boolean"),
             ("sweep", {"fix_gains": "false"}, None, "config key 'fix_gains' must be a boolean"),
             ("sweep", {"fix_gains": 1}, None, "config key 'fix_gains' must be a boolean"),
@@ -158,14 +162,6 @@ class TestMpcBuild:
         cfg = write_config(tmp_path / "c.json", mpc={"horizon": 1}, out=str(tmp_path))
         assert main(["mpc-build", "--config", cfg]) == 0
         assert "condensed cost H = 5.6852" in capsys.readouterr().out
-
-    def test_preset_equals_default(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        cfg = write_config(tmp_path / "c.json", preset="paper-mpc", out=str(a))
-        assert main(["mpc-build", "--config", cfg]) == 0
-        assert main(["mpc-build", "--out", str(b)]) == 0
-        assert (a / "network.json").read_bytes() == (b / "network.json").read_bytes()
-        assert (a / "qp.json").read_bytes() == (b / "qp.json").read_bytes()
 
 
 class TestSynthesizeAnalyzeVerify:
@@ -241,24 +237,18 @@ class TestSynthesizeAnalyzeVerify:
         cfg = write_config(tmp_path / "c.json", network=path, out=str(tmp_path), samples=200)
         assert main(["verify", "--config", cfg]) == 1
 
-    def test_verify_loads_a_certificate_with_the_legacy_relaxed_key(self, tmp_path, small_net):
-        # certificates written before the relaxed-margin fallback was removed
-        # carry strictness_relaxed; they still load
+    def test_verify_rejects_unknown_certificate_key(self, tmp_path, small_net, capsys):
+        # strictness_relaxed, which nothing writes, is as unknown as any other
         _, path = small_net
         cfg = write_config(tmp_path / "c.json", network=path, out=str(tmp_path), samples=200)
         assert main(["analyze", "--config", cfg]) == 0
         cert_path = tmp_path / "certificate.json"
         cert = json.loads(cert_path.read_text())
-        assert "strictness_relaxed" not in cert
-        cert_path.write_text(json.dumps({**cert, "strictness_relaxed": True}))
-        assert main(["verify", "--config", cfg]) == 0
-
-    def test_verify_rejects_unknown_certificate_key(self, tmp_path, small_net):
-        _, path = small_net
-        cert = {"gamma": 1.0, "extra": 2}
-        (tmp_path / "certificate.json").write_text(json.dumps(cert))
-        cfg = write_config(tmp_path / "c.json", network=path, out=str(tmp_path))
-        assert main(["verify", "--config", cfg]) == 2
+        capsys.readouterr()
+        for key, value in (("extra", 2), ("strictness_relaxed", True)):
+            cert_path.write_text(json.dumps({**cert, key: value}))
+            assert main(["verify", "--config", cfg]) == 2
+            assert f"unknown certificate key: {key!r}" in capsys.readouterr().err
 
     def test_certificate_reads_back_exactly(self, tmp_path, small_net, monkeypatch):
         _, path = small_net

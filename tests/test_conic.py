@@ -58,7 +58,7 @@ def test_scalar_psd_bound():
     assert res.status == SolverStatus.OPTIMAL
     assert res.theta[0] == pytest.approx(2.0, abs=1e-7)
     assert res.objective_value == pytest.approx(2.0, abs=1e-7)
-    assert res.max_eig_violation <= 1e-8
+    assert verify_solution(scalar_bound_program(), res.theta).max_eig_violation <= 1e-8
 
 
 def test_arrow_optimum_on_cone_boundary():
@@ -95,7 +95,7 @@ def test_equality_constraint_is_respected():
     )
     res = solve_conic(prog)
     assert res.status == SolverStatus.OPTIMAL
-    assert res.eq_residual <= 1e-7
+    assert verify_solution(prog, res.theta).eq_residual <= 1e-7
     assert res.theta[0] + res.theta[1] == pytest.approx(5.0, abs=1e-7)
     assert res.objective_value == pytest.approx(0.0, abs=1e-6)
 
@@ -135,11 +135,12 @@ def pinned_program():
 
 
 def test_all_variables_pinned_solves_at_the_pinned_point():
-    res = solve_conic(pinned_program())
+    prog = pinned_program()
+    res = solve_conic(prog)
     assert res.status == SolverStatus.OPTIMAL
     np.testing.assert_allclose(res.theta, [1.0, 2.0], atol=1e-9)
     assert res.objective_value == pytest.approx(3.0, abs=1e-9)
-    assert res.eq_residual <= 1e-9
+    assert verify_solution(prog, res.theta).eq_residual <= 1e-9
 
 
 def test_infeasible_program_is_certified():

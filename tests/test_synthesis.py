@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from helpers import (
+    assert_bit_identical,
     assert_fixed_pattern_products_match_scipy,
     random_well_posed_network,
     use_scipy_route,
@@ -35,6 +36,7 @@ from robsyn.conic import (
     _DenseGram,
     _SparseGram,
     solve_conic,
+    verify_solution,
 )
 from robsyn.errors import Infeasible
 from robsyn.mpc import (
@@ -558,14 +560,15 @@ class TestMergedStatePairs:
         net = random_well_posed_network(60 + seed, n=4, n_u=2, n_g=2)
         eps = 0.05
         U = InputPairSet(1.0, 1.0)
-        ss = synthesize(small_problem(
-            net, eps, U, fixed_gamma_u1=0.0, fixed_gamma_u2=0.0
-        ))
+        problem = small_problem(net, eps, U, fixed_gamma_u1=0.0, fixed_gamma_u2=0.0)
+        ss = synthesize(problem)
         assert ss.status_label == "optimal"
-        # the split adds nothing to the row violation the solver reports,
+        # the split adds nothing to the row violation of the solver's point,
         # which a weight sees divided by its multipliers
         T = ss.multipliers.T_z
-        slack = ss.solver_result.ineq_violation / min(T.min(), ss.multipliers.T_g.min())
+        program, _ = assemble_synthesis_sdp(problem)
+        violation = verify_solution(program, ss.solver_result.theta).ineq_violation
+        slack = violation / min(T.min(), ss.multipliers.T_g.min())
         for blk, ref in (
             (ss.network.W_x, net.W_x), (ss.network.W_u, net.W_u),
             (ss.network.W_fx, net.W_fx), (ss.network.W_fu, net.W_fu),
@@ -694,6 +697,17 @@ class TestOddSymmetry:
             [np.linalg.eigvalsh(blk.evaluate(phi)) for blk in program.psd_blocks]
         ))
         np.testing.assert_allclose(reduced, full, rtol=0, atol=1e-12)
+
+    def test_solver_result_is_what_the_solver_returned(self, mpc_net):
+        # the solver's point in the program's own orbit coordinates, which
+        # checks against the program; sol.theta is that point expanded
+        prob = mpc_problem(mpc_net, 1e-5)
+        program, L = assemble_synthesis_sdp(prob)
+        sol = synthesize(prob, TIGHT)
+        phi = sol.solver_result.theta
+        assert phi.shape == (program.num_vars,) == (275,)
+        assert verify_solution(program, phi).ok(1e-6)
+        assert_bit_identical(sol.theta, L.basis @ phi)
 
     @pytest.mark.parametrize("capped", [False, True])
     def test_rows_are_made_once_per_orbit(self, mpc_net, monkeypatch, capped):
@@ -947,8 +961,8 @@ TIGHT = SolverOptions(feas_tol=1e-8, gap_tol=1e-8)
 
 
 class TestFixedPatternProducts:
-    """The iteration's products from data fixed once per solve
-    (_FixedProduct, _LinearGram and the direct potrs) give scipy's bits,
+    """The iteration's pieces from data fixed once per solve (_LinearGram
+    and the direct potrs) give scipy's bits,
     so every iterate is the one the scipy calls give.  No digest is pinned:
     the bits depend on the BLAS."""
 
@@ -1088,8 +1102,7 @@ class TestLadder:
     def test_best_iterate_is_kept_when_the_capped_rung_fails(self, monkeypatch):
         failed = SolverResult(
             status=SolverStatus.NUMERICAL_FAILURE, theta=None,
-            objective_value=np.nan, max_eig_violation=np.nan,
-            ineq_violation=np.nan, eq_residual=np.nan, iterations=3,
+            objective_value=np.nan, iterations=3,
             detail="factorization failed",
         )
         sol, calls = self._run(monkeypatch, failed)
@@ -1103,15 +1116,8 @@ class TestStatusLabel:
         net = random_well_posed_network(21, n=3, n_u=1, n_g=2)
         sol = synthesize(small_problem(net, 0.1))
         assert sol.status_label == "optimal"
-        r = sol.solver_result
-        sol.solver_result = SolverResult(
-            status=SolverStatus.OPTIMAL,
-            theta=r.theta,
-            objective_value=r.objective_value,
-            max_eig_violation=r.max_eig_violation,
-            ineq_violation=r.ineq_violation,
-            eq_residual=r.eq_residual,
-            iterations=r.iterations,
+        sol.solver_result = replace(
+            sol.solver_result,
             detail="terminated at reduced accuracy (pres 1.9e-09, dres 2.6e-08, relgap 4.4e-11)",
         )
         assert sol.status_label == "optimal (reduced accuracy)"
@@ -1144,9 +1150,11 @@ class TestObjectiveWeights:
     def test_weight_emphasis_shifts_the_split(self):
         net = random_well_posed_network(17, n=3, n_u=2, n_g=2)
         U = InputPairSet(1.0, 1.0)
-        heavy_gamma = analyze_network(
-            net, U, weights=ObjectiveWeights(gamma=10.0, gamma_u1=1.0, gamma_u2=1.0)
-        )
+        # analysis under other objective weights is synthesis at tolerance zero
+        heavy_gamma = synthesize(SynthesisProblem(
+            network=net, input_set=U, tolerances=SimilarityTolerances.uniform(0.0),
+            weights=ObjectiveWeights(gamma=10.0, gamma_u1=1.0, gamma_u2=1.0),
+        ))
         c = heavy_gamma.certificate
         # penalizing gamma pushes the certificate onto the input-dependent terms
         assert c.gamma <= c.gamma_u1 + c.gamma_u2 + 1e-6

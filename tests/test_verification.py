@@ -85,6 +85,10 @@ class TestSampler:
             SampleSpec(num_pairs=0)
         with pytest.raises(ValueError):
             SampleSpec(base_box=(1.0, -1.0))
+        # anything but a pair: not later, in sample_input_pairs' unpacking
+        for box in ((0.0, 1.0, 2.0), (1.0,)):
+            with pytest.raises(ValueError, match="base_box must be a pair"):
+                SampleSpec(base_box=box)
 
     @pytest.mark.parametrize(
         "field, value",

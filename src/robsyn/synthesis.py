@@ -83,16 +83,19 @@ from .network import ImplicitNetwork
 # The threshold sits well above the first and far below the second.
 _NEUTRAL_ROW = 1e-12
 
-# Iteration budget for first-attempt (uncapped) solves.  Healthy instances
-# converge well inside this; an instance drifting along an unbounded
-# multiplier ray (see _MULTIPLIER_CAP) only burns iterations, so the
-# budget bounds the cost of discovering that the capped rescue is needed.
+# Iteration budget for first-attempt (uncapped) solves, which only
+# instances whose tolerance box zeroes no row make (see _box_zeroes_a_row).
+# Healthy instances converge well inside this; an instance drifting along
+# an unbounded multiplier ray (see _MULTIPLIER_CAP) that the rule does not
+# foresee only burns iterations, so the budget bounds the cost of
+# discovering that the capped rescue is needed.
 _UNCAPPED_ITER_BUDGET = 80
 
-# Upper bound on every diagonal multiplier in the capped rescue solve (see
+# Upper bound on every diagonal multiplier in the capped solve (see
 # synthesize): far above the scale of any multiplier the uncapped program
-# resolves, it only closes off the ray along which a loose-tolerance
-# instance's multipliers run away.
+# resolves, it only closes off the ray along which the multipliers of the
+# rows a loose tolerance can zero run away.  An instance with such a row
+# is solved capped from the start; any other only as the rescue.
 _MULTIPLIER_CAP = 1e6
 
 # Size of one chunk of certificate matrices in _psd_blocks: the columns of
@@ -579,6 +582,58 @@ def assemble_synthesis_sdp(problem: SynthesisProblem) -> tuple[ConicProgram, Var
     return program, layout
 
 
+def _zeroable_rows(
+    network: ImplicitNetwork, tolerances: SimilarityTolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """The state and output rows that weights within the tolerance box of
+    the network's can zero, as sorted index arrays.
+
+    A state row i is zeroable when |W_u[i]| <= w_u, its off-diagonal W_x row
+    over the live states is <= w_x and W_x[i, i] - w_x < 1: its state can
+    then be held at zero.  An output row k is zeroable when
+    |W_fu[k]| <= w_fu and its W_fx row over the live states is <= w_fx.  A
+    zeroed state is no longer live, so the rule repeats until nothing
+    changes.  The multipliers of these rows are the ones that run away (see
+    _MULTIPLIER_CAP): their terms of the certificate can be made to vanish,
+    so the uncapped optimum is an infimum.
+    """
+    tol = tolerances
+    fits_x = np.abs(network.W_x) <= tol.w_x
+    np.fill_diagonal(fits_x, True)
+    fits_fx = np.abs(network.W_fx) <= tol.w_fx
+    may_zero = np.all(np.abs(network.W_u) <= tol.w_u, axis=1) & (
+        network.W_x.diagonal() - tol.w_x < 1
+    )
+    states = np.zeros(network.n, dtype=bool)
+    while True:
+        # a row fits when each entry fits or lies in a zeroed state's column
+        grown = may_zero & np.all(fits_x | states, axis=1)
+        if np.array_equal(grown, states):
+            break
+        states = grown
+    outputs = np.all(np.abs(network.W_fu) <= tol.w_fu, axis=1) & np.all(fits_fx | states, axis=1)
+    return np.flatnonzero(states), np.flatnonzero(outputs)
+
+
+def _box_zeroes_a_row(network: ImplicitNetwork, tolerances: SimilarityTolerances) -> bool:
+    """Whether the tolerance box zeroes a row that the network does not have
+    at zero already: a zeroable row (see _zeroable_rows) with a nonzero
+    entry off the W_x diagonal.  A row that is zero in the reference is
+    left to the ladder, since the box moves nothing to zero it: the small
+    networks with such rows (a state that reads and feeds nothing, an
+    output that reads nothing) end their uncapped solves optimal or
+    infeasible in 7 to 37 iterations."""
+    states, outputs = _zeroable_rows(network, tolerances)
+    off_diagonal = network.W_x - np.diag(network.W_x.diagonal())
+    return any(
+        np.any(W[rows])
+        for W, rows in (
+            (off_diagonal, states), (network.W_u, states),
+            (network.W_fx, outputs), (network.W_fu, outputs),
+        )
+    )
+
+
 def _with_multiplier_cap(
     problem: SynthesisProblem, program: ConicProgram, layout: VariableLayout
 ) -> ConicProgram:
@@ -732,39 +787,46 @@ def synthesize(
     The program is assembled once.  One fallback may engage, recorded on
     the returned solution: the same program with a multiplier cap (see
     _with_multiplier_cap) for instances whose optimal multipliers run away
-    (multiplier_capped).  A structurally marginal instance needs none, since
-    the neutral face of its certificate matrix is dropped from the program
-    (see _psd_blocks).
+    (multiplier_capped).  When the tolerance box zeroes a row (see
+    _box_zeroes_a_row), the uncapped optimum is an infimum, so the capped
+    program is solved from the start, with the caller's options.
+    Otherwise the uncapped program is solved first, within
+    _UNCAPPED_ITER_BUDGET iterations, and the capped one only when it runs
+    out of budget or breaks down.  A structurally marginal instance needs
+    no fallback, since the neutral face of its certificate matrix is
+    dropped from the program (see _psd_blocks).
     Raises Infeasible when no certificate exists within the tolerances and
     NumericalFailure when the solver cannot resolve the instance on either
     rung.
     """
     opts = options if options is not None else SolverOptions()
-    budget = opts
-    if opts.max_iters > _UNCAPPED_ITER_BUDGET:
-        budget = replace(opts, max_iters=_UNCAPPED_ITER_BUDGET)
-
-    # The uncapped program is tried before the capped rescue, so healthy
-    # instances keep the smaller program and full accuracy.  A genuinely
-    # uncertifiable problem is infeasible under both, so nothing is masked.
     program, layout = assemble_synthesis_sdp(problem)
-    uncapped = solve_conic(program, budget)
-    if uncapped.status is SolverStatus.OPTIMAL and uncapped.iterations < budget.max_iters:
-        return _extract_solution(problem, layout, uncapped)
-    if uncapped.status is SolverStatus.INFEASIBLE:
-        # the cap cannot manufacture feasibility, it sits far above any
-        # resolvable multiplier scale
-        raise Infeasible("no certificate exists for the requested tolerances and input set")
 
-    # a numerical breakdown, or the best iterate of a solve that ran out of
-    # budget: both the sign of a runaway multiplier ray, and capping T
-    # restores a bounded optimal face
+    uncapped = None
+    if not _box_zeroes_a_row(problem.network, problem.tolerances):
+        # The uncapped program is tried before the capped rescue, so healthy
+        # instances keep the smaller program and full accuracy.  A genuinely
+        # uncertifiable problem is infeasible under both, so nothing is masked.
+        budget = opts
+        if opts.max_iters > _UNCAPPED_ITER_BUDGET:
+            budget = replace(opts, max_iters=_UNCAPPED_ITER_BUDGET)
+        uncapped = solve_conic(program, budget)
+        if uncapped.status is SolverStatus.OPTIMAL and uncapped.iterations < budget.max_iters:
+            return _extract_solution(problem, layout, uncapped)
+        if uncapped.status is SolverStatus.INFEASIBLE:
+            # the cap cannot manufacture feasibility, it sits far above any
+            # resolvable multiplier scale
+            raise Infeasible("no certificate exists for the requested tolerances and input set")
+
+    # a zeroable row, a numerical breakdown, or the best iterate of a solve
+    # that ran out of budget: all the sign of a runaway multiplier ray, and
+    # capping T restores a bounded optimal face
     capped = solve_conic(_with_multiplier_cap(problem, program, layout), opts)
     if capped.status is SolverStatus.OPTIMAL:
         sol = _extract_solution(problem, layout, capped)
         sol.multiplier_capped = True
         return sol
-    if uncapped.status is SolverStatus.OPTIMAL:
+    if uncapped is not None and uncapped.status is SolverStatus.OPTIMAL:
         # the cap did worse than the uncapped best iterate
         return _extract_solution(problem, layout, uncapped)
     if capped.status is SolverStatus.INFEASIBLE:

@@ -13,7 +13,7 @@ import pytest
 
 import robsyn.synthesis
 from helpers import random_well_posed_network, rollout_cost
-from robsyn.conic import SolverOptions, SolverStatus
+from robsyn.conic import SolverOptions, SolverStatus, solve_conic
 from robsyn.mpc import (
     condense_qp,
     qp_to_implicit_network,
@@ -184,11 +184,10 @@ def test_criterion_3_zero_tolerance_consistency(mpc_fixture, mpc_synth_zero, mpc
     assert rel <= 1e-4
 
 
-def test_criterion_4_soundness_over_random_corpus():
+def _criterion_4_problems():
+    """The 50 problems of criterion 4, numbered k: random networks, pair
+    sets and uniform tolerances in [0, 0.25], gains pinned for odd k."""
     rng = np.random.default_rng(4)
-    spec = SampleSpec(num_pairs=10_000)
-    optimal = 0
-    worst_margin = np.inf
     for k in range(50):
         net = random_well_posed_network(
             1000 + k,
@@ -196,7 +195,7 @@ def test_criterion_4_soundness_over_random_corpus():
             n_u=int(rng.integers(1, 4)),
             n_g=int(rng.integers(1, 4)),
         )
-        problem = SynthesisProblem(
+        yield k, SynthesisProblem(
             network=net,
             input_set=InputPairSet(
                 float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0))
@@ -205,6 +204,13 @@ def test_criterion_4_soundness_over_random_corpus():
             fixed_gamma_u1=0.0 if k % 2 else None,
             fixed_gamma_u2=0.0 if k % 2 else None,
         )
+
+
+def test_criterion_4_soundness_over_random_corpus():
+    spec = SampleSpec(num_pairs=10_000)
+    optimal = 0
+    worst_margin = np.inf
+    for k, problem in _criterion_4_problems():
         sol = synthesize(problem)
         optimal += 1
         check = empirical_bound_check(sol.network, sol.certificate, spec, seed=k)
@@ -218,6 +224,42 @@ def test_criterion_4_soundness_over_random_corpus():
         f"worst margin {worst_margin:.3e}"
     )
     assert optimal == 50
+
+
+def test_criterion_4_instance_with_a_zeroable_row_is_solved_capped(monkeypatch):
+    """Problem 33 of criterion 4 is the one with a zeroable row (state 3).
+    Its uncapped program ends optimal in 14 iterations, but synthesize
+    solves the capped one from the start: 24 iterations, T_z[3] near the
+    cap, and a gamma within 1e-7 relative of the uncapped solve's."""
+    problems = dict(_criterion_4_problems())
+    zeroable = {
+        k: [rows.tolist() for rows in robsyn.synthesis._zeroable_rows(p.network, p.tolerances)]
+        for k, p in problems.items()
+    }
+    assert {k: rows for k, rows in zeroable.items() if rows != [[], []]} == {33: [[3], []]}
+    problem = problems[33]
+    program, layout = robsyn.synthesis.assemble_synthesis_sdp(problem)
+    uncapped = solve_conic(program, SolverOptions(max_iters=80))
+    gamma = robsyn.synthesis._extract_solution(problem, layout, uncapped).certificate.gamma
+    calls = []
+    solve = robsyn.synthesis.solve_conic
+
+    def record(program, options=None):
+        calls.append(solve(program, options))
+        return calls[-1]
+
+    monkeypatch.setattr(robsyn.synthesis, "solve_conic", record)
+    sol = synthesize(problem)
+    print(
+        f"problem 33: uncapped {uncapped.iterations} iterations, gamma {gamma:.9f}; "
+        f"{sol.status_label} in {sol.solver_result.iterations}, gamma "
+        f"{sol.certificate.gamma:.9f}, T_z[3] {sol.multipliers.T_z[3]:.2e}"
+    )
+    assert (uncapped.status, uncapped.iterations) == (SolverStatus.OPTIMAL, 14)
+    assert [(r.status, r.iterations) for r in calls] == [(SolverStatus.OPTIMAL, 24)]
+    assert sol.status_label == "optimal (capped multipliers)"
+    assert sol.multipliers.T_z[3] > robsyn.synthesis._MULTIPLIER_CAP / 10
+    assert abs(sol.certificate.gamma - gamma) <= 1e-7 * gamma
 
 
 def test_criterion_5_mpc_oracle_equivalence(mpc_fixture):
@@ -304,39 +346,14 @@ def test_paper_mpc_iteration_counts_are_pinned(request, fixture, iterations, cap
     assert sol.multiplier_capped is capped
 
 
-def _zeroable_rows(net, eps):
-    """The state and output rows that weights within eps of the network's
-    can zero, found by repeating until nothing changes: a state row when its
-    W_u row and its off-diagonal W_x row over the live states fit in the
-    box and W_x[i, i] - eps < 1, an output row when its W_fu row and its
-    W_fx row over the live states fit in the box."""
-    states, outputs = set(), set()
-    while True:
-        live = [j for j in range(net.n) if j not in states]
-        new_states = {
-            i for i in live
-            if np.all(np.abs(net.W_u[i]) <= eps)
-            and np.all(np.abs(net.W_x[i, [j for j in live if j != i]]) <= eps)
-            and net.W_x[i, i] - eps < 1
-        }
-        new_outputs = {
-            k for k in range(net.n_g)
-            if np.all(np.abs(net.W_fu[k]) <= eps) and np.all(np.abs(net.W_fx[k, live]) <= eps)
-        }
-        if new_states <= states and new_outputs <= outputs:
-            return sorted(states), sorted(outputs)
-        states |= new_states
-        outputs |= new_outputs
-
-
 @pytest.mark.parametrize(
     "eps, states, outputs",
     [(1e-2, [*range(5, 10), *range(15, 20)], [8, 9]), (1e-1, list(range(20)), [5, 6, 7, 8, 9])],
 )
 def test_runaway_multipliers_are_the_zeroable_rows(request, mpc_fixture, eps, states, outputs):
-    """Where the ladder takes the capped rung, the multipliers that run to
-    the cap are exactly those of the rows the tolerance box can zero: their
-    terms of the certificate can be made to vanish, so the uncapped
+    """Where synthesize solves the capped program, the multipliers that run
+    to the cap are exactly those of the rows the tolerance box can zero:
+    their terms of the certificate can be made to vanish, so the uncapped
     optimum is an infimum."""
     _, _, net = mpc_fixture
     if eps == 1e-1:
@@ -348,14 +365,21 @@ def test_runaway_multipliers_are_the_zeroable_rows(request, mpc_fixture, eps, st
     big_outputs = np.flatnonzero(sol.multipliers.T_g > level).tolist()
     print(f"eps {eps:g}: T_z above {level:g} at {big_states}, T_g at {big_outputs}")
     assert sol.multiplier_capped
-    assert _zeroable_rows(net, eps) == (states, outputs)
+    zeroable = robsyn.synthesis._zeroable_rows(net, SimilarityTolerances.uniform(eps))
+    assert [rows.tolist() for rows in zeroable] == [states, outputs]
     assert (big_states, big_outputs) == (states, outputs)
 
 
 def test_reanalysis_of_the_coarse_network_needs_the_capped_rung(mpc_synth_coarse, monkeypatch):
     """Certifying the coarse synthesized network as it is: the uncapped
     solve collapses and the capped rung certifies the synthesis gamma to
-    the 1e-4 that perfbench's re-analysis check allows."""
+    the 1e-4 that perfbench's re-analysis check allows.  The network has no
+    zeroable row at tolerance 0, since its weights are near zero but not
+    exactly zero, so the uncapped program is tried first."""
+    zeroable = robsyn.synthesis._zeroable_rows(
+        mpc_synth_coarse.network, SimilarityTolerances.uniform(0.0)
+    )
+    assert not any(rows.size for rows in zeroable)
     results = []
     solve = robsyn.synthesis.solve_conic
 

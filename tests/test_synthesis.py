@@ -52,8 +52,11 @@ from robsyn.synthesis import (
     SimilarityTolerances,
     SynthesisProblem,
     _MULTIPLIER_CAP,
+    _UNCAPPED_ITER_BUDGET,
+    _box_zeroes_a_row,
     _unpack,
     _with_multiplier_cap,
+    _zeroable_rows,
     analyze_network,
     assemble_synthesis_sdp,
     layout_variables,
@@ -86,13 +89,14 @@ BUILT_WITH_INF = {
 
 
 def count_solves(monkeypatch):
-    """The programs synthesize hands to solve_conic, recorded as it runs."""
+    """(program, options, result) of each solve that synthesize makes,
+    recorded as it runs."""
     calls = []
     solve = robsyn.synthesis.solve_conic
 
     def counted(program, options=None):
-        calls.append(program)
-        return solve(program, options)
+        calls.append((program, options, solve(program, options)))
+        return calls[-1][2]
 
     monkeypatch.setattr(robsyn.synthesis, "solve_conic", counted)
     return calls
@@ -383,7 +387,7 @@ class TestAnalysis:
         )
         assert len(calls) == 1
         # one of the 5 coordinates of the first block is the face
-        assert [b.dim for b in calls[0].psd_blocks] == [4, 6]
+        assert [b.dim for b in calls[0][0].psd_blocks] == [4, 6]
         assert sol.solver_result.detail == ""
         assert sol.certificate.gamma == pytest.approx(0.7385, abs=2e-3)
         assert abs(sol.certificate.lmi_margin) <= 1e-12
@@ -978,8 +982,8 @@ class TestFixedPatternProducts:
         "run, solves",
         [
             (lambda net: synthesize(mpc_problem(net, 1e-5), TIGHT), 1),
-            # the uncapped rung runs out of budget, then the capped one
-            (lambda net: synthesize(mpc_problem(net, 1e-1)), 2),
+            # every state is zeroable, so only the capped program is solved
+            (lambda net: synthesize(mpc_problem(net, 1e-1)), 1),
             (lambda net: analyze_network(
                 net, InputPairSet(1.0, 1.0), fixed_gamma_u1=0.0, fixed_gamma_u2=0.0
             ), 1),
@@ -1033,11 +1037,126 @@ def test_fine_synthesis_does_not_depend_on_the_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
+class TestZeroableRows:
+    """The rows the tolerance box can zero (_zeroable_rows), which decide
+    whether synthesize solves the capped program from the start."""
+
+    @staticmethod
+    def rows(net, tolerances):
+        return [rows.tolist() for rows in _zeroable_rows(net, tolerances)]
+
+    def test_each_block_has_its_own_tolerance(self):
+        # state 0 reads the input; state 1 reads only state 0, within w_x;
+        # the output reads state 0 beyond w_fx
+        net = ImplicitNetwork(
+            W_x=np.array([[0.5, 0.0], [0.05, 0.5]]), W_u=np.array([[0.05], [0.0]]),
+            W_fx=np.array([[0.2, 0.0]]), W_fu=Z((1, 1)),
+            b=Z(2), b_f=Z(1), activation=Activation.relu(),
+        )
+        # w_u = 0 with a nonzero W_u row blocks state 0 whatever the others
+        blocked = SimilarityTolerances(w_x=0.1, w_u=0.0, w_fx=0.1, w_fu=0.1)
+        assert self.rows(net, blocked) == [[1], []]
+        assert self.rows(net, replace(blocked, w_u=0.05)) == [[0, 1], [0]]
+        # w_x below the W_x entry blocks state 1 while state 0 is live
+        assert self.rows(net, replace(blocked, w_x=0.01)) == [[], []]
+
+    def test_a_row_opens_once_the_states_it_reads_are_zeroed(self):
+        # a chain: state 1 reads state 0 and the output reads state 1, both
+        # beyond the box, so each row is zeroable only after the one before
+        net = ImplicitNetwork(
+            W_x=np.array([[0.3, 0.0], [0.5, 0.3]]), W_u=np.array([[0.05], [0.0]]),
+            W_fx=np.array([[0.0, 0.5]]), W_fu=Z((1, 1)),
+            b=Z(2), b_f=Z(1), activation=Activation.relu(),
+        )
+        assert self.rows(net, SimilarityTolerances.uniform(0.1)) == [[0, 1], [0]]
+        # with state 0 held by its input, nothing downstream opens
+        assert self.rows(net, SimilarityTolerances.uniform(0.01)) == [[], []]
+
+    def test_a_state_map_the_box_cannot_bring_below_one_is_kept(self):
+        net = ImplicitNetwork(
+            W_x=1.05 * np.eye(1), W_u=Z((1, 1)), W_fx=Z((1, 1)), W_fu=np.ones((1, 1)),
+            b=Z(1), b_f=Z(1), activation=Activation.relu(),
+        )
+        assert self.rows(net, SimilarityTolerances.uniform(0.05)) == [[], []]
+        assert self.rows(net, SimilarityTolerances.uniform(0.06)) == [[0], []]
+
+    def test_a_row_that_is_zero_already_does_not_count(self):
+        # a state that reads nothing is zeroable at any tolerance, but the
+        # box has nothing to move, so synthesize tries the uncapped program
+        # first (see TestAnalysis.test_identity_feedthrough_value)
+        net = ImplicitNetwork(
+            W_x=Z((1, 1)), W_u=Z((1, 2)), W_fx=Z((2, 1)), W_fu=np.eye(2),
+            b=Z(1), b_f=Z(2), activation=Activation.relu(),
+        )
+        for tolerances in (ZERO, UNIFORM):
+            assert self.rows(net, tolerances) == [[0], []]
+            assert not _box_zeroes_a_row(net, tolerances)
+        moved = replace(net, W_u=np.array([[0.05, 0.0]]))
+        assert self.rows(moved, UNIFORM) == [[0], []]
+        assert _box_zeroes_a_row(moved, UNIFORM)
+
+    @pytest.mark.parametrize(
+        "eps, states, outputs",
+        [
+            *((eps, [], []) for eps in (0.0, 1e-5, 2e-5, 1e-4, 1e-3, 2e-3)),
+            (5e-3, [*range(6, 10), *range(16, 20)], [9]),
+            (1e-2, [*range(5, 10), *range(15, 20)], [8, 9]),
+            (1e-1, list(range(20)), [*range(5, 10)]),
+            (1.0, list(range(20)), list(range(10))),
+        ],
+    )
+    def test_paper_mpc_sets(self, mpc_net, eps, states, outputs):
+        # measured; each state set is closed under the odd symmetry pi
+        assert self.rows(mpc_net, SimilarityTolerances.uniform(eps)) == [states, outputs]
+        pi = odd_symmetry(mpc_net)
+        assert sorted(pi[states]) == states
+
+
+class TestCappedFromTheStart:
+    """With a zeroable row, synthesize makes one solve: the capped program,
+    with the caller's options, bit for bit a direct solve of it."""
+
+    @pytest.mark.parametrize("eps, iterations", [(5e-3, 37), (1e-2, 34), (1e-1, 25), (1.0, 21)])
+    def test_paper_mpc(self, mpc_net, monkeypatch, eps, iterations):
+        problem = mpc_problem(mpc_net, eps)
+        capped = _with_multiplier_cap(problem, *assemble_synthesis_sdp(problem))
+        direct = solve_conic(capped)
+        calls = count_solves(monkeypatch)
+        sol = synthesize(problem)
+        assert len(calls) == 1
+        program, options, result = calls[0]
+        assert program_digest(program) == program_digest(capped)
+        assert (options.max_iters, result.iterations) == (200, iterations)
+        assert result.theta.tobytes() == direct.theta.tobytes()
+        assert sol.multiplier_capped
+
+    def test_no_zeroable_row_keeps_the_uncapped_first_rung(self, mpc_net, monkeypatch):
+        problem = mpc_problem(mpc_net, 1e-5)
+        uncapped, _ = assemble_synthesis_sdp(problem)
+        calls = count_solves(monkeypatch)
+        sol = synthesize(problem)
+        assert len(calls) == 1
+        program, options, _ = calls[0]
+        assert program_digest(program) == program_digest(uncapped)
+        assert options.max_iters == _UNCAPPED_ITER_BUDGET
+        assert not sol.multiplier_capped
+
+
 class TestLadder:
+    """The rescue: the uncapped program first, then the capped one.  The
+    network (seed 21 at tolerance 0.1) has no zeroable row, so synthesize
+    takes the ladder rather than solving capped from the start."""
+
+    NET = random_well_posed_network(21, n=3, n_u=1, n_g=2)
+
+    def test_the_network_has_no_zeroable_row(self):
+        zeroable = _zeroable_rows(self.NET, SimilarityTolerances.uniform(0.1))
+        assert [rows.tolist() for rows in zeroable] == [[], []]
+
     def _run(self, monkeypatch, capped_result=None):
         # the uncapped rung hands back its best iterate as OPTIMAL after
         # running its whole budget, as the bundled solver's finish does
-        net = random_well_posed_network(21, n=3, n_u=1, n_g=2)
+        net = self.NET
         calls = []
         solve = robsyn.synthesis.solve_conic
 
@@ -1070,7 +1189,7 @@ class TestLadder:
         # would be extracted only if the capped rung failed
         assert len(extractions) == 1
         (rows0, iters0), (rows1, iters1) = calls
-        assert iters0 == robsyn.synthesis._UNCAPPED_ITER_BUDGET and iters1 == 150
+        assert iters0 == _UNCAPPED_ITER_BUDGET and iters1 == 150
         assert rows1 > rows0
         assert sol.multiplier_capped
         assert sol.status_label == "optimal (capped multipliers)"

@@ -99,7 +99,6 @@ _KEYS = {
     ),
     "fixed_gamma_u1": ("number", None),
     "fixed_gamma_u2": ("number", None),
-    "fix_gains": ("boolean", True),
     "sweep_grid": ("number list", [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]),
     "samples": ("integer", 10000),
     "base_box": ("number pair", list(SampleSpec().base_box)),
@@ -356,7 +355,7 @@ def _state_grid(n_x: int, base_box, seed: int) -> np.ndarray:
 def cmd_mpc_build(cfg: dict) -> int:
     problem = _problem_from_cfg(cfg)
     qp = condense_qp(problem)
-    net = qp_to_implicit_network(qp, attach_hint=False)
+    net = qp_to_implicit_network(qp)
     states = _state_grid(problem.n_x, cfg["base_box"], cfg["seed"])
     G = evaluate_batch(net, states.T)[0]
     err = 0.0
@@ -446,11 +445,8 @@ def cmd_verify(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     net = load_network(_artifact(cfg, "network", "network.json"))
-    # each row sets every tolerance to its sweep_grid value; fix_gains pins
-    # both gains to zero over the config's fixed_gamma_u1/u2
+    # each row sets every tolerance to its sweep_grid value
     problem = _synthesis_problem(cfg, net, SimilarityTolerances())
-    if cfg["fix_gains"]:
-        problem = dataclasses.replace(problem, fixed_gamma_u1=0.0, fixed_gamma_u2=0.0)
     result = sweep_tolerance(
         problem,
         cfg["sweep_grid"],

@@ -221,10 +221,6 @@ class SolutionCheck:
     ineq_violation: float
     eq_residual: float
 
-    @property
-    def max_eig_violation(self) -> float:
-        return max(0.0, -self.psd_min_eig)
-
     def ok(self, tol: float) -> bool:
         return (
             self.psd_min_eig >= -tol

@@ -9,9 +9,10 @@ is condensed to a box-constrained QP in the stacked input vector and then
 rewritten, through its KKT conditions, as an implicit network whose state is
 half the constraint multiplier vector and whose output is the exact optimal
 input sequence.  The bridge network therefore reproduces the MPC law, not an
-approximation of it.  Every shipped flow builds the bridge with
-attach_hint=False, so the network's own fixed-point solver evaluates it and
-solve_qp_oracle stays an independent check of that solver.
+approximation of it.  The bridge attaches no fixed-point hint unless given
+attach_hint=True, which no shipped flow passes, so the network's own
+fixed-point solver evaluates it and solve_qp_oracle stays an independent
+check of that solver.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     SingularH,
     check_count,
 )
-from .network import Activation, ImplicitNetwork
+from .network import Activation, ImplicitNetwork, _as_array, _size
 
 
 @dataclass
@@ -45,29 +46,20 @@ class MpcProblem:
     v_bound: float
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.B = np.asarray(self.B, dtype=float)
-        if self.B.ndim == 1:
-            self.B = self.B[:, None]
-        n_x = self.A.shape[0]
-        if self.A.shape != (n_x, n_x):
-            raise DimensionMismatch(f"A must be square, got {self.A.shape}")
-        if self.B.shape[0] != n_x:
-            raise DimensionMismatch(f"B must have {n_x} rows, got {self.B.shape}")
-        for name in ("Q", "P"):
-            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            if M.shape != (n_x, n_x):
-                raise DimensionMismatch(f"{name} must be {n_x}x{n_x}, got {M.shape}")
-            if not np.allclose(M, M.T, atol=1e-12):
-                raise DimensionMismatch(f"{name} must be symmetric")
-            setattr(self, name, (M + M.T) / 2.0)
-        n_v = self.B.shape[1]
-        Rm = np.atleast_2d(np.asarray(self.R, dtype=float))
-        if Rm.shape != (n_v, n_v):
-            raise DimensionMismatch(f"R must be {n_v}x{n_v}, got {Rm.shape}")
-        if not np.allclose(Rm, Rm.T, atol=1e-12):
-            raise DimensionMismatch("R must be symmetric")
-        self.R = (Rm + Rm.T) / 2.0
+        # n_x and n_v are read off A and B, which are checked first; every
+        # matrix must then have exactly its documented shape
+        n_x, n_v = _size(self.A, 0), _size(self.B, -1)
+        if n_v == 0:
+            # the condensed QP would have no variables
+            raise DimensionMismatch(f"B must have a column, got shape {np.shape(self.B)}")
+        for name, shape in (("A", (n_x, n_x)), ("B", (n_x, n_v)), ("Q", (n_x, n_x)),
+                            ("R", (n_v, n_v)), ("P", (n_x, n_x))):
+            M = _as_array(getattr(self, name), shape, name)
+            if name in ("Q", "R", "P"):
+                if not np.allclose(M, M.T, atol=1e-12):
+                    raise DimensionMismatch(f"{name} must be symmetric")
+                M = (M + M.T) / 2.0
+            setattr(self, name, M)
         check_count(self.horizon, "horizon")
         if not 0 < self.v_bound < math.inf:
             raise ValueError(f"v_bound must be positive and finite, got {self.v_bound!r}")
@@ -274,7 +266,7 @@ def solve_qp_oracle(qp: CondensedQP, w: np.ndarray) -> QpSolution:
     return QpSolution(v=v, multipliers=lam, iterations=it, kkt_residual=kkt)
 
 
-def qp_to_implicit_network(qp: CondensedQP, attach_hint: bool = True) -> ImplicitNetwork:
+def qp_to_implicit_network(qp: CondensedQP, attach_hint: bool = False) -> ImplicitNetwork:
     """Rewrite the box QP's KKT system as an implicit ReLU network.
 
     The network state is half the multiplier vector; eliminating the input

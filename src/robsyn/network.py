@@ -12,8 +12,8 @@ points of all inputs at once: semismooth Newton for ReLU networks, and
 damped Picard iteration with Anderson mixing for every other activation
 and for the inputs where Newton stalls.  evaluate is evaluate_batch on a
 single input.  A network may carry an exact fixed-point hint that bypasses
-iteration; mpc.qp_to_implicit_network attaches one unless given
-attach_hint=False, as every shipped flow builds the bridge.
+iteration; mpc.qp_to_implicit_network attaches one only when given
+attach_hint=True, which no shipped flow passes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, SchemaError, check_count
+from .errors import DimensionMismatch, NonConvergence, SchemaError
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -82,60 +82,52 @@ class FixedPointConfig:
 
     acceleration "newton" solves ReLU networks by semismooth Newton;
     "anderson", and every other activation, uses damped Picard iteration
-    with Anderson mixing.  tol bounds the residual of every returned state,
-    and max_iters the number of Picard sweeps.
+    with Anderson mixing.  tol bounds the residual of every returned state.
     """
 
     tol: float = 1e-10
-    max_iters: int = 100_000
     acceleration: str = "newton"
 
     def __post_init__(self):
         if not 0 <= self.tol < math.inf:
             raise ValueError(f"tol must be nonnegative and finite, got {self.tol!r}")
-        check_count(self.max_iters, "max_iters")
         if self.acceleration not in ("newton", "anderson"):
             raise ValueError(f"unknown acceleration {self.acceleration!r}")
 
 
-# Picard steps are x + _DAMPING (phi(W_x x + q) - x); Newton takes at most
-# _NEWTON_SWEEPS steps before the columns where it stalls go to Picard.
+# Picard steps are x + _DAMPING (phi(W_x x + q) - x), at most _PICARD_SWEEPS
+# of them; Newton takes at most _NEWTON_SWEEPS steps before the columns where
+# it stalls go to Picard.
 _DAMPING = 0.5
+_PICARD_SWEEPS = 100_000
 _NEWTON_SWEEPS = 60
 
 
-def _as_matrix(obj, rows: int, cols: int, name: str) -> np.ndarray:
+def _as_array(obj, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """obj as a float array of exactly the given shape, or SchemaError (not
+    numeric) or DimensionMismatch (another shape) naming the field.  An empty
+    obj fits any empty shape, as JSON writes every empty array as []."""
     try:
-        arr = np.array(obj, dtype=float)
+        arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as ex:
         raise SchemaError(f"field {name!r} is not a numeric array: {ex}") from None
-    if rows * cols == 0:
-        if arr.size != 0:
-            raise DimensionMismatch(
-                f"field {name!r}: expected shape {(rows, cols)}, got {arr.shape}"
-            )
-        return arr.reshape(rows, cols)
-    if arr.shape != (rows, cols):
-        raise DimensionMismatch(
-            f"field {name!r}: expected shape {(rows, cols)}, got {arr.shape}"
-        )
+    if arr.size == 0 == math.prod(shape):
+        arr = arr.reshape(shape)
+    if arr.shape != shape:
+        raise DimensionMismatch(f"field {name!r}: expected shape {shape}, got {arr.shape}")
     return arr
 
 
-def _as_vector(obj, length: int, name: str) -> np.ndarray:
-    try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as ex:
-        raise SchemaError(f"field {name!r} is not a numeric array: {ex}") from None
-    if length == 0:
-        if arr.size != 0:
-            raise DimensionMismatch(f"field {name!r}: expected length 0, got {arr.shape}")
-        return arr.reshape(0)
-    if arr.shape != (length,):
-        raise DimensionMismatch(
-            f"field {name!r}: expected shape ({length},), got {arr.shape}"
-        )
-    return arr
+def _field_shapes(n: int, n_u: int, n_g: int) -> dict[str, tuple[int, ...]]:
+    """The documented shape of each array field of ImplicitNetwork."""
+    return {"W_x": (n, n), "W_u": (n, n_u), "W_fx": (n_g, n), "W_fu": (n_g, n_u),
+            "b": (n,), "b_f": (n_g,)}
+
+
+def _size(obj, axis: int) -> int:
+    """The size of an unchecked array-like along axis, 1 for a scalar; the
+    shape check that follows then names obj if it is not a matrix."""
+    return np.shape(obj)[axis] if np.ndim(obj) else 1
 
 
 @dataclass
@@ -156,37 +148,14 @@ class ImplicitNetwork:
     )
 
     def __post_init__(self):
-        W_x = np.asarray(self.W_x, dtype=float)
-        if W_x.ndim != 2 or W_x.shape[0] != W_x.shape[1]:
-            raise DimensionMismatch(f"W_x must be square, got {W_x.shape}")
-        self.W_x = W_x
-        n = W_x.shape[0]
-        self.W_u = np.asarray(self.W_u, dtype=float)
-        if self.W_u.ndim == 1 and n > 0:
-            self.W_u = self.W_u.reshape(n, -1)
-        if self.W_u.ndim != 2 or self.W_u.shape[0] != n:
-            raise DimensionMismatch(f"W_u must be ({n}, n_u), got {self.W_u.shape}")
-        n_u = self.W_u.shape[1]
-        self.W_fx = np.asarray(self.W_fx, dtype=float)
-        if self.W_fx.ndim == 1 and n > 0:
-            self.W_fx = self.W_fx.reshape(-1, n)
-        if self.W_fx.ndim != 2 or self.W_fx.shape[1] != n:
-            raise DimensionMismatch(f"W_fx must be (n_g, {n}), got {self.W_fx.shape}")
-        n_g = self.W_fx.shape[0]
-        self.W_fu = np.asarray(self.W_fu, dtype=float)
-        if self.W_fu.shape != (n_g, n_u):
-            if self.W_fu.size == n_g * n_u:
-                self.W_fu = self.W_fu.reshape(n_g, n_u)
-            else:
-                raise DimensionMismatch(
-                    f"W_fu must be ({n_g}, {n_u}), got {self.W_fu.shape}"
-                )
-        self.b = np.asarray(self.b, dtype=float).reshape(n)
-        self.b_f = np.asarray(self.b_f, dtype=float).reshape(n_g)
-        for name, arr in (("W_x", self.W_x), ("W_u", self.W_u), ("W_fx", self.W_fx),
-                          ("W_fu", self.W_fu), ("b", self.b), ("b_f", self.b_f)):
-            if arr.size and not np.all(np.isfinite(arr)):
+        # n, n_u and n_g are read off W_x, W_u and W_fx, which are checked
+        # first; every field must then have exactly its documented shape
+        n, n_u, n_g = _size(self.W_x, 0), _size(self.W_u, -1), _size(self.W_fx, 0)
+        for name, shape in _field_shapes(n, n_u, n_g).items():
+            arr = _as_array(getattr(self, name), shape, name)
+            if not np.all(np.isfinite(arr)):
                 raise SchemaError(f"{name} contains non-finite entries")
+            setattr(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -260,7 +229,7 @@ def _fixed_points(net: ImplicitNetwork, Q: np.ndarray, cfg: FixedPointConfig):
     Ql = Q[:, live]
     Xl = np.zeros((n, live.size))
     prev = None           # (G, R) of the previous sweep
-    for k in range(cfg.max_iters + 1):
+    for k in range(_PICARD_SWEEPS + 1):
         R = phi(W @ Xl + Ql) - Xl
         res = np.abs(R).max(axis=0)
         done = res <= cfg.tol
@@ -273,7 +242,7 @@ def _fixed_points(net: ImplicitNetwork, Q: np.ndarray, cfg: FixedPointConfig):
             Xl, Ql, R = (a.compress(keep, axis=1) for a in (Xl, Ql, R))
             if prev is not None:
                 prev = tuple(a.compress(keep, axis=1) for a in prev)
-        if k == cfg.max_iters:
+        if k == _PICARD_SWEEPS:
             break
         G = Xl + _DAMPING * R     # the damped Picard step
         if prev is None:
@@ -288,7 +257,7 @@ def _fixed_points(net: ImplicitNetwork, Q: np.ndarray, cfg: FixedPointConfig):
             bad = ~np.isfinite(Xl).all(axis=0)
             Xl[:, bad] = G[:, bad]
         prev = (G, R)
-    raise NonConvergence(cfg.max_iters, float(np.max(res)))
+    raise NonConvergence(_PICARD_SWEEPS, float(np.max(res)))
 
 
 def evaluate(
@@ -375,13 +344,8 @@ def load_network(path: str) -> ImplicitNetwork:
             raise SchemaError(f"field {k!r} must be a nonnegative integer")
         dims[k] = v
     activation = Activation(doc["activation"])
-    n, n_u, n_g = dims["n"], dims["n_u"], dims["n_g"]
+    shapes = _field_shapes(dims["n"], dims["n_u"], dims["n_g"])
     return ImplicitNetwork(
-        W_x=_as_matrix(doc["W_x"], n, n, "W_x"),
-        W_u=_as_matrix(doc["W_u"], n, n_u, "W_u"),
-        W_fx=_as_matrix(doc["W_fx"], n_g, n, "W_fx"),
-        W_fu=_as_matrix(doc["W_fu"], n_g, n_u, "W_fu"),
-        b=_as_vector(doc["b"], n, "b"),
-        b_f=_as_vector(doc["b_f"], n_g, "b_f"),
+        **{name: _as_array(doc[name], shape, name) for name, shape in shapes.items()},
         activation=activation,
     )

@@ -32,6 +32,12 @@ class TestConfigHandling:
         assert main(["analyze", "--config", cfg]) == 2
         assert "'bogus'" in capsys.readouterr().err
 
+    def test_fix_gains_is_an_unknown_key(self, tmp_path, capsys):
+        # the sweep pins gains only through fixed_gamma_u1/u2, as synthesize does
+        cfg = write_config(tmp_path / "c.json", fix_gains=True)
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "unknown config key: 'fix_gains'" in capsys.readouterr().err
+
     def test_unknown_nested_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", mpc={"zz": 1})
         assert main(["mpc-build", "--config", cfg]) == 2
@@ -90,8 +96,10 @@ class TestConfigHandling:
             ("mpc-build", {"base_box": [-5, 0, 5]}, None,
              "config key 'base_box' must be a list of 2 numbers"),
             ("analyze", {"timestamp": "no"}, None, "config key 'timestamp' must be a boolean"),
-            ("sweep", {"fix_gains": "false"}, None, "config key 'fix_gains' must be a boolean"),
-            ("sweep", {"fix_gains": 1}, None, "config key 'fix_gains' must be a boolean"),
+            ("sweep", {"fixed_gamma_u1": "0"}, None,
+             "config key 'fixed_gamma_u1' must be a finite number"),
+            ("sweep", {"fixed_gamma_u2": True}, None,
+             "config key 'fixed_gamma_u2' must be a finite number"),
             # of the right type but out of range: each command checks every
             # value, by building the object the command that reads it builds
             ("verify", {"samples": 0}, None, "config key 'samples': num_pairs must be at least 1"),
@@ -324,7 +332,7 @@ class TestSweepAndSimulate:
                 "failed: solver failed: iteration limit reached",
             ),
             ({"strictness_shift": -1}, 2, None, None),
-            ({"fix_gains": False, "fixed_gamma_u1": 0.5}, 0, "gamma_u1", "0.5"),
+            ({"fixed_gamma_u1": 0.5}, 0, "gamma_u1", "0.5"),
         ],
         ids=["solver", "strictness_shift", "fixed_gamma_u1"],
     )

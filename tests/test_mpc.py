@@ -7,11 +7,13 @@ conditions, and the bridge network against the QP oracle on a state grid.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from robsyn import FixedPointConfig, evaluate, evaluate_batch
+import robsyn.network
+from robsyn import evaluate, evaluate_batch
 from robsyn.errors import DimensionMismatch, NonPositiveDefinite, SingularH
 from robsyn.mpc import (
     CondensedQP,
@@ -101,6 +103,25 @@ class TestCondense:
                 A=np.eye(2), B=np.zeros((2, 1)), Q=np.eye(2), R=np.eye(1),
                 P=np.eye(2), horizon=0, v_bound=1.0,
             )
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            # a 1-D B is not read as a column, nor a scalar R as 1x1
+            ("B", np.array([0.0, 1.0]), "field 'B': expected shape (2, 2), got (2,)"),
+            ("R", 1.0, "field 'R': expected shape (1, 1), got ()"),
+            ("Q", np.eye(3), "field 'Q': expected shape (2, 2), got (3, 3)"),
+            # a plant without inputs condenses to a QP in no variables
+            ("B", np.zeros((2, 0)), "B must have a column, got shape (2, 0)"),
+            ("B", [], "B must have a column, got shape (0,)"),
+        ],
+        ids=["B-1d", "R-scalar", "Q-size", "B-no-column", "B-empty"],
+    )
+    def test_matrices_must_have_exactly_their_shapes(self, field, value, expected):
+        ref = reference_mpc_problem()
+        fields = dict(A=ref.A, B=ref.B, Q=ref.Q, R=ref.R, P=ref.P, horizon=3, v_bound=1.0)
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(expected)}$"):
+            MpcProblem(**{**fields, field: value})
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -214,20 +235,23 @@ class TestBridgeNetwork:
         out = evaluate(net, w)
         np.testing.assert_allclose(out.g, sol.v, atol=1e-6)
 
-    def test_default_evaluation_matches_oracle_on_saturated_inputs(self):
+    def test_default_evaluation_matches_oracle_on_saturated_inputs(self, monkeypatch):
         # over (-50, 50) most draws saturate the input, where Anderson-mixed
-        # Picard needs thousands of sweeps; the default solves them by Newton
+        # Picard needs thousands of sweeps; the default solves them by Newton,
+        # and the Picard budget is cut to 3000 sweeps so a fall back to Picard
+        # cannot pass slowly
+        monkeypatch.setattr(robsyn.network, "_PICARD_SWEEPS", 3000)
         qp = condense_qp(reference_mpc_problem())
         net = qp_to_implicit_network(qp, attach_hint=False)
         spec = SampleSpec(num_pairs=200, base_box=(-50.0, 50.0))
         U = sample_input_pairs(InputPairSet(1.0, 1.0), 2, spec, 0)[0]
-        G = evaluate_batch(net, U.T, FixedPointConfig(max_iters=3000))[0]
+        G = evaluate_batch(net, U.T)[0]
         oracle = np.stack([solve_qp_oracle(qp, u).v for u in U], axis=1)
         np.testing.assert_allclose(G, oracle, rtol=0, atol=1e-9)
 
     def test_hint_short_circuits_iteration(self):
         qp = condense_qp(reference_mpc_problem())
-        net = qp_to_implicit_network(qp)
+        net = qp_to_implicit_network(qp, attach_hint=True)
         out = evaluate(net, np.array([1.0, -1.0]))
         assert out.iterations == 0
         sol = solve_qp_oracle(qp, np.array([1.0, -1.0]))

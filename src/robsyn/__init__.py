@@ -33,7 +33,6 @@ from .multipliers import (
     Dims,
     InputPairSet,
     MultiplierSet,
-    assemble_p,
     build_omega_g_check,
     build_omega_gamma,
     build_omega_u,
@@ -44,12 +43,10 @@ from .conic import (
     ConicProgram,
     LinearRows,
     PsdBlockMap,
-    SolutionCheck,
     SolverOptions,
     SolverResult,
     SolverStatus,
     solve_conic,
-    verify_solution,
 )
 from .mpc import (
     CondensedQP,
@@ -75,12 +72,10 @@ from .synthesis import (
 )
 from .verification import (
     EmpiricalCheck,
-    LemmaSuiteResult,
     SampleSpec,
     SweepResult,
     SweepRow,
     empirical_bound_check,
-    lemma_property_suite,
     max_weight_deviation,
     sample_input_pairs,
     sweep_tolerance,

@@ -475,6 +475,15 @@ def cmd_simulate(cfg: dict) -> int:
             f"config key 'w0' must be a list of {problem.n_x} numbers, one per plant state"
         )
     net = load_network(_artifact(cfg, "network", "synthesized_network.json"))
+    for name, have, key, want in (
+        ("n_u", net.n_u, "n_x", problem.n_x),
+        ("n_g", net.n_g, "n_v * horizon", problem.n_v * problem.horizon),
+    ):
+        if have != want:
+            raise SchemaError(
+                f"config key 'network': the network's {name} is {have}, "
+                f"but the qp's {key} is {want}"
+            )
     w0 = np.asarray(cfg["w0"], dtype=float)
     steps = cfg["steps"]
     W_ref, V_ref = simulate_closed_loop(problem, w0, steps)

@@ -127,11 +127,6 @@ class PsdBlockMap:
     def dim(self) -> int:
         return self.const.shape[0]
 
-    def evaluate(self, theta: np.ndarray) -> np.ndarray:
-        """The block value at a particular theta."""
-        upper = self.coeffs.T @ np.asarray(theta, dtype=float)
-        return self.const + smat(upper, self.dim, 1.0)
-
 
 @dataclass
 class LinearRows:
@@ -212,36 +207,6 @@ class SolverResult:
     detail: str = ""
 
 
-@dataclass
-class SolutionCheck:
-    """Feasibility report for a candidate theta, computed from the program
-    data alone (no solver internals)."""
-
-    psd_min_eig: float
-    ineq_violation: float
-    eq_residual: float
-
-    def ok(self, tol: float) -> bool:
-        return (
-            self.psd_min_eig >= -tol
-            and self.ineq_violation <= tol
-            and self.eq_residual <= tol
-        )
-
-
-def verify_solution(program: ConicProgram, theta: np.ndarray) -> SolutionCheck:
-    theta = np.asarray(theta, dtype=float).reshape(program.num_vars)
-    ineq, eq = program.inequalities, program.equalities
-    return SolutionCheck(
-        psd_min_eig=min(
-            (float(np.linalg.eigvalsh(blk.evaluate(theta))[0]) for blk in program.psd_blocks),
-            default=0.0,
-        ),
-        ineq_violation=float(np.max(ineq.coeffs @ theta - ineq.rhs, initial=0.0)),
-        eq_residual=float(np.max(np.abs(eq.coeffs @ theta - eq.rhs), initial=0.0)),
-    )
-
-
 # --- svec utilities --- #
 
 _SQRT2 = math.sqrt(2.0)
@@ -279,13 +244,6 @@ def svec(A: np.ndarray, mult) -> np.ndarray:
     return A.take(upper) * mult
 
 
-def smat(v: np.ndarray, m: int, mult) -> np.ndarray:
-    """The symmetric m x m matrix whose upper triangle, row-wise, is
-    v / mult; a new array."""
-    _, full = _svec_gathers(m)
-    return (v / mult).take(full).reshape(m, m)
-
-
 # --- homogeneous self-dual interior-point solver --- #
 
 
@@ -300,7 +258,8 @@ class _Block(NamedTuple):
     full: np.ndarray
 
     def smat(self, v: np.ndarray) -> np.ndarray:
-        """smat of this block's rows of the cone vector v."""
+        """The symmetric m x m matrix whose upper triangle, row-wise, is this
+        block's rows of the cone vector v over the svec weights; a new array."""
         return (v[self.sl] / self.mult).take(self.full).reshape(self.m, self.m)
 
     def svec(self, A: np.ndarray) -> np.ndarray:

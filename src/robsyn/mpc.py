@@ -18,7 +18,7 @@ check of that solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -107,11 +107,6 @@ class CondensedQP:
     @property
     def n_dec(self) -> int:
         return self.n_v * self.horizon
-
-    def total_cost(self, v: np.ndarray, w: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float).reshape(self.n_dec)
-        w = np.asarray(w, dtype=float).reshape(self.n_x)
-        return float(v @ self.H @ v + 2.0 * v @ self.F @ w + w @ self.E @ w)
 
 
 def condense_qp(problem: MpcProblem) -> CondensedQP:

@@ -6,10 +6,10 @@ Everything here operates on the stacked incremental vector
                                                   u_pm = [relu(u~); relu(-u~)],
 
 where tilde quantities are differences between two evaluations of a network
-at inputs u1, u2.  Dims is the one layout of p, and assemble_p, which takes
-stacks of input pairs, is its one builder.  Each omega builder returns a
-symmetric matrix whose quadratic form p' M p equals the scalar certificate
-term it encodes:
+at inputs u1, u2.  Dims is the one layout of p.  The module is certificate
+algebra only: it reads a network's dimensions and weights and never
+evaluates one.  Each omega builder returns a symmetric matrix whose
+quadratic form p' M p equals the scalar certificate term it encodes:
 
     omega_z:      z~' T_z (Psi_z z~ + Psi_u u~ - z~)            (slope restriction)
     omega_g:      r(g~)' T_g (g~ - r(g~)) + r(-g~)' T_g (-g~ - r(-g~))
@@ -43,13 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .network import FixedPointConfig, ImplicitNetwork, evaluate_batch, relu
+from .network import ImplicitNetwork
 
 
 @dataclass(frozen=True)
 class Dims:
     """Dimensions (n, n_u, n_g) of a network and the one layout of p: the
-    slices below place each part, and assemble_p fills them."""
+    slices below place each part."""
 
     n: int
     n_u: int
@@ -129,35 +129,6 @@ class MultiplierSet:
         self.T_g = np.atleast_1d(np.asarray(self.T_g, dtype=float))
         if any(np.any(np.asarray(v) < 0) for v in (self.T_z, self.T_g, self.T_u1, self.T_u2)):
             raise ValueError("multipliers must be nonnegative")
-
-
-def assemble_p(
-    net: ImplicitNetwork,
-    U1: np.ndarray,
-    U2: np.ndarray,
-    config: FixedPointConfig | None = None,
-) -> np.ndarray:
-    """Evaluate the network at each input pair (a row of U1 and the same row
-    of U2) and return one row of p per pair; 1-D inputs give one 1-D p.
-
-    g~ is formed from the weight matrices acting on the state and input
-    differences (the biases cancel), which coincides with g(u2) - g(u1).
-    """
-    d = Dims.of(net)
-    U1 = np.asarray(U1, dtype=float)
-    shape = U1.shape[:-1]
-    U1 = U1.reshape(-1, d.n_u)
-    U2 = np.asarray(U2, dtype=float).reshape(U1.shape)
-    Z = (evaluate_batch(net, U2.T, config)[1] - evaluate_batch(net, U1.T, config)[1]).T
-    U = U2 - U1
-    G = Z @ net.W_fx.T + U @ net.W_fu.T
-    P = np.empty((len(U), d.N_p))
-    P[:, d.sl_g_pm] = np.concatenate([relu(G), relu(-G)], axis=1)
-    P[:, d.sl_u_pm] = np.concatenate([relu(U), relu(-U)], axis=1)
-    P[:, d.sl_z] = Z
-    P[:, d.sl_u] = U
-    P[:, d.idx_one] = 1.0
-    return P.reshape(shape + (d.N_p,))
 
 
 def _check_diag(name: str, arr: np.ndarray, length: int) -> np.ndarray:

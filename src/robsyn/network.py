@@ -82,15 +82,16 @@ class FixedPointConfig:
 
     acceleration "newton" solves ReLU networks by semismooth Newton;
     "anderson", and every other activation, uses damped Picard iteration
-    with Anderson mixing.  tol bounds the residual of every returned state.
+    with Anderson mixing.  tol, positive and finite, bounds the residual of
+    every returned state.
     """
 
     tol: float = 1e-10
     acceleration: str = "newton"
 
     def __post_init__(self):
-        if not 0 <= self.tol < math.inf:
-            raise ValueError(f"tol must be nonnegative and finite, got {self.tol!r}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.acceleration not in ("newton", "anderson"):
             raise ValueError(f"unknown acceleration {self.acceleration!r}")
 

@@ -2,13 +2,11 @@
 
 Certificates come out of a lifted relaxation, so every claim they make should
 be falsifiable by sampling: input pairs are drawn from the certified pair
-set with a bias toward its boundary (where violations would show first), the
-certified bound is compared against the actual output gap, and the multiplier
-nonnegativity lemma backing the relaxation is stress-tested on random
-networks.  Each check reads the package's own definitions, on stacks of
-pairs: the pair set (InputPairSet.contains), the bound
-(RobustnessCertificate.bound) and p (multipliers.assemble_p).  The sweep
-solves the caller's SynthesisProblem, under the caller's SolverOptions,
+set with a bias toward its boundary (where violations would show first) and
+the certified bound is compared against the actual output gap.  The check
+reads the package's own definitions, on stacks of pairs: the pair set
+(InputPairSet.contains) and the bound (RobustnessCertificate.bound).  The
+sweep solves the caller's SynthesisProblem, under the caller's SolverOptions,
 across a list of uniform weight tolerances and records how the certified
 bound trades off against similarity, one row per tolerance, never aborting
 on a failed row.
@@ -27,16 +25,13 @@ import numpy as np
 
 from .conic import SolverOptions
 from .errors import Infeasible, RobsynError, check_count
-from .multipliers import Dims, InputPairSet, MultiplierSet, assemble_p
-from .multipliers import build_omega_g_check, build_omega_u, build_omega_z_check
-from .network import Activation, FixedPointConfig, ImplicitNetwork, evaluate_batch
+from .multipliers import InputPairSet
+from .network import ImplicitNetwork, evaluate_batch
 from .synthesis import RobustnessCertificate, SimilarityTolerances, SynthesisProblem, synthesize
 
 
 _BOUNDARY_FRACTION = 0.5    # of the sampled pairs, see SampleSpec
 _VIOLATION_TOL = 1e-6       # see empirical_bound_check
-_LEMMA_MAX_STATES = 8       # states of the lemma suite's random networks
-_LEMMA_SLACK_TOL = 1e-8     # see lemma_property_suite
 
 
 @dataclass(frozen=True)
@@ -139,90 +134,6 @@ def empirical_bound_check(
         worst_margin=float(np.min(margin)),
         max_lhs=float(np.max(lhs)),
         empirical_gamma_lb=float(np.max(gamma_lb)),
-    )
-
-
-@dataclass
-class LemmaSuiteResult:
-    num_networks: int
-    pairs_per_network: int
-    min_normalized_slack: float
-    failures: int
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
-
-def lemma_property_suite(
-    num_networks: int = 200,
-    pairs_per_network: int = 1000,
-    seed: int = 0,
-) -> LemmaSuiteResult:
-    """Stress-test the nonnegativity lemma behind the relaxation.
-
-    For random well-posed networks, random nonnegative multipliers and
-    random input pairs from a random pair set, each of the three multiplier
-    forms (state slope, output split, input set) evaluated on the realized
-    incremental vector must be nonnegative up to _LEMMA_SLACK_TOL (1 + |p|^2).
-    """
-    rng = np.random.default_rng(seed)
-    activations = [Activation.relu(), Activation.tanh(), Activation.sigmoid_shifted()]
-    # the realized vectors must be exact well below _LEMMA_SLACK_TOL
-    solve = FixedPointConfig(tol=1e-12)
-    worst = math.inf
-    failures = 0
-    for _ in range(num_networks):
-        n = int(rng.integers(1, _LEMMA_MAX_STATES + 1))
-        n_u = int(rng.integers(1, 4))
-        n_g = int(rng.integers(1, 4))
-        W_x = rng.standard_normal((n, n))
-        sv = np.linalg.svd(W_x, compute_uv=False)[0]
-        W_x *= rng.uniform(0.3, 0.95) / max(sv, 1e-12)
-        net = ImplicitNetwork(
-            W_x=W_x,
-            W_u=rng.standard_normal((n, n_u)),
-            W_fx=rng.standard_normal((n_g, n)),
-            W_fu=rng.standard_normal((n_g, n_u)),
-            b=rng.standard_normal(n),
-            b_f=rng.standard_normal(n_g),
-            activation=activations[int(rng.integers(len(activations)))],
-        )
-        d = Dims.of(net)
-        pairset = InputPairSet(
-            eps_u1=float(rng.uniform(0.1, 3.0)), eps_u2=float(rng.uniform(0.1, 3.0))
-        )
-        mults = MultiplierSet(
-            T_z=rng.uniform(0.0, 2.0, size=n),
-            T_g=rng.uniform(0.0, 2.0, size=n_g),
-            T_u1=float(rng.uniform(0.0, 2.0)),
-            T_u2=float(rng.uniform(0.0, 2.0)),
-        )
-        Oz = build_omega_z_check(
-            d, mults.T_z, mults.T_z[:, None] * net.W_x, mults.T_z[:, None] * net.W_u
-        )
-        Og = build_omega_g_check(
-            d, mults.T_g, mults.T_g[:, None] * net.W_fx, mults.T_g[:, None] * net.W_fu
-        )
-        Ou = build_omega_u(d, mults.T_u1, mults.T_u2, pairset)
-        U1, U2 = sample_input_pairs(
-            pairset,
-            n_u,
-            SampleSpec(num_pairs=pairs_per_network, base_box=(-3.0, 3.0)),
-            rng,
-        )
-        P = assemble_p(net, U1, U2, solve)
-        norm2 = np.sum(P * P, axis=1)
-        for omega in (Oz, Og, Ou):
-            s = np.einsum("ki,ij,kj->k", P, omega, P)
-            normalized = s / (1.0 + norm2)
-            worst = min(worst, float(np.min(normalized)))
-            failures += int(np.sum(normalized < -_LEMMA_SLACK_TOL))
-    return LemmaSuiteResult(
-        num_networks=num_networks,
-        pairs_per_network=pairs_per_network,
-        min_normalized_slack=worst,
-        failures=failures,
     )
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import robsyn.synthesis
-from helpers import random_well_posed_network, rollout_cost
+from helpers import lemma_property_suite, random_well_posed_network, rollout_cost, total_cost
 from robsyn.conic import SolverOptions, SolverStatus, solve_conic
 from robsyn.mpc import (
     condense_qp,
@@ -39,7 +39,6 @@ from robsyn.synthesis import (
 from robsyn.verification import (
     SampleSpec,
     empirical_bound_check,
-    lemma_property_suite,
     max_weight_deviation,
     sweep_tolerance,
 )
@@ -277,7 +276,7 @@ def test_criterion_5_mpc_oracle_equivalence(mpc_fixture):
         w = rng.uniform(-5.0, 5.0, size=problem.n_x)
         v = solve_qp_oracle(qp, w).v
         direct = rollout_cost(problem, w, v)
-        condensed = qp.total_cost(v, w)
+        condensed = total_cost(qp, v, w)
         cost_rel = max(cost_rel, abs(condensed - direct) / max(1.0, abs(direct)))
     print(
         f"criterion 5: grid max error {err:.3e}, "

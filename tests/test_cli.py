@@ -209,6 +209,22 @@ class TestSynthesizeAnalyzeVerify:
         assert main(["synthesize", "--config", cfg]) == 3
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synthesize", "analyze"])
+    def test_solver_iteration_limit_exits_4(self, tmp_path, capsys, command):
+        assert main(["mpc-build", "--out", str(tmp_path)]) == 0
+        cfg = write_config(
+            tmp_path / "c.json",
+            network=str(tmp_path / "network.json"),
+            out=str(tmp_path),
+            solver={"max_iters": 1},
+        )
+        assert main([command, "--config", cfg]) == 4
+        assert (
+            "numerical failure: solver failed: iteration limit reached"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "certificate.json").exists()
+
     def test_analyze_then_verify_chain(self, tmp_path, small_net, capsys):
         _, path = small_net
         cfg = write_config(tmp_path / "c.json", network=path, out=str(tmp_path), samples=500)
@@ -410,6 +426,24 @@ class TestSweepAndSimulate:
         cfg = write_config(tmp_path / "c.json", out=str(tmp_path), w0=[1.0])
         assert main(["simulate", "--config", cfg]) == 2
         assert "config key 'w0' must be a list of 2 numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "n_u, n_g, message",
+        [
+            (3, 10, "the network's n_u is 3, but the qp's n_x is 2"),
+            (2, 3, "the network's n_g is 3, but the qp's n_v * horizon is 10"),
+        ],
+        ids=["n_u", "n_g"],
+    )
+    def test_simulate_network_that_does_not_fit_the_qp_exits_2(
+        self, tmp_path, capsys, n_u, n_g, message
+    ):
+        assert main(["mpc-build", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "other.json"
+        save_network(random_well_posed_network(4, n=2, n_u=n_u, n_g=n_g), str(path))
+        cfg = write_config(tmp_path / "c.json", network=str(path), out=str(tmp_path))
+        assert main(["simulate", "--config", cfg]) == 2
+        assert f"config key 'network': {message}" in capsys.readouterr().err
 
     def test_qp_document_reads_back_the_problem_exactly(self, tmp_path):
         assert main(["mpc-build", "--out", str(tmp_path)]) == 0

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from helpers import assert_bit_identical, assert_fixed_pattern_products_match_scipy
+from helpers import (
+    assert_bit_identical,
+    assert_fixed_pattern_products_match_scipy,
+    block_value,
+    verify_solution,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,13 +28,13 @@ from robsyn.conic import (
     SolverStatus,
     _ConeData,
     _KktSolver,
+    _Block,
     _Scaling,
     _openblas_thread_controls,
-    smat,
+    _svec_gathers,
     solve_conic,
     svec,
     svec_indices,
-    verify_solution,
 )
 
 
@@ -229,7 +234,7 @@ def test_psd_block_validation():
 def test_psd_block_ignores_entries_below_the_diagonal():
     blk = PsdBlockMap(const=[[1.0, 2.0], [99.0, 3.0]], coeffs=[[0.0, 5.0, 0.0]])
     assert np.array_equal(blk.const, [[1.0, 2.0], [2.0, 3.0]])
-    assert np.array_equal(blk.evaluate([1.0]), [[1.0, 7.0], [7.0, 3.0]])
+    assert np.array_equal(block_value(blk, [1.0]), [[1.0, 7.0], [7.0, 3.0]])
 
 
 def test_psd_block_matches_a_dense_reference():
@@ -244,16 +249,13 @@ def test_psd_block_matches_a_dense_reference():
     for k in range(nv):
         stack[k][iu] = upper[k]
         stack[k] = stack[k] + np.triu(stack[k], 1).T
-    theta = rng.standard_normal(nv)
     sparse = scipy.sparse.csr_array(upper)
     for coeffs in (upper, sparse):
         blk = PsdBlockMap(const=const, coeffs=coeffs)
         assert blk.dim == m
         assert np.array_equal(blk.const, A0)
-        assert np.array_equal(blk.coeffs.toarray(), upper)
-        np.testing.assert_allclose(
-            blk.evaluate(theta), A0 + np.tensordot(theta, stack, 1), rtol=0, atol=1e-14
-        )
+        # row k holds the upper triangle of A_k, row-wise
+        assert np.array_equal(blk.coeffs.toarray(), stack[:, iu[0], iu[1]])
     assert blk.coeffs is sparse
 
 
@@ -335,6 +337,12 @@ def test_solver_options_reject_non_finite_and_non_integer_values(field, value):
         SolverOptions(**{field: value})
 
 
+def smat(v, m, mult):
+    """The solver's smat, on a block of order m whose rows are all of v."""
+    upper, full = _svec_gathers(m)
+    return _Block(m, slice(0, v.size), mult, upper, full).smat(v)
+
+
 def test_svec_round_trip_preserves_inner_products():
     rng = np.random.default_rng(0)
     m = 5
@@ -362,7 +370,7 @@ def smat_by_fancy_index(v, m, iu, mult):
 
 @pytest.mark.parametrize("m", range(1, 31))
 def test_svec_and_smat_gathers_are_bit_identical_to_fancy_indexing(m):
-    # the svec weights, and the scalar weight PsdBlockMap.evaluate passes
+    # the svec weights, and a scalar weight
     rng = np.random.default_rng(m)
     iu, weights = svec_indices(m)
     A = rng.standard_normal((m, m))        # svec reads the upper triangle only

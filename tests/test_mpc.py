@@ -26,7 +26,7 @@ from robsyn.mpc import (
 )
 from robsyn.multipliers import InputPairSet
 from robsyn.verification import SampleSpec, sample_input_pairs
-from helpers import rollout_cost
+from helpers import rollout_cost, total_cost
 
 
 def random_problem(seed: int, n_x=2, n_v=1, horizon=4) -> MpcProblem:
@@ -68,7 +68,7 @@ class TestCondense:
             w0 = rng.standard_normal(prob.n_x)
             v = rng.standard_normal(qp.n_dec)
             direct = rollout_cost(prob, w0, v)
-            assert qp.total_cost(v, w0) == pytest.approx(direct, rel=1e-11, abs=1e-11)
+            assert total_cost(qp, v, w0) == pytest.approx(direct, rel=1e-11, abs=1e-11)
 
     def test_reference_shapes_and_symmetry(self):
         qp = condense_qp(reference_mpc_problem())
@@ -182,13 +182,13 @@ class TestQpOracle:
         qp = condense_qp(prob)
         w = np.array([3.0, -2.0])
         sol = solve_qp_oracle(qp, w)
-        base = qp.total_cost(sol.v, w)
+        base = total_cost(qp, sol.v, w)
         rng = np.random.default_rng(7)
         for _ in range(200):
             other = np.clip(
                 sol.v + rng.standard_normal(qp.n_dec) * 0.1, -qp.v_bound, qp.v_bound
             )
-            assert qp.total_cost(other, w) >= base - 1e-9
+            assert total_cost(qp, other, w) >= base - 1e-9
 
     def test_indefinite_quadratic_term_raises(self):
         qp = condense_qp(reference_mpc_problem())
@@ -266,7 +266,7 @@ class TestBridgeNetwork:
             w = rng.uniform(-5, 5, size=2)
             g = evaluate(net, w).g
             direct = rollout_cost(prob, w, g)
-            assert qp.total_cost(g, w) == pytest.approx(direct, rel=1e-9, abs=1e-9)
+            assert total_cost(qp, g, w) == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
     def test_singular_h_raises_at_bridge_time(self):
         qp = condense_qp(reference_mpc_problem())

@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_well_posed_network
+from helpers import assemble_p, random_well_posed_network
 from robsyn.network import Activation, FixedPointConfig, relu
 from robsyn.multipliers import (
     Dims,
     InputPairSet,
     MultiplierSet,
-    assemble_p,
     build_omega_g_check,
     build_omega_gamma,
     build_omega_u,

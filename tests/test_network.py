@@ -228,11 +228,12 @@ def test_fixed_point_config_validation():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("tol", math.inf), ("tol", math.nan)],
+    [("tol", math.inf), ("tol", math.nan), ("tol", 0.0)],
     ids=str,
 )
 def test_fixed_point_config_rejects_non_finite_and_non_integer_values(field, value):
-    # an infinite tol returns the first iterate, a NaN tol never converges
+    # an infinite tol returns the first iterate; a NaN tol never converges,
+    # and no float iteration meets a zero one
     with pytest.raises(ValueError, match=rf"{field} must be .*, got {value!r}"):
         FixedPointConfig(**{field: value})
 

@@ -22,8 +22,10 @@ import scipy.linalg
 from helpers import (
     assert_bit_identical,
     assert_fixed_pattern_products_match_scipy,
+    block_value,
     random_well_posed_network,
     use_scipy_route,
+    verify_solution,
 )
 
 from robsyn import evaluate
@@ -36,7 +38,6 @@ from robsyn.conic import (
     _DenseGram,
     _SparseGram,
     solve_conic,
-    verify_solution,
 )
 from robsyn.errors import Infeasible
 from robsyn.mpc import (
@@ -181,7 +182,7 @@ class TestAssembly:
                     assert sl.start == sl.stop
                 assert np.array_equal(got, expect)
             M = certificate_matrix(d, mults, U, *gammas, *Y)
-            S = program.psd_blocks[0].evaluate(theta)
+            S = block_value(program.psd_blocks[0], theta)
             expected = -M - prob.strictness_shift * np.eye(d.N_p)
             np.testing.assert_allclose(S, expected, atol=1e-14, err_msg=str(tol))
 
@@ -203,7 +204,7 @@ class TestAssembly:
             T_z[:, None] * net.W_x, T_z[:, None] * net.W_u,
             T_g[:, None] * net.W_fx, T_g[:, None] * net.W_fu,
         )
-        S = program.psd_blocks[0].evaluate(theta)
+        S = block_value(program.psd_blocks[0], theta)
         expected = -M - prob.strictness_shift * np.eye(d.N_p)
         np.testing.assert_allclose(S, expected, atol=1e-13)
 
@@ -698,7 +699,7 @@ class TestOddSymmetry:
             Q = scipy.linalg.null_space(face.T)
         full = np.linalg.eigvalsh(Q.T @ (-M - prob.strictness_shift * np.eye(L.dims.N_p)) @ Q)
         reduced = np.sort(np.concatenate(
-            [np.linalg.eigvalsh(blk.evaluate(phi)) for blk in program.psd_blocks]
+            [np.linalg.eigvalsh(block_value(blk, phi)) for blk in program.psd_blocks]
         ))
         np.testing.assert_allclose(reduced, full, rtol=0, atol=1e-12)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_well_posed_network
+from helpers import lemma_property_suite, random_well_posed_network
 from robsyn.multipliers import InputPairSet
 from robsyn.network import Activation, ImplicitNetwork
 from robsyn.conic import SolverOptions
@@ -25,7 +25,6 @@ from robsyn.verification import (
     SweepResult,
     SweepRow,
     empirical_bound_check,
-    lemma_property_suite,
     sample_input_pairs,
     sweep_tolerance,
 )

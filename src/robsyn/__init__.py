@@ -59,7 +59,6 @@ from .mpc import (
     solve_qp_oracle,
 )
 from .synthesis import (
-    ObjectiveWeights,
     RobustnessCertificate,
     SimilarityTolerances,
     SynthesisProblem,

@@ -53,7 +53,6 @@ from .mpc import (
 from .multipliers import InputPairSet
 from .network import evaluate, evaluate_batch, load_network, save_network
 from .synthesis import (
-    ObjectiveWeights,
     RobustnessCertificate,
     SimilarityTolerances,
     SynthesisProblem,
@@ -66,9 +65,6 @@ from .verification import (
     sweep_tolerance,
     write_csv,
 )
-
-# SynthesisProblem's field defaults, for the config keys that set its fields
-_PROBLEM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SynthesisProblem)}
 
 # Every config key, its kind and its default.  A kind is "string",
 # "boolean", "number", "integer", "number list", "number pair" (a list of two
@@ -89,10 +85,6 @@ _KEYS = {
         None,
     ),
     "pairset": ({"eps_u1": "number", "eps_u2": "number"}, {"eps_u1": 1.0, "eps_u2": 1.0}),
-    "weights": (
-        {"gamma": "number", "gamma_u1": "number", "gamma_u2": "number"},
-        dataclasses.asdict(ObjectiveWeights()),
-    ),
     "tolerances": (
         dict.fromkeys(("uniform", "w_x", "w_u", "w_fx", "w_fu"), "number"),
         {"uniform": 1e-5},
@@ -111,8 +103,6 @@ _KEYS = {
         },
         None,
     ),
-    "strictness_shift": ("number", _PROBLEM_DEFAULTS["strictness_shift"]),
-    "t_floor": ("number", _PROBLEM_DEFAULTS["t_floor"]),
 }
 _KINDS = {key: kind for key, (kind, _) in _KEYS.items()}
 _DEFAULTS = {key: default for key, (_, default) in _KEYS.items()}
@@ -245,11 +235,6 @@ def _pairset(cfg: dict) -> InputPairSet:
     return InputPairSet(float(cfg["pairset"]["eps_u1"]), float(cfg["pairset"]["eps_u2"]))
 
 
-def _weights(cfg: dict) -> ObjectiveWeights:
-    w = cfg["weights"]
-    return ObjectiveWeights(float(w["gamma"]), float(w["gamma_u1"]), float(w["gamma_u2"]))
-
-
 def _tolerances(cfg: dict) -> SimilarityTolerances:
     tol = cfg["tolerances"]
     if "uniform" in tol:
@@ -281,7 +266,6 @@ def _problem_from_cfg(cfg: dict) -> MpcProblem:
 _BUILDERS = {
     "mpc": _problem_from_cfg,
     "pairset": _pairset,
-    "weights": _weights,
     "tolerances": _tolerances,
     "sweep_grid": lambda cfg: [SimilarityTolerances.uniform(float(e)) for e in cfg["sweep_grid"]],
     "samples": lambda cfg: SampleSpec(num_pairs=cfg["samples"]),
@@ -379,11 +363,8 @@ def _synthesis_problem(cfg: dict, net, tolerances: SimilarityTolerances) -> Synt
         network=net,
         input_set=_pairset(cfg),
         tolerances=tolerances,
-        weights=_weights(cfg),
         fixed_gamma_u1=cfg["fixed_gamma_u1"],
         fixed_gamma_u2=cfg["fixed_gamma_u2"],
-        strictness_shift=float(cfg["strictness_shift"]),
-        t_floor=float(cfg["t_floor"]),
     )
 
 

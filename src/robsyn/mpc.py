@@ -193,7 +193,7 @@ def solve_qp_oracle(qp: CondensedQP, w: np.ndarray) -> QpSolution:
     refer to the normalized rows of qp.G.
     """
     n = qp.n_dec
-    w = np.asarray(w, dtype=float).reshape(qp.n_x)
+    w = _as_array(w, (qp.n_x,), "w")
     q = qp.F @ w
     vb = qp.v_bound
     eigs = _check_positive_definite(qp.H)
@@ -310,7 +310,7 @@ def simulate_closed_loop(
     qp = condense_qp(problem)
     if controller is None:
         controller = lambda w: solve_qp_oracle(qp, w).v
-    w = np.asarray(w0, dtype=float).reshape(problem.n_x)
+    w = _as_array(w0, (problem.n_x,), "w0")
     W = np.zeros((steps + 1, problem.n_x))
     V = np.zeros((steps, problem.n_v))
     W[0] = w

@@ -149,6 +149,10 @@ class ImplicitNetwork:
     )
 
     def __post_init__(self):
+        if not isinstance(self.activation, Activation):
+            raise SchemaError(
+                f"field 'activation' must be an Activation, got {self.activation!r}"
+            )
         # n, n_u and n_g are read off W_x, W_u and W_fx, which are checked
         # first; every field must then have exactly its documented shape
         n, n_u, n_g = _size(self.W_x, 0), _size(self.W_u, -1), _size(self.W_fx, 0)
@@ -268,7 +272,7 @@ def evaluate(
 
     The returned x satisfies ||x - phi(W_x x + W_u u + b)||_inf <= config.tol.
     """
-    u = np.asarray(u, dtype=float).reshape(net.n_u)
+    u = _as_array(u, (net.n_u,), "u")
     G, X, iters = evaluate_batch(net, u[:, None], config)
     return EvalResult(G[:, 0], X[:, 0], iters)
 

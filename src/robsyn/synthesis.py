@@ -7,7 +7,11 @@ convex), and the three coefficients (gamma, gamma_u1, gamma_u2) of a bound
 
     ||g(u2) - g(u1)||_1  <=  gamma + gamma_u1 ||u~||_1 + gamma_u2 ||u~||_2^2
 
-valid for every input pair drawn from the given pair set.
+valid for every input pair drawn from the given pair set.  The objective
+is the unit sum gamma + gamma_u1 + gamma_u2, and two constants, not
+options, keep the synthesized network certifiably well-posed: the
+certificate matrix is held at or below -_STRICTNESS_SHIFT and every
+diagonal multiplier at or above _T_FLOOR.
 
 The program is written in deviation coordinates: a weight block with a
 positive tolerance eps contributes the deviations D = Y - T W of its
@@ -103,24 +107,12 @@ _MULTIPLIER_CAP = 1e6
 # assembly memory does not grow with the number of variables.
 _CHUNK_BYTES = 1 << 20
 
-
-@dataclass(frozen=True)
-class ObjectiveWeights:
-    """Weights on the three bound coefficients in the synthesis objective."""
-
-    gamma: float = 1.0
-    gamma_u1: float = 1.0
-    gamma_u2: float = 1.0
-
-    def __post_init__(self):
-        for name in ("gamma", "gamma_u1", "gamma_u2"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(
-                    f"objective weights must be nonnegative and finite, got {value!r} for {name}"
-                )
-        if self.gamma == self.gamma_u1 == self.gamma_u2 == 0:
-            raise ValueError("at least one objective weight must be positive")
+# The margin by which the certificate matrix is pushed into the negative
+# definite cone, M <= -_STRICTNESS_SHIFT I on its live coordinates, and the
+# lower bound on the diagonal multipliers, diag T >= _T_FLOOR: both keep the
+# synthesized network certifiably well-posed rather than marginally so.
+_STRICTNESS_SHIFT = 1e-8
+_T_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -153,29 +145,19 @@ class SimilarityTolerances:
 
 @dataclass
 class SynthesisProblem:
-    """Reference network, input pair set, tolerances and options for one run.
+    """Reference network, input pair set and tolerances for one run.
 
-    strictness_shift is the margin by which the certificate matrix is pushed
-    into the negative definite cone; t_floor is the lower bound on the
-    diagonal multipliers (both keep the synthesized network certifiably
-    well-posed rather than marginally so).  fixed_gamma_u1/u2 pin a bound
-    coefficient to a given value instead of optimizing it.
+    The program minimizes gamma + gamma_u1 + gamma_u2.  fixed_gamma_u1/u2
+    pin a bound coefficient to a given value instead of optimizing it.
     """
 
     network: ImplicitNetwork
     input_set: InputPairSet
     tolerances: SimilarityTolerances
-    weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     fixed_gamma_u1: float | None = None
     fixed_gamma_u2: float | None = None
-    strictness_shift: float = 1e-8
-    t_floor: float = 1e-6
 
     def __post_init__(self):
-        for name in ("strictness_shift", "t_floor"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in ("fixed_gamma_u1", "fixed_gamma_u2"):
             value = getattr(self, name)
             if value is not None and not 0 <= value < math.inf:
@@ -391,8 +373,8 @@ def _psd_blocks(
     layout: VariableLayout,
     eigenbases: list,
 ) -> list[PsdBlockMap]:
-    """S(theta) = -M(theta) - shift I >= 0 on the live coordinates, with
-    shift the problem's strictness_shift, derived from the certificate.
+    """S(theta) = -M(theta) - _STRICTNESS_SHIFT I >= 0 on the live
+    coordinates, derived from the certificate.
 
     M is affine in theta, so certificate_matrix evaluated at 0 and at each
     column u_r of the orbit basis gives A_0 = -M(0) and A_r = -(M(u_r) -
@@ -470,7 +452,7 @@ def _psd_blocks(
             shape=(nv, np.count_nonzero(kept)),
         )
         A0 = A0[np.ix_(live, live)]
-        shift = problem.strictness_shift * np.eye(A0.shape[0])
+        shift = _STRICTNESS_SHIFT * np.eye(A0.shape[0])
         blocks.append(PsdBlockMap(const=A0 - shift, coeffs=coeffs))
     return blocks
 
@@ -511,13 +493,15 @@ def assemble_synthesis_sdp(problem: SynthesisProblem) -> tuple[ConicProgram, Var
     analysis has 25 variables instead of 35.  Any other network is reduced
     by the trivial group, so U = I and its program is in theta itself.
 
-    Each PSD block requires M <= -strictness_shift I on its live
-    coordinates; a neutral face, on which M vanishes whatever the decision
-    vector, is dropped from the block (see _psd_blocks).  On the paper-MPC
-    network that is 10 coordinates of the 23-block in analysis (blocks of 13
-    and 24) and none at a positive tolerance.  The inequality rows end with
-    gamma >= 0 and, for each unpinned gain, gamma_u >= 0 (see
-    _with_multiplier_cap, which inserts its rows before them).
+    The objective is gamma + gamma_u1 + gamma_u2.  Each PSD block requires
+    M <= -_STRICTNESS_SHIFT I on its live coordinates; a neutral face, on
+    which M vanishes whatever the decision vector, is dropped from the block
+    (see _psd_blocks).  On the paper-MPC network that is 10 coordinates of
+    the 23-block in analysis (blocks of 13 and 24) and none at a positive
+    tolerance.  The weight rows are followed by the floors diag T >= _T_FLOOR
+    on T_z and T_g, and the inequality rows end with gamma >= 0 and, for
+    each unpinned gain, gamma_u >= 0 (see _with_multiplier_cap, which
+    inserts its rows before them).
     """
     dims = Dims.of(problem.network)
     tol = problem.tolerances
@@ -534,9 +518,7 @@ def assemble_synthesis_sdp(problem: SynthesisProblem) -> tuple[ConicProgram, Var
     ]
 
     objective = np.zeros(layout.num_vars)
-    objective[layout.idx_gamma] = problem.weights.gamma
-    objective[layout.idx_gamma_u1] = problem.weights.gamma_u1
-    objective[layout.idx_gamma_u2] = problem.weights.gamma_u2
+    objective[[layout.idx_gamma, layout.idx_gamma_u1, layout.idx_gamma_u2]] = 1.0
 
     # rows in theta as (variable, coefficient) entries and right-hand side:
     # weight rows +-D_ij - eps t_i <= 0, i.e. |Psi_ij - W_ij| <= eps, and
@@ -560,7 +542,7 @@ def assemble_synthesis_sdp(problem: SynthesisProblem) -> tuple[ConicProgram, Var
         for sign in (1.0, -1.0)
     ]
     # floors on diag T_z and diag T_g, which lead the decision vector
-    inequalities += [([(k, -1.0)], -problem.t_floor) for k in range(layout.sl_T_g.stop)]
+    inequalities += [([(k, -1.0)], -_T_FLOOR) for k in range(layout.sl_T_g.stop)]
     for k in (layout.idx_T_u1, layout.idx_T_u2, layout.idx_gamma):
         inequalities.append(([(k, -1.0)], 0.0))
 
@@ -656,7 +638,7 @@ class RobustnessCertificate:
 
     lmi_margin is the largest eigenvalue of the certificate matrix at the
     solution.  On its live coordinates the program holds the matrix at or
-    below -strictness_shift, up to solver tolerance; on a neutral face (see
+    below -_STRICTNESS_SHIFT, up to solver tolerance; on a neutral face (see
     _psd_blocks) the matrix is zero whatever the multipliers, and its
     eigenvalues there are rounding noise of either sign.  A positive value
     is reported as is and named by SynthesisSolution.status_label.
@@ -845,9 +827,8 @@ def analyze_network(
     This is synthesis with all tolerances zero: no weight block has
     variables, so the program holds only the multipliers and the bound
     coefficients.  The returned network has the input network's weights;
-    the objective weights, strictness_shift and t_floor are
-    SynthesisProblem's defaults and the solver options SolverOptions()'s.
-    For others, call synthesize with SimilarityTolerances.uniform(0.0).
+    the solver options are SolverOptions()'s.  For others, call synthesize
+    with SimilarityTolerances.uniform(0.0).
     """
     problem = SynthesisProblem(
         network=network,

@@ -229,14 +229,15 @@ def sweep_tolerance(
     """Synthesize across tolerances and record the bound/similarity tradeoff.
 
     Each row solves the given problem, with every tolerance set to the row's
-    eps, under the given solver options; everything else (pair set,
-    weights, pinned gains, strictness_shift, t_floor) is the problem's.  To
-    let gamma alone track the tradeoff, pin both gains to zero in the
-    problem.  Rows that fail keep their error in the status column instead
-    of aborting the sweep.  jobs > 1 distributes rows over processes (the
-    network's fixed-point hint, if any, is dropped for every row since
-    closures do not cross processes).
+    eps, under the given solver options; everything else (the network, the
+    pair set and the pinned gains) is the problem's.  To let gamma alone
+    track the tradeoff, pin both gains to zero in the problem.  Rows that
+    fail keep their error in the status column instead of aborting the
+    sweep.  jobs, an integer of at least 1, is the number of processes the
+    rows are distributed over (the network's fixed-point hint, if any, is
+    dropped for every row since closures do not cross processes).
     """
+    check_count(jobs, "jobs")
     problem = replace(problem, network=problem.network.with_hint(None))
     solve_row = partial(_sweep_one, problem, options, spec or SampleSpec(), seed)
     eps_values = [float(e) for e in eps_values]

@@ -32,11 +32,25 @@ class TestConfigHandling:
         assert main(["analyze", "--config", cfg]) == 2
         assert "'bogus'" in capsys.readouterr().err
 
-    def test_fix_gains_is_an_unknown_key(self, tmp_path, capsys):
-        # the sweep pins gains only through fixed_gamma_u1/u2, as synthesize does
-        cfg = write_config(tmp_path / "c.json", fix_gains=True)
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # the sweep pins gains only through fixed_gamma_u1/u2, as
+            # synthesize does
+            ("fix_gains", True),
+            # the objective's unit weights, the strictness shift and the
+            # multiplier floor are constants of the program, not options;
+            # each is named with the value it used to default to
+            ("weights", {"gamma": 1.0, "gamma_u1": 1.0, "gamma_u2": 1.0}),
+            ("strictness_shift", 1e-8),
+            ("t_floor", 1e-6),
+        ],
+        ids=["fix_gains", "weights", "strictness_shift", "t_floor"],
+    )
+    def test_removed_key_is_unknown(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "c.json", **{key: value})
         assert main(["sweep", "--config", cfg]) == 2
-        assert "unknown config key: 'fix_gains'" in capsys.readouterr().err
+        assert f"unknown config key: '{key}'" in capsys.readouterr().err
 
     def test_unknown_nested_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", mpc={"zz": 1})
@@ -114,8 +128,8 @@ class TestConfigHandling:
              "config key 'tolerances': tolerance w_x must be nonnegative"),
             ("sweep", {"solver": {"max_iters": 0}}, None,
              "config key 'solver': max_iters must be at least 1"),
-            ("mpc-build", {"weights": {"gamma": -1}}, None,
-             "config key 'weights': objective weights must be nonnegative"),
+            ("mpc-build", {"solver": {"gap_tol": -1}}, None,
+             "config key 'solver': gap_tol must be positive and finite"),
             ("analyze", {"mpc": {"horizon": 0}}, None, "config key 'mpc': horizon must be at least 1"),
             ("sweep", {"jobs": 0}, None, "config key 'jobs' must be a positive integer"),
         ],
@@ -347,16 +361,18 @@ class TestSweepAndSimulate:
                 "status",
                 "failed: solver failed: iteration limit reached",
             ),
-            ({"strictness_shift": -1}, 2, None, None),
+            # a pair set of radius zero holds only pairs u2 = u1, whose
+            # output gap is zero; at the default radii it is 0.357
+            ({"pairset": {"eps_u1": 0.0, "eps_u2": 0.0}}, 0, "empirical_max_lhs", "0"),
             ({"fixed_gamma_u1": 0.5}, 0, "gamma_u1", "0.5"),
         ],
-        ids=["solver", "strictness_shift", "fixed_gamma_u1"],
+        ids=["solver", "pairset", "fixed_gamma_u1"],
     )
     def test_sweep_reads_the_keys_synthesize_reads(
         self, tmp_path, small_net, config, code, column, expected
     ):
         _, path = small_net
-        # the sweep reads solver, strictness_shift and fixed_gamma_u1 as synthesize does
+        # the sweep reads solver, pairset and fixed_gamma_u1 as synthesize does
         cfg = write_config(
             tmp_path / "c.json",
             network=path,

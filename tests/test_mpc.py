@@ -317,3 +317,23 @@ class TestClosedLoop:
         W, V = simulate_closed_loop(prob, np.array([25.0, -25.0]), steps=10)
         assert np.max(np.abs(V)) <= prob.v_bound * (1 + 1e-9)
         assert np.max(np.abs(V)) == pytest.approx(prob.v_bound, rel=1e-6)
+
+
+class TestInputShapes:
+    # the paper-MPC network and its QP take inputs of exactly n_x = 2
+    # entries; any other shape raises DimensionMismatch naming the argument
+    @pytest.mark.parametrize("shape", [(3,), (2, 1)], ids=["3", "2x1"])
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda prob, qp, x: evaluate(qp_to_implicit_network(qp), x), "u"),
+            (lambda prob, qp, x: solve_qp_oracle(qp, x), "w"),
+            (lambda prob, qp, x: simulate_closed_loop(prob, x, steps=1), "w0"),
+        ],
+        ids=["evaluate", "solve_qp_oracle", "simulate_closed_loop"],
+    )
+    def test_input_of_another_shape_is_named(self, call, name, shape):
+        prob = reference_mpc_problem()
+        expected = f"field '{name}': expected shape (2,), got {shape}"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(expected)}$"):
+            call(prob, condense_qp(prob), np.ones(shape))

@@ -118,6 +118,13 @@ def test_network_fields_must_have_exactly_their_shapes(field, value, expected):
         ImplicitNetwork(**{**fields, field: value})
 
 
+def test_network_rejects_an_activation_that_is_not_one():
+    # the kind's name alone is not an Activation, and would fail only at the
+    # first evaluation
+    with pytest.raises(SchemaError, match="^field 'activation' must be an Activation"):
+        simple_net([[0.5]], [[1.0]], [[1.0]], [[0.0]], activation="relu")
+
+
 def test_network_rejects_nonfinite_weights():
     with pytest.raises(SchemaError):
         simple_net([[np.nan]], [[1.0]], [[1.0]], [[0.0]])

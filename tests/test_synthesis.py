@@ -49,10 +49,10 @@ from robsyn.mpc import (
 from robsyn.multipliers import Dims, InputPairSet, MultiplierSet, certificate_matrix
 from robsyn.network import Activation, ImplicitNetwork
 from robsyn.synthesis import (
-    ObjectiveWeights,
     SimilarityTolerances,
     SynthesisProblem,
     _MULTIPLIER_CAP,
+    _STRICTNESS_SHIFT,
     _UNCAPPED_ITER_BUDGET,
     _box_zeroes_a_row,
     _unpack,
@@ -81,11 +81,8 @@ BUILT_WITH_INF = {
     "w_fu": lambda net: SimilarityTolerances(w_fu=INF),
     "eps_u1": lambda net: InputPairSet(INF, 1.0),
     "eps_u2": lambda net: InputPairSet(1.0, INF),
-    "strictness_shift": lambda net: small_problem(net, 0.0, strictness_shift=INF),
-    "t_floor": lambda net: small_problem(net, 0.0, t_floor=INF),
     "fixed_gamma_u1": lambda net: small_problem(net, 0.0, fixed_gamma_u1=INF),
     "fixed_gamma_u2": lambda net: small_problem(net, 0.0, fixed_gamma_u2=INF),
-    "gamma": lambda net: ObjectiveWeights(gamma=INF),
 }
 
 
@@ -183,7 +180,7 @@ class TestAssembly:
                 assert np.array_equal(got, expect)
             M = certificate_matrix(d, mults, U, *gammas, *Y)
             S = block_value(program.psd_blocks[0], theta)
-            expected = -M - prob.strictness_shift * np.eye(d.N_p)
+            expected = -M - _STRICTNESS_SHIFT * np.eye(d.N_p)
             np.testing.assert_allclose(S, expected, atol=1e-14, err_msg=str(tol))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -205,7 +202,7 @@ class TestAssembly:
             T_g[:, None] * net.W_fx, T_g[:, None] * net.W_fu,
         )
         S = block_value(program.psd_blocks[0], theta)
-        expected = -M - prob.strictness_shift * np.eye(d.N_p)
+        expected = -M - _STRICTNESS_SHIFT * np.eye(d.N_p)
         np.testing.assert_allclose(S, expected, atol=1e-13)
 
     def test_zero_tolerance_blocks_add_no_variables_or_rows(self):
@@ -276,14 +273,6 @@ class TestAssembly:
         with pytest.raises(ValueError):
             SimilarityTolerances(w_x=-0.1)
         with pytest.raises(ValueError):
-            ObjectiveWeights(gamma=0.0, gamma_u1=0.0, gamma_u2=0.0)
-        with pytest.raises(ValueError):
-            ObjectiveWeights(gamma=-1.0)
-        with pytest.raises(ValueError):
-            small_problem(net, 0.0, strictness_shift=0.0)
-        with pytest.raises(ValueError):
-            small_problem(net, 0.0, t_floor=-1.0)
-        with pytest.raises(ValueError):
             small_problem(net, 0.0, fixed_gamma_u1=-0.5)
 
     @pytest.mark.parametrize(
@@ -293,12 +282,9 @@ class TestAssembly:
             lambda net: SimilarityTolerances(w_fu=NAN),
             lambda net: InputPairSet(NAN, 1.0),
             lambda net: InputPairSet(1.0, NAN),
-            lambda net: ObjectiveWeights(gamma_u2=NAN),
             lambda net: SolverOptions(feas_tol=NAN),
             lambda net: SolverOptions(gap_tol=NAN),
             lambda net: SolverOptions(max_iters=NAN),
-            lambda net: small_problem(net, 0.0, strictness_shift=NAN),
-            lambda net: small_problem(net, 0.0, t_floor=NAN),
             lambda net: small_problem(net, 0.0, fixed_gamma_u1=NAN),
             lambda net: small_problem(net, 0.0, fixed_gamma_u2=NAN),
         ],
@@ -307,12 +293,9 @@ class TestAssembly:
             "tolerances.w_fu",
             "pairset.eps_u1",
             "pairset.eps_u2",
-            "weights.gamma_u2",
             "solver.feas_tol",
             "solver.gap_tol",
             "solver.max_iters",
-            "strictness_shift",
-            "t_floor",
             "fixed_gamma_u1",
             "fixed_gamma_u2",
         ],
@@ -697,7 +680,7 @@ class TestOddSymmetry:
             A[1:] -= A[0]
             assert np.max(np.abs(A @ face)) <= 1e-15
             Q = scipy.linalg.null_space(face.T)
-        full = np.linalg.eigvalsh(Q.T @ (-M - prob.strictness_shift * np.eye(L.dims.N_p)) @ Q)
+        full = np.linalg.eigvalsh(Q.T @ (-M - _STRICTNESS_SHIFT * np.eye(L.dims.N_p)) @ Q)
         reduced = np.sort(np.concatenate(
             [np.linalg.eigvalsh(block_value(blk, phi)) for blk in program.psd_blocks]
         ))
@@ -740,7 +723,7 @@ class TestOddSymmetry:
         # state 2 is fixed by pi = [1, 0, 2] and its input weight is zero, so
         # the symmetry flips D_u[2, 0] and D_gz[0, 2] in place: they lie in
         # no orbit, and their box rows reduce to -eps t <= 0, which the
-        # floors t >= t_floor already imply; those two rows are not made
+        # floors t >= _T_FLOOR already imply; those two rows are not made
         net = ImplicitNetwork(
             W_x=np.array([[0.2, 0.1, 0.3], [0.1, 0.2, 0.3], [0.15, 0.15, 0.1]]),
             W_u=np.array([[1.0], [-1.0], [0.0]]),
@@ -1266,15 +1249,16 @@ class TestStatusLabel:
         assert found.violations == 0
 
 
-class TestObjectiveWeights:
-    def test_weight_emphasis_shifts_the_split(self):
+class TestObjective:
+    @pytest.mark.parametrize("eps", [0.0, 0.1], ids=["analysis", "synthesis"])
+    def test_objective_is_the_unit_sum_of_the_gammas(self, eps):
+        # both gains free, so all three coefficients enter the objective
         net = random_well_posed_network(17, n=3, n_u=2, n_g=2)
-        U = InputPairSet(1.0, 1.0)
-        # analysis under other objective weights is synthesis at tolerance zero
-        heavy_gamma = synthesize(SynthesisProblem(
-            network=net, input_set=U, tolerances=SimilarityTolerances.uniform(0.0),
-            weights=ObjectiveWeights(gamma=10.0, gamma_u1=1.0, gamma_u2=1.0),
-        ))
-        c = heavy_gamma.certificate
-        # penalizing gamma pushes the certificate onto the input-dependent terms
-        assert c.gamma <= c.gamma_u1 + c.gamma_u2 + 1e-6
+        sol = synthesize(small_problem(net, eps))
+        L, c = sol.layout, sol.certificate
+        gammas = sol.theta[[L.idx_gamma, L.idx_gamma_u1, L.idx_gamma_u2]]
+        assert c.gamma_u1 + c.gamma_u2 > 0
+        assert c.objective_value == pytest.approx(gammas.sum(), rel=1e-14)
+        # the certificate's coefficients are the solver's clipped at zero,
+        # which moves them by rounding only
+        assert c.gamma + c.gamma_u1 + c.gamma_u2 == pytest.approx(c.objective_value, rel=1e-9)

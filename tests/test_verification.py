@@ -205,12 +205,12 @@ class TestLemmaSuite:
         assert a.min_normalized_slack != b.min_normalized_slack
 
 
-def sweep_problem(net, U, fix_gains=True, **kw):
+def sweep_problem(net, U, fix_gains=True):
     """The problem a sweep solves: each row sets the tolerances, and
     fix_gains pins both gains to zero."""
     gain = 0.0 if fix_gains else None
     return SynthesisProblem(
-        net, U, SimilarityTolerances(), fixed_gamma_u1=gain, fixed_gamma_u2=gain, **kw
+        net, U, SimilarityTolerances(), fixed_gamma_u1=gain, fixed_gamma_u2=gain
     )
 
 
@@ -289,7 +289,7 @@ class TestSweep:
         # a problem and options off their defaults, which every worker must
         # solve as given: each row is the direct synthesis at its tolerance
         net = random_well_posed_network(3, n=2, n_u=1, n_g=1)
-        problem = sweep_problem(net, InputPairSet(1.0, 1.0), strictness_shift=1e-4)
+        problem = replace(sweep_problem(net, InputPairSet(0.7, 1.3)), fixed_gamma_u1=0.5)
         options = SolverOptions(feas_tol=1e-8, gap_tol=1e-8)
         spec = SampleSpec(num_pairs=40)
         serial = sweep_tolerance(problem, [0.0, 0.1], options, spec=spec, seed=1, jobs=1)
@@ -302,6 +302,13 @@ class TestSweep:
                 replace(problem, tolerances=SimilarityTolerances.uniform(b.eps)), options
             )
             assert b.gamma == direct.certificate.gamma
+
+    @pytest.mark.parametrize("jobs", [0, -2, 1.5, True])
+    def test_jobs_must_be_a_positive_integer(self, jobs):
+        # checked as the CLI checks it, not run serially
+        net = random_well_posed_network(3, n=2, n_u=1, n_g=1)
+        with pytest.raises(ValueError, match="jobs"):
+            sweep_tolerance(sweep_problem(net, InputPairSet(1.0, 1.0)), [0.0, 0.1], jobs=jobs)
 
     def test_csv_roundtrip(self, tmp_path, seed42_sweep):
         _, _, result = seed42_sweep

@@ -72,7 +72,6 @@ from .synthesis import (
 from .verification import (
     EmpiricalCheck,
     SampleSpec,
-    SweepResult,
     SweepRow,
     empirical_bound_check,
     max_weight_deviation,

@@ -23,20 +23,27 @@ writer and its loader.
 Exit codes: 0 success, 1 runtime failure (including verify finding
 violations and mpc-build failing its oracle-agreement check), 2 config or
 schema problem (the offending key is named), 3 infeasible, 4 numerical
-failure.  CSV output (verification.write_csv) is comma-separated with '.'
-decimals, a header row and LF line endings; the leading timestamp comment
-can be disabled with --no-timestamp so reruns are byte-identical.
+failure.
+
+Every artifact is named and written here: the JSON documents through
+network.write_document (save_network for networks), the text artifacts
+through open_artifact.  CSV files (write_csv) are comma-separated with '.'
+decimals, a header row and LF line endings; sweep.dat holds the solved
+sweep rows' (eps, gamma) in two whitespace-separated columns.  A text
+artifact opens with a '# generated <UTC time>' comment, which
+--no-timestamp omits so that reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import dataclasses
-import json
 import math
 import os
 import sys
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -51,7 +58,14 @@ from .mpc import (
     solve_qp_oracle,
 )
 from .multipliers import InputPairSet
-from .network import evaluate, evaluate_batch, load_network, save_network
+from .network import (
+    evaluate,
+    evaluate_batch,
+    load_network,
+    read_document,
+    save_network,
+    write_document,
+)
 from .synthesis import (
     RobustnessCertificate,
     SimilarityTolerances,
@@ -60,10 +74,10 @@ from .synthesis import (
 )
 from .verification import (
     SampleSpec,
+    SweepRow,
     empirical_bound_check,
     max_weight_deviation,
     sweep_tolerance,
-    write_csv,
 )
 
 # Every config key, its kind and its default.  A kind is "string",
@@ -154,17 +168,6 @@ def _check(value, kind, doc: str, key: str) -> None:
             _require_number(item, f"each entry of {name}")
 
 
-def _read_document(path: str, doc: str) -> dict:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as ex:
-            raise SchemaError(f"{doc} file is not valid JSON: {ex}") from None
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{doc} document must be a mapping")
-    return raw
-
-
 def _validate_config(raw: dict) -> None:
     for key, value in raw.items():
         if key not in _KINDS:
@@ -209,7 +212,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(_DEFAULTS)
     raw = {}
     if args.config:
-        raw = _read_document(args.config, "config")
+        raw = read_document(args.config, "config")
         _validate_config(raw)
     _merge(cfg, raw)
     for flag in ("out", "seed", "jobs"):
@@ -294,10 +297,39 @@ def _check_ranges(cfg: dict, command: str) -> None:
             raise SchemaError(f"config key {key!r}: {ex}") from None
 
 
-def _write_json(doc: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+def open_artifact(path: str, timestamp: bool):
+    """A text file opened for writing with LF line endings; unless timestamp
+    is False, its first line is a '# generated <UTC time>' comment."""
+    fh = open(path, "w", newline="")
+    if timestamp:
+        fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+    return fh
+
+
+def write_csv(path: str, columns, rows, timestamp: bool = True) -> None:
+    """A CSV artifact (see open_artifact) of a header row and one line per
+    row: floats printed with 17 significant digits, other values as str."""
+    with open_artifact(path, timestamp) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+
+
+def write_sweep_csv(path: str, rows: list[SweepRow], timestamp: bool = True) -> None:
+    """sweep.csv: one line per row, every SweepRow field a column."""
+    columns = [f.name for f in dataclasses.fields(SweepRow)]
+    write_csv(path, columns, [dataclasses.astuple(r) for r in rows], timestamp)
+
+
+def write_sweep_gnuplot(path: str, rows: list[SweepRow], timestamp: bool = True) -> None:
+    """sweep.dat: the solved rows' (eps, gamma), two whitespace-separated
+    columns under a '# eps gamma' comment, for direct plotting."""
+    with open_artifact(path, timestamp) as fh:
+        fh.write("# eps gamma\n")
+        for r in rows:
+            if math.isfinite(r.gamma):
+                fh.write(f"{r.eps:.17g} {r.gamma:.17g}\n")
 
 
 # certificate.json's keys, in the order they are written: the certificate's
@@ -308,11 +340,11 @@ _CERT_KEYS = ("gamma", "gamma_u1", "gamma_u2", "eps_u1", "eps_u2", "lmi_margin",
 def _write_certificate(sol, path: str) -> None:
     cert = sol.certificate
     values = {**dataclasses.asdict(cert), **dataclasses.asdict(cert.input_set)}
-    _write_json({key: values[key] for key in _CERT_KEYS}, path)
+    write_document({key: values[key] for key in _CERT_KEYS}, path)
 
 
 def _load_certificate(path: str) -> RobustnessCertificate:
-    doc = _read_document(path, "certificate")
+    doc = read_document(path, "certificate")
     for key in doc:
         if key not in _CERT_KEYS:
             raise SchemaError(f"unknown certificate key: {key!r}")
@@ -349,7 +381,7 @@ def cmd_mpc_build(cfg: dict) -> int:
     save_network(net, net_path)
     qp_doc = _mpc_fields(problem)
     qp_doc.update((key, getattr(qp, key).tolist()) for key in ("H", "F", "E", "G", "c", "S_w"))
-    _write_json(qp_doc, _out_path(cfg, "qp.json"))
+    write_document(qp_doc, _out_path(cfg, "qp.json"))
     print(f"network dims: n={net.n} n_u={net.n_u} n_g={net.n_g}")
     if qp.n_dec == 1:
         print(f"condensed cost H = {qp.H[0, 0]:.4f}")
@@ -428,7 +460,7 @@ def cmd_sweep(cfg: dict) -> int:
     net = load_network(_artifact(cfg, "network", "network.json"))
     # each row sets every tolerance to its sweep_grid value
     problem = _synthesis_problem(cfg, net, SimilarityTolerances())
-    result = sweep_tolerance(
+    rows = sweep_tolerance(
         problem,
         cfg["sweep_grid"],
         _solver_options(cfg),
@@ -437,16 +469,16 @@ def cmd_sweep(cfg: dict) -> int:
         jobs=cfg["jobs"],
     )
     csv_path = _out_path(cfg, "sweep.csv")
-    result.write_csv(csv_path, timestamp=cfg["timestamp"])
-    result.write_gnuplot(_out_path(cfg, "sweep.dat"), timestamp=cfg["timestamp"])
-    solved = sum(1 for r in result.rows if r.status.startswith("optimal"))
-    print(f"wrote {len(result.rows)} sweep rows ({solved} solved) to {csv_path}")
+    write_sweep_csv(csv_path, rows, cfg["timestamp"])
+    write_sweep_gnuplot(_out_path(cfg, "sweep.dat"), rows, cfg["timestamp"])
+    solved = sum(1 for r in rows if r.status.startswith("optimal"))
+    print(f"wrote {len(rows)} sweep rows ({solved} solved) to {csv_path}")
     return 0
 
 
 def _load_mpc_problem(path: str) -> MpcProblem:
     """The MPC problem of a qp.json file, as mpc-build writes it."""
-    return _mpc_problem(_read_document(path, "qp"), "qp document")
+    return _mpc_problem(read_document(path, "qp"), "qp document")
 
 
 def cmd_simulate(cfg: dict) -> int:
@@ -497,18 +529,11 @@ _COMMANDS = [
 ]
 
 
-def _seed_type(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     common.add_argument("--out", metavar="DIR", help="output directory (default '.')")
-    common.add_argument("--seed", type=_seed_type, metavar="U64")
+    common.add_argument("--seed", type=int, metavar="U64")
     common.add_argument("--jobs", type=int, metavar="K", help="parallel sweep workers")
     common.add_argument(
         "--no-timestamp",

@@ -34,13 +34,12 @@ The products with G, G' and N are scipy's sparse @ on CSR matrices
 _ConeData forms once per solve.  Two pieces of the KKT solver read data
 fixed once instead of calling scipy each time: the linear rows' part of
 the KKT Gram is one gather and one np.bincount over a pattern _ConeData
-fixes (rows too dense for that pattern keep the sparse product; see
-_LinearGram), and the Cholesky solves call LAPACK's potrs directly.  Each
-forms the same floating-point operations in the same order as
-(Glw.T @ Glw).toarray() with Glw = diag(w)^-1 G_lp, and as cho_solve, so
-the iterates are bit for bit those of the scipy calls, without their
-per-call argument checks and dispatch, which on small programs cost more
-than the arithmetic.
+fixes (_LinearGram), and the Cholesky solves call LAPACK's potrs
+directly.  Each forms the same floating-point operations in the same
+order as (Glw.T @ Glw).toarray() with Glw = diag(w)^-1 G_lp, and as
+cho_solve, so the iterates are bit for bit those of the scipy calls,
+without their per-call argument checks and dispatch, which on small
+programs cost more than the arithmetic.
 
 Each iteration's cost is the Gram matrix of the scaled constraints (the
 Schur complement).  A PSD block adds its part by one of two formulas,
@@ -72,7 +71,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import check_count
+from .errors import check_count, check_number
 
 # DEBUG records: one per solve for the cone (_ConeData), one per
 # interior-point iteration
@@ -185,10 +184,8 @@ class SolverOptions:
     max_iters: int = 200
 
     def __post_init__(self):
-        for name in ("feas_tol", "gap_tol"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        check_number(self.feas_tol, "feas_tol", "positive")
+        check_number(self.gap_tol, "gap_tol", "positive")
         check_count(self.max_iters, "max_iters")
 
 
@@ -274,10 +271,10 @@ class _LinearGram:
     row-scaled values row by row from zero: the sum scipy forms for
     (Glw.T @ Glw).toarray() with Glw = diag(w)^-1 G_lp, bit for bit.
 
-    A row of k entries has k^2 pairs, so the pairs are kept only while
-    they are no more than the nv^2 entries of the Gram they sum into;
-    denser rows (a general LP's, say) keep that scipy product, whose
-    memory is the Gram's."""
+    A row of k entries has k^2 pairs, held for the whole solve.  Every
+    linear row of a synthesis program has at most three entries, so the
+    pairs stay few; a program with dense rows would hold more pairs than
+    the nv^2 entries of the Gram."""
 
     def __init__(self, G_lp: scipy.sparse.csr_array):
         self.G_lp = G_lp
@@ -285,9 +282,6 @@ class _LinearGram:
         lengths = np.diff(G_lp.indptr)
         self.rows = np.repeat(np.arange(G_lp.shape[0]), lengths)
         reps = lengths[self.rows]       # the entries each entry pairs with
-        self.p = None
-        if reps.sum() > self.nv * self.nv:
-            return
         # pair (p, q) for every two stored entries p, q of one row, row by row
         p = np.repeat(np.arange(self.rows.size), reps)
         starts = np.cumsum(reps) - reps
@@ -297,11 +291,7 @@ class _LinearGram:
         self.p, self.q, self.entry = p[order], q[order], entry[order]
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
-        G_lp = self.G_lp
-        vals = G_lp.data * (1.0 / w).take(self.rows)
-        if self.p is None:
-            Glw = scipy.sparse.csr_array((vals, G_lp.indices, G_lp.indptr), shape=G_lp.shape)
-            return (Glw.T @ Glw).toarray()
+        vals = self.G_lp.data * (1.0 / w).take(self.rows)
         K = np.bincount(self.entry, vals.take(self.p) * vals.take(self.q),
                         minlength=self.nv * self.nv)
         # np.bincount of no entries is int64 even with weights

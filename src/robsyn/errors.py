@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the one check of an
-integer count."""
+"""Exception types shared across the package, and the one check each of an
+integer count and of a scalar number parameter."""
 
+import math
 import numbers
 
 
@@ -54,3 +55,16 @@ def check_count(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
+def check_number(value, name: str, sign: str = "nonnegative") -> None:
+    """Raise ValueError, naming the field, unless value is a finite real
+    number (an int, a float or a NumPy scalar, not a bool) that is at or
+    above zero, above zero if sign is "positive", or of any sign if sign is
+    "any"."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    finite = isinstance(value, numbers.Integral) or math.isfinite(value)
+    if not finite or (sign == "nonnegative" and value < 0) or (sign == "positive" and value <= 0):
+        rule = "finite" if sign == "any" else f"{sign} and finite"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")

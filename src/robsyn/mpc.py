@@ -17,7 +17,6 @@ check of that solver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ from .errors import (
     NonPositiveDefinite,
     SingularH,
     check_count,
+    check_number,
 )
 from .network import Activation, ImplicitNetwork, _as_array, _size
 
@@ -61,8 +61,7 @@ class MpcProblem:
                 M = (M + M.T) / 2.0
             setattr(self, name, M)
         check_count(self.horizon, "horizon")
-        if not 0 < self.v_bound < math.inf:
-            raise ValueError(f"v_bound must be positive and finite, got {self.v_bound!r}")
+        check_number(self.v_bound, "v_bound", "positive")
 
     @property
     def n_x(self) -> int:
@@ -302,8 +301,10 @@ def simulate_closed_loop(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roll the closed loop w+ = A w + B v_0(w) forward.
 
-    controller maps the state to the stacked input sequence; only the first
-    input block is applied.  With controller=None the exact QP oracle is used.
+    controller maps the state to the stacked input sequence, a vector of
+    exactly n_v * horizon entries (DimensionMismatch otherwise); only the
+    first input block is applied.  With controller=None the exact QP
+    oracle is used.
     Returns (W, V) with W of shape (steps + 1, n_x) and V of shape
     (steps, n_v).
     """
@@ -315,7 +316,7 @@ def simulate_closed_loop(
     V = np.zeros((steps, problem.n_v))
     W[0] = w
     for k in range(steps):
-        v_full = np.asarray(controller(w), dtype=float).reshape(qp.n_dec)
+        v_full = _as_array(controller(w), (qp.n_dec,), "controller output")
         v0 = v_full[: problem.n_v]
         V[k] = v0
         w = problem.A @ w + problem.B @ v0

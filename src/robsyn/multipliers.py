@@ -37,12 +37,11 @@ factors of two.  The convention is pinned by the scalar-form tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, check_number
 from .network import ImplicitNetwork
 
 
@@ -95,12 +94,8 @@ class InputPairSet:
     eps_u2: float
 
     def __post_init__(self):
-        for name in ("eps_u1", "eps_u2"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(
-                    f"input pair set radii must be nonnegative and finite, got {value!r} for {name}"
-                )
+        check_number(self.eps_u1, "eps_u1")
+        check_number(self.eps_u2, "eps_u2")
 
     def contains(self, u_diff: np.ndarray) -> bool | np.ndarray:
         """Whether u~ lies in the set; for a stack of differences, one answer

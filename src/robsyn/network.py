@@ -14,6 +14,8 @@ and for the inputs where Newton stalls.  evaluate is evaluate_batch on a
 single input.  A network may carry an exact fixed-point hint that bypasses
 iteration; mpc.qp_to_implicit_network attaches one only when given
 attach_hint=True, which no shipped flow passes.
+read_document and write_document are the package's one JSON reader and
+writer, for network files (load_network, save_network) and the CLI's.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, SchemaError
+from .errors import DimensionMismatch, NonConvergence, SchemaError, check_number
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -90,8 +92,7 @@ class FixedPointConfig:
     acceleration: str = "newton"
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        check_number(self.tol, "tol", "positive")
         if self.acceleration not in ("newton", "anderson"):
             raise ValueError(f"unknown acceleration {self.acceleration!r}")
 
@@ -304,13 +305,33 @@ def evaluate_batch(
     return G, X, iters
 
 
+def read_document(path: str, doc: str) -> dict:
+    """The JSON mapping in the file at path; SchemaError, naming the
+    document doc, if the file is not JSON or holds something else."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as ex:
+            raise SchemaError(f"{doc} file is not valid JSON: {ex}") from None
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{doc} document must be a mapping")
+    return raw
+
+
+def write_document(doc: dict, path: str) -> None:
+    """Write doc as JSON, one key or entry per line (indent 1) and a final
+    newline; floats keep full round-trip precision."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 _NETWORK_FIELDS = ("n", "n_u", "n_g", "activation", "W_x", "W_u", "W_fx", "W_fu", "b", "b_f")
 
 
 def save_network(net: ImplicitNetwork, path: str) -> None:
-    """Write the network as a structured-text (JSON) document, floats with
-    full round-trip precision."""
-    doc = {
+    """Write the network as a JSON document (see write_document)."""
+    write_document({
         "n": net.n,
         "n_u": net.n_u,
         "n_g": net.n_g,
@@ -321,21 +342,12 @@ def save_network(net: ImplicitNetwork, path: str) -> None:
         "W_fu": net.W_fu.tolist(),
         "b": net.b.tolist(),
         "b_f": net.b_f.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    }, path)
 
 
 def load_network(path: str) -> ImplicitNetwork:
     """Read a network document written by save_network; validates the schema."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as ex:
-            raise SchemaError(f"not a valid structured-text document: {ex}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("network document must be a mapping")
+    doc = read_document(path, "network")
     missing = [k for k in _NETWORK_FIELDS if k not in doc]
     extra = [k for k in doc if k not in _NETWORK_FIELDS]
     if missing or extra:

@@ -57,7 +57,6 @@ program in theta itself, built on the same path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -73,7 +72,7 @@ from .conic import (
     solve_conic,
     svec_indices,
 )
-from .errors import Infeasible, NumericalFailure
+from .errors import Infeasible, NumericalFailure, check_number
 from .multipliers import Dims, InputPairSet, MultiplierSet, certificate_matrix
 from .network import ImplicitNetwork
 
@@ -134,9 +133,7 @@ class SimilarityTolerances:
 
     def __post_init__(self):
         for name in ("w_x", "w_u", "w_fx", "w_fu"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"tolerance {name} must be nonnegative and finite, got {value!r}")
+            check_number(getattr(self, name), f"tolerance {name}")
 
     @classmethod
     def uniform(cls, eps: float) -> "SimilarityTolerances":
@@ -160,8 +157,8 @@ class SynthesisProblem:
     def __post_init__(self):
         for name in ("fixed_gamma_u1", "fixed_gamma_u2"):
             value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+            if value is not None:
+                check_number(value, name)
 
 
 @dataclass(frozen=True)

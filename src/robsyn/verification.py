@@ -8,23 +8,22 @@ reads the package's own definitions, on stacks of pairs: the pair set
 (InputPairSet.contains) and the bound (RobustnessCertificate.bound).  The
 sweep solves the caller's SynthesisProblem, under the caller's SolverOptions,
 across a list of uniform weight tolerances and records how the certified
-bound trades off against similarity, one row per tolerance, never aborting
-on a failed row.
+bound trades off against similarity, one SweepRow per tolerance, never
+aborting on a failed row.  The module reads and writes no files: the CLI
+writes the rows as its artifacts.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import math
-from dataclasses import astuple, dataclass, field, fields, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .conic import SolverOptions
-from .errors import Infeasible, RobsynError, check_count
+from .errors import Infeasible, RobsynError, check_count, check_number
 from .multipliers import InputPairSet
 from .network import ImplicitNetwork, evaluate_batch
 from .synthesis import RobustnessCertificate, SimilarityTolerances, SynthesisProblem, synthesize
@@ -52,8 +51,8 @@ class SampleSpec:
         check_count(self.num_pairs, "num_pairs")
         if len(self.base_box) != 2:
             raise ValueError(f"base_box must be a pair (lo, hi), got {self.base_box!r}")
-        if not all(math.isfinite(end) for end in self.base_box):
-            raise ValueError(f"base_box ends must be finite, got {self.base_box!r}")
+        for i, end in enumerate(self.base_box):
+            check_number(end, f"base_box[{i}]", "any")
         if self.base_box[0] > self.base_box[1]:
             raise ValueError("base_box must be ordered (lo, hi)")
 
@@ -137,25 +136,6 @@ def empirical_bound_check(
     )
 
 
-def open_artifact(path: str, timestamp: bool):
-    """A text file opened for writing with LF line endings; unless timestamp
-    is False, its first line is a '# generated <UTC time>' comment."""
-    fh = open(path, "w", newline="")
-    if timestamp:
-        fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-    return fh
-
-
-def write_csv(path: str, columns, rows, timestamp: bool = True) -> None:
-    """A CSV artifact (see open_artifact) of a header row and one line per
-    row: floats printed with 17 significant digits, other values as str."""
-    with open_artifact(path, timestamp) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
-
-
 @dataclass
 class SweepRow:
     eps: float
@@ -168,24 +148,6 @@ class SweepRow:
     max_weight_deviation: float
 
 
-@dataclass
-class SweepResult:
-    rows: list[SweepRow] = field(default_factory=list)
-
-    COLUMNS = tuple(f.name for f in fields(SweepRow))
-
-    def write_csv(self, path: str, timestamp: bool = True) -> None:
-        write_csv(path, self.COLUMNS, [astuple(r) for r in self.rows], timestamp)
-
-    def write_gnuplot(self, path: str, timestamp: bool = True) -> None:
-        """Two-column (eps, gamma) whitespace file for direct plotting."""
-        with open_artifact(path, timestamp) as fh:
-            fh.write("# eps gamma\n")
-            for r in self.rows:
-                if math.isfinite(r.gamma):
-                    fh.write(f"{r.eps:.17g} {r.gamma:.17g}\n")
-
-
 def max_weight_deviation(net: ImplicitNetwork, ref: ImplicitNetwork) -> float:
     """Largest entrywise difference across the four weight blocks."""
     return max(
@@ -196,10 +158,11 @@ def max_weight_deviation(net: ImplicitNetwork, ref: ImplicitNetwork) -> float:
     )
 
 
-def _sweep_one(problem: SynthesisProblem, options, spec, seed, eps: float) -> SweepRow:
-    nan = math.nan
+def _sweep_one(problem: SynthesisProblem, options, spec, seed,
+               tolerances: SimilarityTolerances) -> SweepRow:
+    eps, nan = float(tolerances.w_x), math.nan
     try:
-        sol = synthesize(replace(problem, tolerances=SimilarityTolerances.uniform(eps)), options)
+        sol = synthesize(replace(problem, tolerances=tolerances), options)
     except Infeasible:
         return SweepRow(eps, nan, nan, nan, nan, "infeasible", nan, nan)
     except RobsynError as exc:
@@ -225,25 +188,24 @@ def sweep_tolerance(
     spec: SampleSpec | None = None,
     seed: int = 0,
     jobs: int = 1,
-) -> SweepResult:
+) -> list[SweepRow]:
     """Synthesize across tolerances and record the bound/similarity tradeoff.
 
-    Each row solves the given problem, with every tolerance set to the row's
-    eps, under the given solver options; everything else (the network, the
-    pair set and the pinned gains) is the problem's.  To let gamma alone
-    track the tradeoff, pin both gains to zero in the problem.  Rows that
-    fail keep their error in the status column instead of aborting the
-    sweep.  jobs, an integer of at least 1, is the number of processes the
+    Returns one row per eps, in order.  Each row solves the given problem,
+    with every tolerance set to the row's eps, under the given solver
+    options; everything else (the network, the pair set and the pinned
+    gains) is the problem's.  Every eps is checked, as SimilarityTolerances
+    checks it, before the first row is solved.  To let gamma alone track
+    the tradeoff, pin both gains to zero in the problem.  Rows that fail
+    keep their error in the status column instead of aborting the sweep.  jobs, an integer of at least 1, is the number of processes the
     rows are distributed over (the network's fixed-point hint, if any, is
     dropped for every row since closures do not cross processes).
     """
     check_count(jobs, "jobs")
     problem = replace(problem, network=problem.network.with_hint(None))
+    grid = [SimilarityTolerances.uniform(eps) for eps in eps_values]
     solve_row = partial(_sweep_one, problem, options, spec or SampleSpec(), seed)
-    eps_values = [float(e) for e in eps_values]
-    if jobs > 1 and len(eps_values) > 1:
+    if jobs > 1 and len(grid) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(solve_row, eps_values))
-    else:
-        rows = [solve_row(eps) for eps in eps_values]
-    return SweepResult(rows=rows)
+            return list(pool.map(solve_row, grid))
+    return [solve_row(tolerances) for tolerances in grid]

@@ -429,7 +429,7 @@ def test_synthesis_at_2e5_ends_clean(mpc_fixture):
 
 def test_criterion_7_tradeoff_sweep(mpc_fixture, mpc_sweep):
     _, _, net = mpc_fixture
-    rows = mpc_sweep.rows
+    rows = mpc_sweep
     assert [r.eps for r in rows] == SWEEP_GRID
     assert all(r.status.startswith("optimal") for r in rows)
     gammas = [r.gamma for r in rows]

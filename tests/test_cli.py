@@ -2,6 +2,9 @@
 
 import csv
 import json
+import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +13,10 @@ from helpers import random_well_posed_network
 from robsyn import cli
 from robsyn.cli import main
 from robsyn.mpc import reference_mpc_problem
+from robsyn.multipliers import InputPairSet
 from robsyn.network import Activation, ImplicitNetwork, load_network, save_network
+from robsyn.synthesis import RobustnessCertificate
+from robsyn.verification import SweepRow
 
 
 def write_config(path, **kv):
@@ -123,7 +129,7 @@ class TestConfigHandling:
             ("sweep", {"sweep_grid": [1e-3, -1.0]}, None,
              "config key 'sweep_grid': tolerance w_x must be nonnegative"),
             ("verify", {"pairset": {"eps_u1": -1}}, None,
-             "config key 'pairset': input pair set radii must be nonnegative"),
+             "config key 'pairset': eps_u1 must be nonnegative"),
             ("synthesize", {"tolerances": {"uniform": -1}}, None,
              "config key 'tolerances': tolerance w_x must be nonnegative"),
             ("sweep", {"solver": {"max_iters": 0}}, None,
@@ -480,3 +486,64 @@ class TestSweepAndSimulate:
         )
         assert main(["simulate", "--config", cfg]) == 2
         assert "qp document must be a mapping" in capsys.readouterr().err
+
+
+class TestArtifactBytes:
+    # Each format pinned to the bytes it had before its writers moved into
+    # the CLI, so that a change of format shows here and not only in a
+    # comparison of two runs of one checkout.
+    NETWORK = (
+        '{\n "n": 2,\n "n_u": 1,\n "n_g": 1,\n "activation": "tanh",\n'
+        ' "W_x": [\n  [\n   0.5,\n   -0.25\n  ],\n  [\n   0.0,\n   0.1\n  ]\n ],\n'
+        ' "W_u": [\n  [\n   1.0\n  ],\n  [\n   -2.0\n  ]\n ],\n'
+        ' "W_fx": [\n  [\n   0.3,\n   1e-08\n  ]\n ],\n'
+        ' "W_fu": [\n  [\n   0.0\n  ]\n ],\n'
+        ' "b": [\n  0.0,\n  -0.5\n ],\n'
+        ' "b_f": [\n  2.5\n ]\n}\n'
+    )
+    CERTIFICATE = (
+        '{\n "gamma": 2.812977007655051,\n "gamma_u1": 0.0,\n "gamma_u2": 0.125,\n'
+        ' "eps_u1": 1.0,\n "eps_u2": 0.5,\n "lmi_margin": -1e-08,\n'
+        ' "objective_value": 2.937977007655051\n}\n'
+    )
+    SWEEP_CSV = (
+        "eps,gamma,gamma_u1,gamma_u2,objective,status,empirical_max_lhs,max_weight_deviation\n"
+        "1.0000000000000001e-05,2.7468235511168997,0,0,2.7468235511168997,optimal,"
+        "1.2236,9.9899999999999992e-06\n"
+        "0.10000000000000001,nan,nan,nan,nan,infeasible,nan,nan\n"
+    )
+    SWEEP_DAT = "# eps gamma\n1.0000000000000001e-05 2.7468235511168997\n"
+
+    def test_network_document(self, tmp_path):
+        net = ImplicitNetwork(
+            W_x=[[0.5, -0.25], [0.0, 0.1]], W_u=[[1.0], [-2.0]], W_fx=[[0.3, 1e-08]],
+            W_fu=[[0.0]], b=[0.0, -0.5], b_f=[2.5], activation=Activation.tanh(),
+        )
+        save_network(net, str(tmp_path / "network.json"))
+        assert (tmp_path / "network.json").read_bytes() == self.NETWORK.encode()
+
+    def test_certificate_document(self, tmp_path):
+        cert = RobustnessCertificate(
+            gamma=2.812977007655051, gamma_u1=0.0, gamma_u2=0.125,
+            input_set=InputPairSet(1.0, 0.5), lmi_margin=-1e-08,
+            objective_value=2.937977007655051,
+        )
+        cli._write_certificate(SimpleNamespace(certificate=cert), str(tmp_path / "cert.json"))
+        assert (tmp_path / "cert.json").read_bytes() == self.CERTIFICATE.encode()
+
+    @pytest.mark.parametrize("timestamp", [False, True], ids=["plain", "timestamp"])
+    def test_sweep_files(self, tmp_path, timestamp):
+        nan = math.nan
+        rows = [
+            SweepRow(1e-05, 2.7468235511168997, 0.0, 0.0, 2.7468235511168997, "optimal",
+                     1.2236, 9.99e-06),
+            SweepRow(0.1, nan, nan, nan, nan, "infeasible", nan, nan),
+        ]
+        cli.write_sweep_csv(str(tmp_path / "sweep.csv"), rows, timestamp)
+        cli.write_sweep_gnuplot(str(tmp_path / "sweep.dat"), rows, timestamp)
+        for name, expected in (("sweep.csv", self.SWEEP_CSV), ("sweep.dat", self.SWEEP_DAT)):
+            data = (tmp_path / name).read_bytes()
+            if timestamp:
+                first, data = data.split(b"\n", 1)
+                assert re.match(rb"# generated \d{4}-\d\d-\d\dT", first)
+            assert data == expected.encode()

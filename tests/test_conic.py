@@ -422,25 +422,22 @@ def dense_row_program():
     return lagrange_dual(random_box_sdp(3))
 
 
-# each program, and whether _LinearGram keeps the pairs of its rows
 FIXED_PATTERN_PROGRAMS = [
-    (program_with_empty_rows, True),
-    (program_with_an_equality, True),
-    (pinned_program, True),          # nv = 0
-    (arrow_program, True),           # no linear rows
-    (dense_row_program, False),
+    program_with_empty_rows,
+    program_with_an_equality,
+    pinned_program,                  # nv = 0
+    arrow_program,                   # no linear rows
+    dense_row_program,
 ]
-FIXED_PATTERN_IDS = [make.__name__ for make, _ in FIXED_PATTERN_PROGRAMS]
+FIXED_PATTERN_IDS = [make.__name__ for make in FIXED_PATTERN_PROGRAMS]
 
 
-@pytest.mark.parametrize("make, paired", FIXED_PATTERN_PROGRAMS, ids=FIXED_PATTERN_IDS)
-def test_fixed_pattern_products_are_bit_identical_to_scipy(make, paired):
-    data = _ConeData(make())
-    assert (data.lp_gram.p is not None) == paired
-    assert_fixed_pattern_products_match_scipy(data, seed=0)
+@pytest.mark.parametrize("make", FIXED_PATTERN_PROGRAMS, ids=FIXED_PATTERN_IDS)
+def test_fixed_pattern_products_are_bit_identical_to_scipy(make):
+    assert_fixed_pattern_products_match_scipy(_ConeData(make()), seed=0)
 
 
-@pytest.mark.parametrize("make", [m for m, _ in FIXED_PATTERN_PROGRAMS], ids=FIXED_PATTERN_IDS)
+@pytest.mark.parametrize("make", FIXED_PATTERN_PROGRAMS, ids=FIXED_PATTERN_IDS)
 def test_kkt_potrs_is_bit_identical_to_cho_solve(make):
     data = _ConeData(make())
     # interior points: each block's off-diagonal entries stay below

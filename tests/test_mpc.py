@@ -337,3 +337,18 @@ class TestInputShapes:
         expected = f"field '{name}': expected shape (2,), got {shape}"
         with pytest.raises(DimensionMismatch, match=f"^{re.escape(expected)}$"):
             call(prob, condense_qp(prob), np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "output, shape", [(lambda v: v[:, None], (10, 1)), (lambda v: v[:3], (3,))],
+        ids=["10x1", "3"],
+    )
+    def test_controller_output_of_another_shape_is_named(self, output, shape):
+        # the controller returns the stacked sequence of n_v * horizon = 10
+        # inputs; a column is not reshaped, nor three entries sent to numpy
+        prob = reference_mpc_problem()
+        qp = condense_qp(prob)
+        expected = f"field 'controller output': expected shape (10,), got {shape}"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(expected)}$"):
+            simulate_closed_loop(
+                prob, np.ones(2), steps=1, controller=lambda w: output(solve_qp_oracle(qp, w).v)
+            )

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import robsyn
+from robsyn.cli import write_csv, write_sweep_csv
 from robsyn.mpc import (
     condense_qp,
     qp_to_implicit_network,
@@ -32,7 +33,6 @@ from robsyn.verification import (
     empirical_bound_check,
     sample_input_pairs,
     sweep_tolerance,
-    write_csv,
 )
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -127,9 +127,9 @@ def test_tradeoff_sweep_writes_the_library_sweep(tmp_path, mpc):
         "--grid", "1e-1", "--samples", str(SPEC.num_pairs), "--no-timestamp", "--out", str(out),
     )
     # each row sets every tolerance to its grid value
-    result = sweep_tolerance(pinned_gain_problem(net, 0.0), [1e-1], spec=SPEC, seed=0)
+    rows = sweep_tolerance(pinned_gain_problem(net, 0.0), [1e-1], spec=SPEC, seed=0)
     expected = tmp_path / "sweep.csv"
-    result.write_csv(str(expected), timestamp=False)
+    write_sweep_csv(str(expected), rows, timestamp=False)
     assert (out / "sweep.csv").read_bytes() == expected.read_bytes()
 
 

@@ -2,14 +2,16 @@
 
 import csv
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import robsyn.verification
 from helpers import lemma_property_suite, random_well_posed_network
+from robsyn.cli import write_sweep_csv, write_sweep_gnuplot
 from robsyn.multipliers import InputPairSet
 from robsyn.network import Activation, ImplicitNetwork
 from robsyn.conic import SolverOptions
@@ -22,12 +24,15 @@ from robsyn.synthesis import (
 )
 from robsyn.verification import (
     SampleSpec,
-    SweepResult,
     SweepRow,
     empirical_bound_check,
     sample_input_pairs,
     sweep_tolerance,
 )
+
+
+# sweep.csv's columns, one per SweepRow field
+COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def binding_fraction(diff, pairset):
@@ -218,52 +223,52 @@ def sweep_problem(net, U, fix_gains=True):
 def seed42_sweep():
     net = random_well_posed_network(42, n=3, n_u=2, n_g=2)
     U = InputPairSet(1.0, 1.0)
-    result = sweep_tolerance(
+    rows = sweep_tolerance(
         sweep_problem(net, U), [0.0, 0.05, 0.2], spec=SampleSpec(num_pairs=200), seed=5
     )
-    return net, U, result
+    return net, U, rows
 
 
 class TestSweep:
     def test_rows_are_in_input_order_and_optimal(self, seed42_sweep):
-        _, _, result = seed42_sweep
-        assert [r.eps for r in result.rows] == [0.0, 0.05, 0.2]
-        assert all(r.status.startswith("optimal") for r in result.rows)
+        _, _, rows = seed42_sweep
+        assert [r.eps for r in rows] == [0.0, 0.05, 0.2]
+        assert all(r.status.startswith("optimal") for r in rows)
 
     def test_gamma_nonincreasing_and_gains_pinned(self, seed42_sweep):
-        _, _, result = seed42_sweep
-        gammas = [r.gamma for r in result.rows]
+        _, _, rows = seed42_sweep
+        gammas = [r.gamma for r in rows]
         assert gammas[0] + 1e-6 >= gammas[1] >= gammas[2] - 1e-6
-        for r in result.rows:
+        for r in rows:
             assert abs(r.gamma_u1) <= 1e-9 and abs(r.gamma_u2) <= 1e-9
             assert r.objective == pytest.approx(r.gamma, abs=1e-9)
 
     def test_zero_eps_row_matches_analysis(self, seed42_sweep):
-        net, U, result = seed42_sweep
+        net, U, rows = seed42_sweep
         ref = analyze_network(net, U, fixed_gamma_u1=0.0, fixed_gamma_u2=0.0)
-        assert result.rows[0].gamma == pytest.approx(
+        assert rows[0].gamma == pytest.approx(
             ref.certificate.gamma, rel=1e-4
         )
 
     def test_empirical_column_bounded_by_gamma(self, seed42_sweep):
-        _, _, result = seed42_sweep
-        for r in result.rows:
+        _, _, rows = seed42_sweep
+        for r in rows:
             assert r.empirical_max_lhs <= r.gamma + 1e-6
 
     def test_weight_deviation_within_band(self, seed42_sweep):
-        _, _, result = seed42_sweep
-        assert result.rows[0].max_weight_deviation <= 1e-6
-        for r in result.rows:
+        _, _, rows = seed42_sweep
+        assert rows[0].max_weight_deviation <= 1e-6
+        for r in rows:
             assert r.max_weight_deviation <= r.eps + 1e-6
 
     def test_free_gains_mode_reproduces_frozen_objective(self):
         net = random_well_posed_network(42, n=3, n_u=2, n_g=2)
-        result = sweep_tolerance(
+        rows = sweep_tolerance(
             sweep_problem(net, InputPairSet(1.0, 1.0), fix_gains=False),
             [0.0],
             spec=SampleSpec(num_pairs=50),
         )
-        r = result.rows[0]
+        r = rows[0]
         assert r.objective == pytest.approx(3.275418, abs=2e-4)
         assert r.objective == pytest.approx(r.gamma + r.gamma_u1 + r.gamma_u2, abs=1e-6)
 
@@ -277,13 +282,13 @@ class TestSweep:
             b_f=np.zeros(1),
             activation=Activation.relu(),
         )
-        result = sweep_tolerance(
+        rows = sweep_tolerance(
             sweep_problem(net, InputPairSet(1.0, 1.0)), [1e-6, 3.0], spec=SampleSpec(num_pairs=50)
         )
-        assert result.rows[0].status == "infeasible"
-        assert math.isnan(result.rows[0].gamma)
-        assert result.rows[1].status.startswith("optimal")
-        assert math.isfinite(result.rows[1].gamma)
+        assert rows[0].status == "infeasible"
+        assert math.isnan(rows[0].gamma)
+        assert rows[1].status.startswith("optimal")
+        assert math.isfinite(rows[1].gamma)
 
     def test_parallel_rows_match_serial(self):
         # a problem and options off their defaults, which every worker must
@@ -294,7 +299,7 @@ class TestSweep:
         spec = SampleSpec(num_pairs=40)
         serial = sweep_tolerance(problem, [0.0, 0.1], options, spec=spec, seed=1, jobs=1)
         parallel = sweep_tolerance(problem, [0.0, 0.1], options, spec=spec, seed=1, jobs=2)
-        for a, b in zip(serial.rows, parallel.rows):
+        for a, b in zip(serial, parallel):
             assert a.status == b.status
             assert a.gamma == pytest.approx(b.gamma, abs=1e-9)
             assert a.empirical_max_lhs == pytest.approx(b.empirical_max_lhs, abs=1e-9)
@@ -310,52 +315,62 @@ class TestSweep:
         with pytest.raises(ValueError, match="jobs"):
             sweep_tolerance(sweep_problem(net, InputPairSet(1.0, 1.0)), [0.0, 0.1], jobs=jobs)
 
+    @pytest.mark.parametrize("bad", [-1.0, True, "0.1"], ids=str)
+    def test_every_eps_is_checked_before_a_row_is_solved(self, monkeypatch, bad):
+        # not after the rows before it are solved; float() would turn True
+        # and "0.1" into rows
+        def no_solve(*args):
+            raise AssertionError("synthesize was called")
+
+        monkeypatch.setattr(robsyn.verification, "synthesize", no_solve)
+        net = random_well_posed_network(3, n=2, n_u=1, n_g=1)
+        with pytest.raises(ValueError, match="tolerance w_x must be"):
+            sweep_tolerance(sweep_problem(net, InputPairSet(1.0, 1.0)), [1e-5, bad])
+
     def test_csv_roundtrip(self, tmp_path, seed42_sweep):
-        _, _, result = seed42_sweep
+        _, _, rows = seed42_sweep
         path = tmp_path / "sweep.csv"
-        result.write_csv(str(path))
+        write_sweep_csv(str(path), rows)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# generated ")
         reader = csv.reader(lines[1:])
         header = next(reader)
-        assert tuple(header) == SweepResult.COLUMNS
-        rows = list(reader)
-        assert len(rows) == len(result.rows)
-        for parsed, row in zip(rows, result.rows):
+        assert tuple(header) == COLUMNS
+        parsed_rows = list(reader)
+        assert len(parsed_rows) == len(rows)
+        for parsed, row in zip(parsed_rows, rows):
             assert float(parsed[0]) == row.eps
             assert float(parsed[1]) == pytest.approx(row.gamma, abs=0)
             assert parsed[5] == row.status
 
     def test_csv_without_timestamp(self, tmp_path, seed42_sweep):
-        _, _, result = seed42_sweep
+        _, _, rows = seed42_sweep
         path = tmp_path / "sweep.csv"
-        result.write_csv(str(path), timestamp=False)
+        write_sweep_csv(str(path), rows, timestamp=False)
         first = path.read_text().splitlines()[0]
-        assert first == ",".join(SweepResult.COLUMNS)
+        assert first == ",".join(COLUMNS)
 
     def test_gnuplot_file(self, tmp_path, seed42_sweep):
-        _, _, result = seed42_sweep
+        _, _, rows = seed42_sweep
         path = tmp_path / "sweep.dat"
-        result.write_gnuplot(str(path), timestamp=False)
+        write_sweep_gnuplot(str(path), rows, timestamp=False)
         lines = path.read_text().splitlines()
         assert lines[0] == "# eps gamma"
         data = [line.split() for line in lines[1:]]
-        assert len(data) == len(result.rows)
-        for cols, row in zip(data, result.rows):
+        assert len(data) == len(rows)
+        for cols, row in zip(data, rows):
             assert len(cols) == 2
             assert float(cols[0]) == row.eps
             assert float(cols[1]) == pytest.approx(row.gamma, abs=0)
 
     def test_gnuplot_skips_unsolved_rows(self, tmp_path):
         nan = math.nan
-        result = SweepResult(
-            rows=[
-                SweepRow(0.1, 2.0, 0.0, 0.0, 2.0, "optimal", 1.5, 0.1),
-                SweepRow(0.2, nan, nan, nan, nan, "infeasible", nan, nan),
-            ]
-        )
+        rows = [
+            SweepRow(0.1, 2.0, 0.0, 0.0, 2.0, "optimal", 1.5, 0.1),
+            SweepRow(0.2, nan, nan, nan, nan, "infeasible", nan, nan),
+        ]
         path = tmp_path / "sweep.dat"
-        result.write_gnuplot(str(path), timestamp=False)
+        write_sweep_gnuplot(str(path), rows, timestamp=False)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         cols = lines[1].split()
